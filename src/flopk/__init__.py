@@ -32,7 +32,6 @@ from .chow import (
     dual_chern_character,
     line_chern_character,
     quot_chern_character,
-    schubert_multiply,
     sub_chern_classes,
 )
 from .kgroup import (

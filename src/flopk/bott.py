@@ -23,7 +23,6 @@ is the Weyl dimension of the sorted weight minus rho.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .partitions import BoxShape, partitions_of
@@ -85,9 +84,9 @@ def weyl_dimension(lam: tuple[int, ...]) -> int:
         for j in range(i + 1, n):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    q = Fraction(num, den)
-    assert q.denominator == 1
-    return int(q)
+    if num % den:
+        raise AssertionError(f"non-integral Weyl dimension {num}/{den} for {lam}")
+    return num // den
 
 
 def bott_cohomology(w: Weight) -> Optional[BottResult]:

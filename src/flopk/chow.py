@@ -137,11 +137,6 @@ class SchubertVector:
         return " + ".join(terms)
 
 
-def schubert_multiply(a: SchubertVector, b: SchubertVector) -> SchubertVector:
-    """sigma_lam . sigma_mu = sum c^nu_{lam,mu} sigma_nu, extended bilinearly."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # Chern classes and power sums of the tautological bundles
 # ---------------------------------------------------------------------------
@@ -161,7 +156,7 @@ def sub_chern_classes(box: BoxShape) -> tuple[SchubertVector, ...]:
 
     Determined by c(sub).c(quot) = 1: the inverse series is computed degree
     by degree; components above degree t vanish identically in the Chow
-    ring, which is asserted.
+    ring, which is checked.
     """
     cq = quot_chern_classes(box)
     inv = [SchubertVector.unit(box)]
@@ -171,7 +166,8 @@ def sub_chern_classes(box: BoxShape) -> tuple[SchubertVector, ...]:
             term = term - cq[j] * inv[d - j]
         inv.append(term)
     for d in range(box.rows + 1, box.dim + 1):
-        assert inv[d].is_zero(), f"c_{d}(sub) should vanish on {box}"
+        if not inv[d].is_zero():
+            raise AssertionError(f"c_{d}(sub) should vanish on {box}")
     return tuple(inv[: box.rows + 1])
 
 
@@ -326,27 +322,6 @@ def rational_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def rational_det(matrix) -> Fraction:
-    """Determinant over the rationals by Gaussian elimination."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 @cache

@@ -9,7 +9,7 @@ indices) stay plain.
 
 Exit status: 0 for success and true verdicts, 1 when a computation
 reaches a failing verdict or a structured error (non-integral expansion,
-wall point), 2 for usage errors.
+wall point, a flop request above the size limit), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -54,19 +54,34 @@ def _emit(config: CommandConfig, payload: dict, table_lines) -> None:
             print(line)
 
 
+# Largest K-rank C(h,t) a flop command accepts: G(5,10) certifies in
+# seconds, and the cost grows roughly with the cube of the rank.
+MAX_FLOP_RANK = 252
+
+
 def _box(config: CommandConfig, flop: bool = False) -> BoxShape:
     if config.t is None or config.h is None:
         raise UsageError("--t and --h are required")
     if flop and 2 * config.t > config.h:
         raise UsageError(f"flop commands require t <= h/2, got t={config.t}, h={config.h}")
     try:
-        return BoxShape.for_grassmannian(config.t, config.h)
+        box = BoxShape.for_grassmannian(config.t, config.h)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if flop and box.rank > MAX_FLOP_RANK:
+        raise SizeLimit(
+            f"G({config.t},{config.h}) has K-rank {box.rank}, "
+            f"above the limit {MAX_FLOP_RANK}"
+        )
+    return box
 
 
 class UsageError(Exception):
     pass
+
+
+class SizeLimit(Exception):
+    """A request too large to compute in reasonable time."""
 
 
 def _matrix_payload(box: BoxShape, matrix: kgroup.IntegerMatrix) -> dict:
@@ -127,10 +142,7 @@ def _cmd_check_iso(config: CommandConfig) -> int:
 def _cmd_snf(config: CommandConfig) -> int:
     if config.matrix is not None:
         try:
-            entries = json.loads(config.matrix)
-            matrix = kgroup.IntegerMatrix(
-                [[int(x) for x in row] for row in entries]
-            )
+            matrix = kgroup.IntegerMatrix(json.loads(config.matrix))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad --matrix: {exc}")
         snf = kgroup.smith_normal_form(matrix)
@@ -239,12 +251,13 @@ def _cmd_gamma(config: CommandConfig) -> int:
         raise UsageError("--point a,x,y,z,w is required")
     try:
         pt = _parse_scalars(config.point, config.field, 5)
+        indeterminate = flopgeom.is_indeterminate(pt)
     except ValueError as exc:
         raise UsageError(str(exc))
     image = flopgeom.pluecker_limit_map(pt)
     payload = {
         "image": [_scalar_str(x) for x in image],
-        "indeterminate": all(not (x != 0) for x in image),
+        "indeterminate": indeterminate,
     }
     _emit(
         config,
@@ -376,7 +389,7 @@ def run(config: CommandConfig) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (kgroup.NonIntegralExpansion, weyl.RegularityViolation) as exc:
+    except (kgroup.NonIntegralExpansion, weyl.RegularityViolation, SizeLimit) as exc:
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
 

@@ -9,11 +9,24 @@ by the dual-Grassmannian flop acts on it by sending each basis class to
 the class of the dual Schur power, and this module computes that matrix
 together with its unimodularity and Smith-form certificates.
 
-Expansion of an arbitrary tautological class works by one mechanism
-everywhere: take its Chern character (module chow), solve against the
-character matrix of the basis, and demand an integral solution.  A
-non-integral solution can only come from a malformed expression or an
-implementation bug, never from rounding, and raises NonIntegralExpansion.
+Two independent routes reach the lattice coordinates.
+
+* Expansion of an arbitrary tautological class (``expand_in_basis``)
+  takes its Chern character (module chow), solves against the character
+  matrix of the basis, and demands an integral solution.  A non-integral
+  solution can only come from a malformed expression or an
+  implementation bug, never from rounding, and raises
+  NonIntegralExpansion.
+* The flop matrix (``flop_matrix``) stays in integers throughout.  With
+  x_i the K-theoretic Chern roots of the subbundle, the substitution
+  x_i = 1 + z_i presents K(G) as Lambda_t[z]/(h_k(z), k > h-t), the
+  integral presentation of the Chow ring, in which the s_mu(z) over the
+  box form a basis and O(1) = prod (1+z_i)^-1 acts by the Pieri rule.
+  A binomial change of basis (``binomial_change``) and that twist
+  (``pieri_twist``) give the matrix without characters, rationals or
+  Littlewood-Richardson coefficients.  ``dual_class`` and
+  ``dual_twist_pair`` compute the same columns on the character route
+  and serve as its oracle.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, the dual Schur power of the subbundle is isomorphic to
@@ -32,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import comb, gcd
 
 from .chow import (
     SchubertVector,
@@ -298,9 +311,13 @@ class IntegerMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = [tuple(int(x) for x in row) for row in entries]
+        rows = [tuple(row) for row in entries]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("entries must be a non-empty rectangular array")
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise TypeError(f"entries must be int, got {x!r}")
         self.entries = tuple(rows)
 
     @classmethod
@@ -324,17 +341,17 @@ class IntegerMatrix:
         return tuple(row[j] for row in self.entries)
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """Product, accumulated row by row so that zero entries cost nothing."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        return IntegerMatrix(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, other_row)]
+            out.append(acc)
+        return IntegerMatrix(out)
 
     def apply(self, vector) -> tuple[int, ...]:
         if len(vector) != self.cols:
@@ -447,6 +464,71 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     return tuple(nonzero) + (0,) * (len(diag) - len(nonzero))
 
 
+def _shifted_schur_coefficient(lam: Partition, mu: Partition, t: int) -> int:
+    """d_{lam,mu} = det C(lam_i + t - i, mu_j + t - j), i, j = 1..t: the
+    coefficient of s_mu(z) in s_lam(1 + z) over t variables."""
+    lam = tuple(lam) + (0,) * (t - len(lam))
+    mu = tuple(mu) + (0,) * (t - len(mu))
+    return IntegerMatrix(
+        [[comb(lam[i] + t - 1 - i, mu[j] + t - 1 - j) for j in range(t)] for i in range(t)]
+    ).det()
+
+
+@cache
+def binomial_change(box: BoxShape) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """The change of basis D from Schur powers to the s_mu(z), and its inverse.
+
+    [Sigma^lam sub] = s_lam(1 + z) = sum_{mu in lam} d_{lam,mu} s_mu(z), so
+    column lam of D holds the d_{lam,mu} (Lascoux 1978, "Classes de Chern
+    d'un produit tensoriel"; Macdonald, Symmetric Functions, I.3 Ex. 10).
+    Every mu inside lam fits in the box, so no truncation enters and D is
+    unitriangular in the canonical order.  z = x - 1 is the same
+    substitution with shift -1, and d_{lam,mu} is homogeneous of degree
+    |lam| - |mu| in the shift, so D^-1 has the entries
+    (-1)^(|lam|-|mu|) d_{lam,mu}: no solve is needed.
+    """
+    basis = enumerate_box(box)
+    n = len(basis)
+    d = [[0] * n for _ in range(n)]
+    d_inv = [[0] * n for _ in range(n)]
+    for j, lam in enumerate(basis):
+        for i, mu in enumerate(basis[: j + 1]):
+            if lam.contains(mu):
+                coeff = _shifted_schur_coefficient(lam, mu, box.rows)
+                d[i][j] = coeff
+                d_inv[i][j] = (-1) ** (lam.size - mu.size) * coeff
+    return IntegerMatrix(d), IntegerMatrix(d_inv)
+
+
+def _horizontal_strips(lam: Partition, box: BoxShape):
+    """The nu in the box with nu/lam a horizontal strip (nu interlaces lam)."""
+    lam = tuple(lam) + (0,) * (box.rows - len(lam))
+    out = [()]
+    for i in range(box.rows):
+        top = lam[i - 1] if i else box.cols
+        out = [nu + (part,) for nu in out for part in range(lam[i], top + 1)]
+    return [Partition(nu) for nu in out]
+
+
+@cache
+def pieri_twist(box: BoxShape) -> IntegerMatrix:
+    """Multiplication by O(1) in the basis s_mu(z) of K(G).
+
+    O(1) = prod (1 + z_i)^-1 = sum_k (-1)^k h_k(z), and h_k(z) vanishes for
+    k above the box width, so by the Pieri rule column lam has the sign
+    (-1)^(|nu|-|lam|) at every nu in the box with nu/lam a horizontal
+    strip, and zeros elsewhere.
+    """
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    n = len(basis)
+    twist = [[0] * n for _ in range(n)]
+    for j, lam in enumerate(basis):
+        for nu in _horizontal_strips(lam, box):
+            twist[index[nu]][j] = (-1) ** (nu.size - lam.size)
+    return IntegerMatrix(twist)
+
+
 @cache
 def flop_matrix(box: BoxShape) -> IntegerMatrix:
     """Matrix of the flop correspondence on the Grothendieck lattice.
@@ -455,7 +537,23 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     identifications the same matrix represents the correspondence on the
     cotangent spaces and on their one-parameter deformations.  It is an
     involution and unimodular.
+
+    Computed in integers as F = D^-1 . T^c . D . Pi: Pi sends alpha to the
+    rotated box complement beta (see ``dual_twist_pair``), D and D^-1 are
+    the binomial change of basis to the s_mu(z) and back
+    (``binomial_change``), and T is the Pieri twist by O(1)
+    (``pieri_twist``), applied c = h - t times.  So column alpha is
+    [Sigma^beta sub (x) O(c)] = [Sigma^alpha sub dual].  The route is that
+    of the integral Chow presentation of K(G) (Buch 2002, "A
+    Littlewood-Richardson rule for the K-theory of Grassmannians").
     """
-    return IntegerMatrix.from_columns(
-        [dual_class(alpha, box).coords for alpha in enumerate_box(box)]
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    d, d_inv = binomial_change(box)
+    m = IntegerMatrix.from_columns(
+        [d.column(index[box.complement(alpha)]) for alpha in basis]
     )
+    twist = pieri_twist(box)
+    for _ in range(box.cols):
+        m = twist @ m
+    return d_inv @ m

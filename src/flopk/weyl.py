@@ -173,5 +173,6 @@ def chamber_sort(vector: Sequence) -> tuple[Permutation, list[int]]:
     sigma = Permutation(ranking.index(v) + 1 for v in vector)
     word = adjacent_word(sigma)
     sorted_vec = apply_word(word, vector)
-    assert all(a > b for a, b in zip(sorted_vec, sorted_vec[1:]))
+    if not all(a > b for a, b in zip(sorted_vec, sorted_vec[1:])):
+        raise AssertionError(f"word {word} does not sort {vector}")
     return sigma, word

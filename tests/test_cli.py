@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from flopk.cli import canonical_json, main
+from flopk.cli import MAX_FLOP_RANK, CommandConfig, _box, canonical_json, main
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,35 @@ def test_flop_matrix_schema_and_round_trip(capsys):
     assert payload["snf"] == ["1", "1", "1"]
     # canonical JSON round trip is byte-identical
     assert canonical_json(json.loads(out)) == out.strip()
+
+
+@pytest.mark.parametrize("matrix", ["[[1.5]]", "[[true]]", '[["2"]]', "[[1,2],[3]]", "7"])
+def test_snf_non_integer_matrix_is_usage_error(capsys, matrix):
+    assert main(["snf", "--matrix", matrix]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flop-matrix", "--t", "6", "--h", "12"),
+        ("check-iso", "--t", "6", "--h", "12"),
+        ("snf", "--t", "6", "--h", "12"),
+        ("check-iso", "--t", "5", "--h", "11"),
+    ],
+    ids=lambda a: "-".join(a[0::2]),
+)
+def test_oversized_flop_is_structured_error(capsys, argv):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert payload["error"]["type"] == "SizeLimit"
+
+
+def test_largest_flop_box_is_accepted():
+    # G(5,10) has K-rank 252, exactly the limit
+    assert _box(CommandConfig("check-iso", t=5, h=10), flop=True).rank == MAX_FLOP_RANK
 
 
 def test_snf_of_flop_matrix(capsys):
@@ -106,6 +136,10 @@ def test_gamma_and_quadric(capsys):
     }
     code, payload = run_json(capsys, "gamma", "--point", "0,1,2,3,6")
     assert payload["indeterminate"] is True
+    # the zero tuple is not a projective point
+    assert main(["gamma", "--point", "0,0,0,0,0"]) == 2
+    assert main(["gamma", "--point", "0,0,0,0,7", "--field", "7"]) == 2
+    capsys.readouterr()
     code, payload = run_json(
         capsys, "quadric", "--point", "1,3,4,-1,-2,-2", "--field", "32003"
     )

@@ -44,11 +44,15 @@ def test_borel_weil_sections_of_dual_schur_powers(shape):
         assert result == BottResult(0, expected_dim)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3)])
+# every flop box G(t,h) with t <= h/2 and h <= 7
+_FLOP_SHAPES = [(t, h - t) for h in range(2, 8) for t in range(1, h // 2 + 1)]
+
+
+@pytest.mark.parametrize("shape", _FLOP_SHAPES)
 def test_flop_matrix_from_twist_route(shape):
-    # independent construction of the whole matrix: dualizing a basis
-    # class is the same as complementing in the box and twisting by the
-    # box width
+    # independent construction of the whole matrix on the character
+    # route: dualizing a basis class is the same as complementing in the
+    # box and twisting by the box width
     box = BoxShape(*shape)
     columns = []
     for alpha in enumerate_box(box):

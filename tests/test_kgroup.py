@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from flopk import chow, kgroup
 from flopk.chow import SchubertVector
 from flopk.kgroup import (
     IntegerMatrix,
     KVector,
     NonIntegralExpansion,
     TautClass,
+    binomial_change,
     dual_class,
     dual_twist_pair,
     expand_in_basis,
@@ -16,6 +18,7 @@ from flopk.kgroup import (
     is_unimodular,
     line_bundle,
     line_bundle_class,
+    pieri_twist,
     schur_sub,
     schur_sub_dual,
     smith_normal_form,
@@ -25,6 +28,8 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
 
+from oracles import rational_det
+
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
 P2 = BoxShape.for_grassmannian(1, 3)   # box(1,2)
 G24 = BoxShape.for_grassmannian(2, 4)  # box(2,2)
@@ -32,7 +37,7 @@ G24 = BoxShape.for_grassmannian(2, 4)  # box(2,2)
 # the full set of boxes the certificates are asserted on
 CERTIFICATE_BOXES = [
     BoxShape(1, 1), BoxShape(1, 2), BoxShape(1, 3), BoxShape(1, 4),
-    BoxShape(2, 2), BoxShape(2, 3), BoxShape(3, 3),
+    BoxShape(2, 2), BoxShape(2, 3), BoxShape(3, 3), BoxShape(4, 4),
 ]
 
 
@@ -149,6 +154,54 @@ def test_flop_matrix_box12_columns():
 
 
 @pytest.mark.parametrize("box", CERTIFICATE_BOXES, ids=str)
+def test_binomial_change_inverse(box):
+    d, d_inv = binomial_change(box)
+    n = box.rank
+    assert d @ d_inv == IntegerMatrix.identity(n)
+    # unitriangular in the canonical order
+    assert all(d.entries[i][i] == 1 for i in range(n))
+    assert all(d.entries[i][j] == 0 for i in range(n) for j in range(i))
+
+
+def test_binomial_change_small_cases():
+    # on the plane s_2(1 + z) = (1 + z)^2, and s_2(x - 1) = (x - 1)^2
+    d, d_inv = binomial_change(P2)
+    assert d.column(2) == (1, 2, 1)
+    assert d_inv.column(2) == (1, -2, 1)
+    # on G(2,4), basis -, 1, 2, (1,1), (2,1), (2,2):
+    # h_2(1 + z) = 3 + 3 s_1 + s_2 and e_2(1 + z) = 1 + s_1 + s_11
+    d, _ = binomial_change(G24)
+    assert d.column(2) == (3, 3, 1, 0, 0, 0)
+    assert d.column(3) == (1, 1, 0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+def test_pieri_twist_is_line_bundle(shape):
+    # D^-1 T D applied to [O] is [O(1)], expanded on the character route
+    box = BoxShape(*shape)
+    d, d_inv = binomial_change(box)
+    o = KVector.basis_vector(box, ())
+    assert (d_inv @ pieri_twist(box) @ d).apply(o.coords) == line_bundle_class(1, box).coords
+
+
+def test_flop_matrix_route_is_integer_only(monkeypatch):
+    # the flop matrix needs no Chern character, no rational and no
+    # Littlewood-Richardson coefficient
+    def forbidden(*args, **kwargs):
+        raise AssertionError("character route used")
+
+    for name in ("Fraction", "SchubertVector", "chern_character", "ch_matrix_inverse",
+                 "dual_chern_character", "line_chern_character",
+                 "quot_chern_character", "rational_inverse"):
+        monkeypatch.setattr(kgroup, name, forbidden)
+    monkeypatch.setattr(chow, "lr_coefficients", forbidden)
+    binomial_change.cache_clear()
+    pieri_twist.cache_clear()
+    m = flop_matrix.__wrapped__(BoxShape(2, 4))
+    assert m @ m == IntegerMatrix.identity(m.rows)
+
+
+@pytest.mark.parametrize("box", CERTIFICATE_BOXES, ids=str)
 def test_flop_matrix_certificates(box):
     m = flop_matrix(box)
     assert m.rows == m.cols == box.rank
@@ -160,6 +213,12 @@ def test_flop_matrix_certificates(box):
 # Integer matrices: determinant and Smith form
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [1.5, True, "2", Fraction(2)], ids=repr)
+def test_integer_matrix_rejects_non_int_entries(bad):
+    with pytest.raises(TypeError):
+        IntegerMatrix([[1, bad], [0, 1]])
+
+
 def test_is_unimodular_examples():
     assert is_unimodular(IntegerMatrix.identity(4))
     assert not is_unimodular(IntegerMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
@@ -168,8 +227,6 @@ def test_is_unimodular_examples():
 
 
 def test_determinant_against_rational_elimination():
-    from flopk.chow import rational_det
-
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randint(1, 6)
