@@ -389,7 +389,7 @@ def run(config: CommandConfig) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (kgroup.NonIntegralExpansion, weyl.RegularityViolation, SizeLimit) as exc:
+    except (weyl.RegularityViolation, SizeLimit) as exc:
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
 

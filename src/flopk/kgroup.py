@@ -9,24 +9,25 @@ by the dual-Grassmannian flop acts on it by sending each basis class to
 the class of the dual Schur power, and this module computes that matrix
 together with its unimodularity and Smith-form certificates.
 
-Two independent routes reach the lattice coordinates.
+Both runtime routes to the lattice coordinates are integer.  With x_i
+the K-theoretic Chern roots of the subbundle, the substitution
+x_i = 1 + z_i presents K(G) as Lambda_t[z]/(h_k(z), k > h-t), the
+integral presentation of the Chow ring, in which the s_mu(z) over the
+box form a basis, multiply by the box-truncated Littlewood-Richardson
+rule, and O(1) = prod (1+z_i)^-1 acts by the Pieri rule.  A binomial
+change of basis (``binomial_change``) connects the s_mu(z) with the
+Schur powers.
 
 * Expansion of an arbitrary tautological class (``expand_in_basis``)
-  takes its Chern character (module chow), solves against the character
-  matrix of the basis, and demands an integral solution.  A non-integral
-  solution can only come from a malformed expression or an
-  implementation bug, never from rounding, and raises
-  NonIntegralExpansion.
-* The flop matrix (``flop_matrix``) stays in integers throughout.  With
-  x_i the K-theoretic Chern roots of the subbundle, the substitution
-  x_i = 1 + z_i presents K(G) as Lambda_t[z]/(h_k(z), k > h-t), the
-  integral presentation of the Chow ring, in which the s_mu(z) over the
-  box form a basis and O(1) = prod (1+z_i)^-1 acts by the Pieri rule.
-  A binomial change of basis (``binomial_change``) and that twist
-  (``pieri_twist``) give the matrix without characters, rationals or
-  Littlewood-Richardson coefficients.  ``dual_class`` and
-  ``dual_twist_pair`` compute the same columns on the character route
-  and serve as its oracle.
+  gives every atom integer z-coordinates (Schur powers of the
+  subbundle, its dual and the quotient, line bundles, exterior powers
+  of the tangent bundle), multiplies them out and maps back by D^-1.
+* The flop matrix (``flop_matrix``) needs only D, D^-1 and the Pieri
+  twist (``pieri_twist``): no Littlewood-Richardson coefficient enters.
+
+The Chern character (``TautClass.ch``, module chow) is a third,
+rational route; the tests solve against the character matrix of the
+basis as an independent oracle for both.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, the dual Schur power of the subbundle is isomorphic to
@@ -43,29 +44,10 @@ a modeling identity, not an operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import comb, gcd
 
-from .chow import (
-    SchubertVector,
-    chern_character,
-    ch_matrix_inverse,
-    dual_chern_character,
-    line_chern_character,
-    quot_chern_character,
-    rational_inverse,
-)
-from .partitions import BoxShape, Partition, enumerate_box, partitions_of
-
-
-class NonIntegralExpansion(Exception):
-    """A Chern-character solve produced non-integer coordinates.
-
-    Every genuine K-class expands integrally in the Schur-power basis, so
-    this always signals a malformed expression or a bug upstream, never a
-    value to be rounded.
-    """
+from .partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +158,11 @@ class TautClass:
 
     def ch(self, box: BoxShape) -> SchubertVector:
         """Chern character of the expression on the given Grassmannian."""
+        from .chow import SchubertVector
+
         total = SchubertVector.zero(box)
         for atoms, coeff in self.terms.items():
-            term = Fraction(coeff) * SchubertVector.unit(box)
+            term = coeff * SchubertVector.unit(box)
             for atom in atoms:
                 term = term * _atom_ch(atom, box)
             total = total + term
@@ -227,21 +211,23 @@ def line_bundle(k: int) -> TautClass:
 
 @cache
 def _atom_ch(atom: _Atom, box: BoxShape) -> SchubertVector:
+    from . import chow
+
     kind, arg = atom
     if kind == "sub":
-        return chern_character(arg, box)
+        return chow.chern_character(arg, box)
     if kind == "sub*":
-        return dual_chern_character(arg, box)
+        return chow.dual_chern_character(arg, box)
     if kind == "quot":
-        return quot_chern_character(arg, box)
+        return chow.quot_chern_character(arg, box)
     if kind == "line":
-        return line_chern_character(arg, box)
+        return chow.line_chern_character(arg, box)
     if kind == "tangent_wedge":
         # Cauchy: wedge^i(sub* (x) quot) splits into Schur powers over
         # partitions of i, the conjugate acting on the quotient factor.
-        total = SchubertVector.zero(box)
+        total = chow.SchubertVector.zero(box)
         for mu in partitions_of(arg, box.rows, box.cols):
-            total = total + dual_chern_character(mu, box) * quot_chern_character(
+            total = total + chow.dual_chern_character(mu, box) * chow.quot_chern_character(
                 mu.conjugate(), box
             )
         return total
@@ -251,25 +237,146 @@ def _atom_ch(atom: _Atom, box: BoxShape) -> SchubertVector:
 # ---------------------------------------------------------------------------
 # Expansion in the Schur-power basis
 # ---------------------------------------------------------------------------
+#
+# Expansion runs in the basis s_mu(z) of K(G) = Lambda_t[z]/(h_k(z), k > h-t),
+# z_i = x_i - 1 for the K-theoretic Chern roots x_i of the subbundle (see
+# ``binomial_change``).  Each atom gets integer z-coordinates, atoms
+# multiply by the Littlewood-Richardson rule truncated to the box, and D^-1
+# maps the result back to the Schur-power basis.
+
+def _schur_z(lam: Partition, box: BoxShape) -> tuple[int, ...]:
+    """z-coordinates of s_lam(1 + z): the d_{lam,mu} over mu in the box.
+
+    lam may stick out of the box; the s_mu(z) with mu outside it vanish.
+    """
+    return tuple(
+        _shifted_schur_coefficient(lam, mu, box.rows) if lam.contains(mu) else 0
+        for mu in enumerate_box(box)
+    )
+
+
+@cache
+def _product_table(box: BoxShape) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Structure constants of the s_mu(z) basis keyed by basis index:
+    entry [i][j] lists the (k, c) with s_i s_j = sum c s_k, nonzero c only."""
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    n = len(basis)
+    table = [[()] * n for _ in range(n)]
+    for i, lam in enumerate(basis):
+        for j in range(i, n):
+            entry = tuple(
+                (index[nu], c) for nu, c in lr_coefficients(lam, basis[j], box).items()
+            )
+            table[i][j] = table[j][i] = entry
+    return tuple(tuple(row) for row in table)
+
+
+def _z_product(u, v, box: BoxShape) -> tuple[int, ...]:
+    """Product of two classes given by their z-coordinates."""
+    table = _product_table(box)
+    out = [0] * len(u)
+    nonzero = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if a:
+            row = table[i]
+            for j, b in nonzero:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+    return tuple(out)
+
+
+def _twist_z(v, k: int, box: BoxShape) -> tuple[int, ...]:
+    """Tensor a class in z-coordinates with O(k)."""
+    if k >= 0:
+        twist = pieri_twist(box)
+        for _ in range(k):
+            v = twist.apply(v)
+        return tuple(v)
+    # O(-1) = det sub = prod (1 + z_i) = s_(1^t)(1 + z)
+    det_sub = _schur_z(Partition((1,) * box.rows), box)
+    for _ in range(-k):
+        v = _z_product(v, det_sub, box)
+    return tuple(v)
+
+
+def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
+    """s_{alpha/nu}(1^n), by Jacobi-Trudi with h_k(1^n) = C(n+k-1, k)."""
+    def h(k):
+        return comb(n + k - 1, k) if k >= 0 else 0
+
+    m = alpha.rows
+    if not m:
+        return 1
+    nu = tuple(nu) + (0,) * (m - len(nu))
+    return IntegerMatrix(
+        [[h(alpha[i] - nu[j] - i + j) for j in range(m)] for i in range(m)]
+    ).det()
+
+
+@cache
+def _atom_z(atom: _Atom, box: BoxShape) -> tuple[int, ...]:
+    """z-coordinates of one atom; raises ValueError exactly where the
+    character route (``_atom_ch``) does."""
+    kind, arg = atom
+    basis = enumerate_box(box)
+    if kind == "sub":
+        alpha = Partition(arg)
+        if not alpha.fits(box):
+            raise ValueError(f"{alpha} does not fit in {box}")
+        return _schur_z(alpha, box)
+    if kind == "sub*":
+        # Sigma^alpha sub* = Sigma^(alpha^c) sub (x) O(alpha_1), with alpha^c
+        # the complement of alpha in the t x alpha_1 rectangle
+        alpha = Partition(arg)
+        if alpha.rows > box.rows:
+            raise ValueError(f"{alpha} has more than {box.rows} rows")
+        padded = tuple(alpha) + (0,) * (box.rows - alpha.rows)
+        rotated = Partition(alpha.cols - p for p in reversed(padded))
+        return _twist_z(_schur_z(rotated, box), alpha.cols, box)
+    if kind == "quot":
+        # [quot] = h - [sub] in the lambda-ring, so [Sigma^alpha quot] is
+        # sum_{nu in alpha} (-1)^|nu| s_{alpha/nu}(1^h) [Sigma^(nu') sub];
+        # nu' fits in the box exactly when it has at most t rows
+        alpha = Partition(arg)
+        if alpha.rows > box.cols:
+            raise ValueError(f"{alpha} has more than {box.cols} rows")
+        coords = []
+        for beta in basis:
+            nu = beta.conjugate()
+            coords.append(
+                (-1) ** nu.size * _skew_count(alpha, nu, box.h) if alpha.contains(nu) else 0
+            )
+        return binomial_change(box)[0].apply(coords)
+    if kind == "line":
+        return _twist_z((1,) + (0,) * (len(basis) - 1), arg, box)
+    if kind == "tangent_wedge":
+        # Cauchy, as in ``_atom_ch``
+        total = [0] * len(basis)
+        for mu in partitions_of(arg, box.rows, box.cols):
+            term = _z_product(
+                _atom_z(("sub*", mu), box), _atom_z(("quot", mu.conjugate()), box), box
+            )
+            total = [x + y for x, y in zip(total, term)]
+        return tuple(total)
+    raise ValueError(f"unknown atom {atom}")
+
 
 def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
     """Integer coordinates of a tautological class in the Schur-power basis.
 
-    Computes the Chern character and solves against the basis character
-    matrix; raises NonIntegralExpansion if the solution is not integral.
+    Computed in integers throughout: the z-coordinates of the atoms are
+    multiplied out term by term and mapped back by D^-1.
     """
-    chv = expr.ch(box)
-    rhs = [chv.coefficient(p) for p in enumerate_box(box)]
-    inv = ch_matrix_inverse(box)
-    coords = []
-    for row in inv:
-        val = sum(a * b for a, b in zip(row, rhs))
-        if val.denominator != 1:
-            raise NonIntegralExpansion(
-                f"expansion of {expr!r} on {box} has non-integer coordinate {val}"
-            )
-        coords.append(int(val))
-    return KVector(box, tuple(coords))
+    total = [0] * box.rank
+    for atoms, coeff in expr.terms.items():
+        term = (1,) + (0,) * (box.rank - 1)
+        for i, atom in enumerate(atoms):
+            z = _atom_z(atom, box)
+            term = z if i == 0 else _z_product(term, z, box)
+        total = [x + coeff * y for x, y in zip(total, term)]
+    return KVector(box, binomial_change(box)[1].apply(total))
 
 
 def line_bundle_class(k: int, box: BoxShape) -> KVector:
@@ -381,12 +488,36 @@ class IntegerMatrix:
         return sign * m[n - 1][n - 1]
 
     def inverse_unimodular(self) -> "IntegerMatrix":
-        """Inverse of a matrix with determinant +-1 (stays integral)."""
-        d = self.det()
+        """Inverse of a matrix with determinant +-1 (stays integral).
+
+        Fraction-free (Bareiss) Gauss-Jordan on [A | I]: every division is
+        exact, and at the end the left block is det(A) I up to the sign of
+        the row swaps and the right block is that multiple of A^-1.
+        """
+        if self.rows != self.cols:
+            raise ValueError("inverse needs a square matrix")
+        n = self.rows
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
+        sign = 1
+        prev = 1
+        for k in range(n):
+            if m[k][k] == 0:
+                pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+                if pivot is None:
+                    raise ValueError("matrix is not unimodular (det=0)")
+                m[k], m[pivot] = m[pivot], m[k]
+                sign = -sign
+            pk = m[k][k]
+            row_k = m[k]
+            for i in range(n):
+                if i != k:
+                    a = m[i][k]
+                    m[i] = [(pk * x - a * y) // prev for x, y in zip(m[i], row_k)]
+            prev = pk
+        d = sign * prev
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det={d})")
-        inv = rational_inverse(self.entries)
-        return IntegerMatrix([[int(x) for x in row] for row in inv])
+        return IntegerMatrix([[prev * x for x in row[n:]] for row in m])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerMatrix) and self.entries == other.entries
@@ -413,43 +544,49 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     """
     m = [list(row) for row in matrix.entries]
     nrows, ncols = len(m), len(m[0])
-    k = 0
-    while k < min(nrows, ncols):
-        # locate the smallest nonzero entry in the remaining block
-        pivot = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[k], m[pi] = m[pi], m[k]
-        for row in m:
-            row[k], row[pj] = row[pj], row[k]
-        # clear row and column k; a nonzero remainder becomes the new,
-        # strictly smaller pivot, so this terminates
-        dirty = True
-        while dirty:
-            dirty = False
+    for k in range(min(nrows, ncols)):
+        while True:
+            # move the smallest nonzero entry of the remaining block to (k, k)
+            pivot, best = None, 0
+            for i in range(k, nrows):
+                row = m[i]
+                for j in range(k, ncols):
+                    if row[j] and (pivot is None or abs(row[j]) < best):
+                        pivot, best = (i, j), abs(row[j])
+                if best == 1:
+                    break
+            if pivot is None:
+                break
+            pi, pj = pivot
+            m[k], m[pi] = m[pi], m[k]
+            if pj != k:
+                for row in m:
+                    row[k], row[pj] = row[pj], row[k]
+            # clear row and column k; a nonzero remainder is smaller than
+            # the pivot, so the next pivot is strictly smaller and this
+            # terminates.  Re-choosing the smallest entry, rather than
+            # pivoting on the remainder, stops successive Euclid steps from
+            # compounding the entries' growth.
+            p = m[k][k]
+            pivot_row = m[k]
+            clear = True
             for i in range(k + 1, nrows):
-                if m[i][k]:
-                    q = m[i][k] // m[k][k]
-                    for j in range(k, ncols):
-                        m[i][j] -= q * m[k][j]
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        dirty = True
+                row = m[i]
+                if row[k]:
+                    q = row[k] // p
+                    if q:
+                        for j in range(k, ncols):
+                            row[j] -= q * pivot_row[j]
+                    clear = clear and not row[k]
             for j in range(k + 1, ncols):
-                if m[k][j]:
-                    q = m[k][j] // m[k][k]
-                    for i in range(k, nrows):
-                        m[i][j] -= q * m[i][k]
-                    if m[k][j]:
-                        for row in m:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-        k += 1
+                if pivot_row[j]:
+                    q = pivot_row[j] // p
+                    if q:
+                        for row in m[k:]:
+                            row[j] -= q * row[k]
+                    clear = clear and not pivot_row[j]
+            if clear:
+                break
     diag = [abs(m[i][i]) for i in range(min(nrows, ncols))]
     # enforce the divisibility chain d_i | d_{i+1}
     for i in range(len(diag)):
@@ -488,16 +625,13 @@ def binomial_change(box: BoxShape) -> tuple[IntegerMatrix, IntegerMatrix]:
     (-1)^(|lam|-|mu|) d_{lam,mu}: no solve is needed.
     """
     basis = enumerate_box(box)
-    n = len(basis)
-    d = [[0] * n for _ in range(n)]
-    d_inv = [[0] * n for _ in range(n)]
-    for j, lam in enumerate(basis):
-        for i, mu in enumerate(basis[: j + 1]):
-            if lam.contains(mu):
-                coeff = _shifted_schur_coefficient(lam, mu, box.rows)
-                d[i][j] = coeff
-                d_inv[i][j] = (-1) ** (lam.size - mu.size) * coeff
-    return IntegerMatrix(d), IntegerMatrix(d_inv)
+    d = IntegerMatrix.from_columns([_schur_z(lam, box) for lam in basis])
+    sizes = [p.size for p in basis]
+    d_inv = IntegerMatrix(
+        [[-x if (si - sj) % 2 else x for x, sj in zip(row, sizes)]
+         for row, si in zip(d.entries, sizes)]
+    )
+    return d, d_inv
 
 
 def _horizontal_strips(lam: Partition, box: BoxShape):

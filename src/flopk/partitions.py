@@ -25,18 +25,23 @@ class Partition(tuple):
     """A partition: non-increasing tuple of positive integers.
 
     Trailing zeros are stripped on construction; the empty partition is
-    ``Partition()``.
+    ``Partition()``.  Parts must be ``int`` (bool excluded): anything else
+    raises TypeError rather than being truncated.
     """
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        for i, p in enumerate(parts):
-            if p <= 0:
+        parts = tuple(parts)
+        prev = None
+        for p in parts:
+            if type(p) is not int:
+                raise TypeError(f"parts must be int, got {p!r}")
+            if p < 0:
                 raise ValueError(f"parts must be positive, got {parts}")
-            if i and parts[i - 1] < p:
+            if prev is not None and prev < p:
                 raise ValueError(f"parts must be non-increasing, got {parts}")
+            prev = p
+        if prev == 0:
+            parts = parts[: parts.index(0)]
         return super().__new__(cls, parts)
 
     @property
@@ -95,6 +100,8 @@ class BoxShape:
     cols: int
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise TypeError(f"box sides must be int, got {self}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"box must have positive sides, got {self}")
 

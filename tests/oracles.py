@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+from flopk.chow import ch_matrix_inverse
+from flopk.kgroup import KVector
+from flopk.partitions import enumerate_box
+
 
 def rational_det(matrix) -> Fraction:
     """Determinant over the rationals by Gaussian elimination."""
@@ -22,3 +26,24 @@ def rational_det(matrix) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def ch_expand(expr, box) -> KVector:
+    """Expansion of a tautological class on the Chern-character route.
+
+    Takes the character of the expression, solves against the character
+    matrix of the basis, and demands an integral solution: a non-integral
+    one can only come from a malformed expression or a bug, never from
+    rounding, and raises ArithmeticError.
+    """
+    chv = expr.ch(box)
+    rhs = [chv.coefficient(p) for p in enumerate_box(box)]
+    coords = []
+    for row in ch_matrix_inverse(box):
+        val = sum(a * b for a, b in zip(row, rhs))
+        if val.denominator != 1:
+            raise ArithmeticError(
+                f"expansion of {expr!r} on {box} has non-integer coordinate {val}"
+            )
+        coords.append(val.numerator)
+    return KVector(box, tuple(coords))

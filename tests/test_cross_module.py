@@ -5,6 +5,8 @@ lattice engine (kgroup) each compute representation-theoretic numbers by
 different routes; where their outputs overlap they must agree exactly.
 """
 
+import itertools
+
 import pytest
 
 from flopk.bott import BottResult, Weight, bott_cohomology, weyl_dimension
@@ -15,9 +17,14 @@ from flopk.kgroup import (
     expand_in_basis,
     flop_matrix,
     line_bundle,
+    schur_quot,
     schur_sub,
+    schur_sub_dual,
+    wedge_tangent,
 )
 from flopk.partitions import BoxShape, enumerate_box
+
+from oracles import ch_expand
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3)])
@@ -58,7 +65,7 @@ def test_flop_matrix_from_twist_route(shape):
     for alpha in enumerate_box(box):
         beta = box.complement(alpha)
         columns.append(
-            expand_in_basis(schur_sub(beta) * line_bundle(box.cols), box).coords
+            ch_expand(schur_sub(beta) * line_bundle(box.cols), box).coords
         )
     assert IntegerMatrix.from_columns(columns) == flop_matrix(box)
 
@@ -75,3 +82,33 @@ def test_dual_class_chern_character_consistency(shape):
         for coeff, beta in zip(v.coords, basis):
             recomposed = recomposed + coeff * chern_character(beta, box)
         assert recomposed == dual_chern_character(alpha, box)
+
+
+def _atom_pool(box):
+    """Schur powers of size <= 2 of the subbundle, its dual and the
+    quotient, the first two tangent wedges, and O(k) with |k| <= 4."""
+    small = [(), (1,), (2,), (1, 1)]
+    pool = [schur_sub(a) for a in small if len(a) <= box.rows]
+    pool += [schur_sub_dual(a) for a in small[1:] if len(a) <= box.rows]
+    pool += [schur_quot(a) for a in small[1:] if len(a) <= box.cols]
+    pool += [wedge_tangent(1), wedge_tangent(2)]
+    pool += [line_bundle(k) for k in range(-4, 5)]
+    return pool
+
+
+# every box G(t,h) with h <= 7 and h - t >= 2, either side of t = h/2
+_EXPANSION_SHAPES = [(t, h - t) for h in range(3, 8) for t in range(1, h - 1)]
+
+
+@pytest.mark.parametrize("shape", _EXPANSION_SHAPES)
+def test_expansion_matches_character_route_on_atoms(shape):
+    box = BoxShape(*shape)
+    for expr in _atom_pool(box):
+        assert expand_in_basis(expr, box) == ch_expand(expr, box), expr
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+def test_expansion_matches_character_route_on_pairs(shape):
+    box = BoxShape(*shape)
+    for a, b in itertools.combinations_with_replacement(_atom_pool(box), 2):
+        assert expand_in_basis(a * b, box) == ch_expand(a * b, box), a * b

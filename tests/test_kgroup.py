@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from flopk import chow, kgroup
-from flopk.chow import SchubertVector
+from flopk.chow import SchubertVector, rational_inverse
 from flopk.kgroup import (
     IntegerMatrix,
     KVector,
-    NonIntegralExpansion,
     TautClass,
     binomial_change,
     dual_class,
@@ -19,6 +18,7 @@ from flopk.kgroup import (
     line_bundle,
     line_bundle_class,
     pieri_twist,
+    schur_quot,
     schur_sub,
     schur_sub_dual,
     smith_normal_form,
@@ -28,7 +28,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
 
-from oracles import rational_det
+from oracles import ch_expand, rational_det
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
 P2 = BoxShape.for_grassmannian(1, 3)   # box(1,2)
@@ -46,8 +46,11 @@ CERTIFICATE_BOXES = [
 # ---------------------------------------------------------------------------
 
 def test_structure_sheaf_is_unit_vector():
-    v = expand_in_basis(line_bundle(0), G24)
-    assert v == KVector.basis_vector(G24, ())
+    # every atom at the empty partition or zero, and the empty product
+    for expr in (line_bundle(0), schur_sub(()), schur_sub_dual(()), schur_quot(()),
+                 wedge_tangent(0), TautClass({(): 1})):
+        assert expand_in_basis(expr, G24) == KVector.basis_vector(G24, ()), expr
+        assert ch_expand(expr, G24) == KVector.basis_vector(G24, ()), expr
 
 
 def test_twist_on_plane():
@@ -99,12 +102,55 @@ def test_round_trip_box_2_3():
 
 
 def test_non_integral_expansion_guard():
+    # the character-route oracle keeps its own integrality check
     class Broken(TautClass):
         def ch(self, box):
             return Fraction(1, 2) * SchubertVector.schubert(box, (1,))
 
-    with pytest.raises(NonIntegralExpansion):
-        expand_in_basis(Broken(), P2)
+    with pytest.raises(ArithmeticError, match="non-integer coordinate"):
+        ch_expand(Broken(), P2)
+
+
+# the same inputs the character route rejects, with the same message
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (schur_sub((3,)), r"Partition\(\(3,\)\) does not fit in"),
+        (schur_sub((1, 1, 1)), r"Partition\(\(1, 1, 1\)\) does not fit in"),
+        (schur_sub_dual((1, 1, 1)), r"has more than 2 rows"),
+        (schur_quot((1, 1, 1)), r"has more than 2 rows"),
+        (TautClass({(("bogus", 1),): 1}), r"unknown atom \('bogus', 1\)"),
+    ],
+    ids=["sub-too-wide", "sub-too-long", "sub-dual-too-long", "quot-too-long", "unknown"],
+)
+def test_expansion_rejects_like_character_route(expr, message):
+    with pytest.raises(ValueError, match=message):
+        expand_in_basis(expr, G24)
+    with pytest.raises(ValueError, match=message):
+        ch_expand(expr, G24)
+
+
+def test_expansion_is_integer_only(monkeypatch):
+    # no rational, no Schubert vector, no character of an atom and no
+    # character-matrix inverse on the expansion route
+    expr = (
+        schur_sub_dual((2, 1)) * schur_quot((1, 1))
+        - 3 * wedge_tangent(2) * line_bundle(-2)
+        + line_bundle(3)
+    )
+    box = BoxShape(2, 3)
+    want = ch_expand(expr, box)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("character route used")
+
+    for name in ("Fraction", "SchubertVector", "ch_matrix_inverse"):
+        monkeypatch.setattr(chow, name, forbidden)
+    monkeypatch.setattr(kgroup, "_atom_ch", forbidden)
+    monkeypatch.setattr(TautClass, "ch", forbidden)
+    for fn in (kgroup._atom_z, kgroup._product_table, binomial_change, pieri_twist):
+        fn.cache_clear()
+    assert expand_in_basis(expr, box) == want
 
 
 def test_kvector_validation_and_algebra():
@@ -181,7 +227,7 @@ def test_pieri_twist_is_line_bundle(shape):
     box = BoxShape(*shape)
     d, d_inv = binomial_change(box)
     o = KVector.basis_vector(box, ())
-    assert (d_inv @ pieri_twist(box) @ d).apply(o.coords) == line_bundle_class(1, box).coords
+    assert (d_inv @ pieri_twist(box) @ d).apply(o.coords) == ch_expand(line_bundle(1), box).coords
 
 
 def test_flop_matrix_route_is_integer_only(monkeypatch):
@@ -190,11 +236,12 @@ def test_flop_matrix_route_is_integer_only(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("character route used")
 
-    for name in ("Fraction", "SchubertVector", "chern_character", "ch_matrix_inverse",
-                 "dual_chern_character", "line_chern_character",
-                 "quot_chern_character", "rational_inverse"):
-        monkeypatch.setattr(kgroup, name, forbidden)
-    monkeypatch.setattr(chow, "lr_coefficients", forbidden)
+    for name in ("Fraction", "SchubertVector", "chern_character", "dual_chern_character",
+                 "line_chern_character", "quot_chern_character", "ch_matrix_inverse",
+                 "lr_coefficients"):
+        monkeypatch.setattr(chow, name, forbidden)
+    monkeypatch.setattr(kgroup, "lr_coefficients", forbidden)
+    monkeypatch.setattr(kgroup, "_atom_ch", forbidden)
     binomial_change.cache_clear()
     pieri_twist.cache_clear()
     m = flop_matrix.__wrapped__(BoxShape(2, 4))
@@ -245,6 +292,14 @@ def test_snf_rectangular_and_rank_deficient():
     assert smith_normal_form(IntegerMatrix([[2, 4], [4, 8]])) == (2, 0)
     assert smith_normal_form(IntegerMatrix([[1, 2, 3]])) == (1,)
     assert smith_normal_form(IntegerMatrix([[2, 0], [0, 3], [0, 0]])) == (1, 6)
+    # pivoting on each Euclid remainder grew these 10-bit entries past a
+    # million bits before the form was reached
+    wide = [
+        [-265, -828, -171, -895, -859], [-702, 978, -141, 698, -403],
+        [558, -616, -417, -397, 630], [-302, 158, 558, -330, 648],
+        [-151, 627, 535, 156, -71], [-912, 968, 693, -737, 609],
+    ]
+    assert smith_normal_form(IntegerMatrix(wide)) == (1, 1, 1, 1, 1)
 
 
 def test_snf_properties_random():
@@ -281,3 +336,26 @@ def test_inverse_unimodular():
     assert u @ u.inverse_unimodular() == IntegerMatrix.identity(6)
     with pytest.raises(ValueError):
         IntegerMatrix([[2, 0], [0, 1]]).inverse_unimodular()
+
+
+def test_inverse_unimodular_random_rank_10():
+    # a product of random elementary and swap matrices, so det = +-1 and
+    # every pivot position is exercised, checked against the oracle
+    rng = random.Random(17)
+    n = 10
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(60):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            m[i], m[j] = m[j], m[i]
+        else:
+            f = rng.randint(-3, 3)
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    u = IntegerMatrix(m)
+    assert u.det() in (1, -1)
+    inv = u.inverse_unimodular()
+    assert u @ inv == inv @ u == IntegerMatrix.identity(n)
+    assert inv.entries == rational_inverse(u.entries)
+    for bad in ([[0, 0], [0, 0]], [[1, 2], [2, 4]], [[2, 1], [1, 2]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            IntegerMatrix(bad).inverse_unimodular()

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -32,6 +33,23 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    with pytest.raises(ValueError):
+        Partition((2, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "parts", [(2.7, True), (True,), (2, 1.0), (2, 0.0), ("1",), (3, Fraction(1))], ids=repr
+)
+def test_partition_rejects_non_int_parts(parts):
+    # a non-int part is an error, never truncated to an int
+    with pytest.raises(TypeError):
+        Partition(parts)
+
+
+def test_partition_from_text_parses_strings():
+    assert Partition.from_text("3,1") == P(3, 1)
+    assert Partition.from_text(" 2,2,0 ") == P(2, 2)
+    assert Partition.from_text("-") == P()
 
 
 def test_partition_stats():
@@ -122,6 +140,17 @@ def test_box_validation():
         BoxShape(0, 3)
     with pytest.raises(ValueError):
         BoxShape.for_grassmannian(3, 3)
+
+
+@pytest.mark.parametrize("sides", [(2.5, 2), (2, 2.0), (True, 2), (2, "3")], ids=repr)
+def test_box_rejects_non_int_sides(sides):
+    with pytest.raises(TypeError):
+        BoxShape(*sides)
+
+
+def test_grassmannian_rejects_non_int_rank():
+    with pytest.raises(TypeError):
+        BoxShape.for_grassmannian(2.5, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import flopk
@@ -21,3 +24,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_import_does_not_load_the_chow_ring():
+    # the rational Chow ring is only the tests' oracle: importing the
+    # package and its command line must not load it, while its names
+    # stay reachable from the package
+    code = (
+        "import sys, flopk, flopk.cli\n"
+        "loaded = 'flopk.chow' in sys.modules\n"
+        "sys.exit(loaded or flopk.chern_character is not sys.modules['flopk.chow'].chern_character)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(flopk.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
