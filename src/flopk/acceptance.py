@@ -203,65 +203,36 @@ def criterion_8_weyl_words(seed: int = 0) -> CriterionResult:
 
 
 def _brute_force_lr(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Independent Littlewood-Richardson count: enumerate semistandard
-    fillings of the skew shape row by row, then check the lattice
-    condition on the completed reverse reading word."""
+    """Independent Littlewood-Richardson count: fill nu/lam row by row, left
+    to right, with values weakly increasing along rows, strictly increasing
+    down columns and within the content mu; check the lattice condition on
+    each completed reverse reading word (rows top to bottom, right to left)."""
     if not nu.contains(lam) or nu.size != lam.size + mu.size:
         return 0
     inner = tuple(lam) + (0,) * (len(nu) - len(lam))
-    rows = [(inner[r], nu[r]) for r in range(len(nu))]
-    nvals = len(mu)
-    fillings = [[]]
-    for r, (lo, hi) in enumerate(rows):
-        new = []
-        for partial in fillings:
-            row_sets = _semistandard_rows(partial, r, lo, hi, nvals, rows)
-            for row in row_sets:
-                new.append(partial + [row])
-        fillings = new
-    count = 0
-    for tab in fillings:
-        word = [v for row in tab for v in reversed(row)]
-        counts = [0] * (nvals + 1)
-        ok = True
-        for v in word:
-            counts[v] += 1
-            if v > 1 and counts[v] > counts[v - 1]:
-                ok = False
-                break
-        content = [0] * (nvals + 1)
-        for v in word:
-            content[v] += 1
-        if ok and all(content[i + 1] == mu[i] for i in range(nvals)):
-            count += 1
-    return count
+    rows = [range(inner[r], nu[r]) for r in range(len(nu))]
+    cells = [(r, c) for r, row in enumerate(rows) for c in row]
+    reading = [(r, c) for r, row in enumerate(rows) for c in reversed(row)]
+    room = [0, *mu]
+    value = {}
 
+    def fill(k: int) -> int:
+        if k == len(cells):
+            word = [value[cell] for cell in reading]
+            return int(all(word[:i].count(v) < word[:i].count(v - 1)
+                           for i, v in enumerate(word) if v > 1))
+        r, c = cells[k]
+        low = max(value.get((r, c - 1), 1), value.get((r - 1, c), 0) + 1)
+        found = 0
+        for v in range(low, len(room)):
+            if room[v]:
+                room[v] -= 1
+                value[r, c] = v
+                found += fill(k + 1)
+                room[v] += 1
+        return found
 
-def _semistandard_rows(partial, r, lo, hi, nvals, rows):
-    width = hi - lo
-    if width == 0:
-        return [[]]
-    out = []
-
-    def above(c):
-        if r == 0 or c < rows[r - 1][0]:
-            return 0
-        prev_lo = rows[r - 1][0]
-        row_above = partial[r - 1]
-        return row_above[c - prev_lo] if c - prev_lo < len(row_above) else 0
-
-    def rec(c, row):
-        if c == hi:
-            out.append(list(row))
-            return
-        lower = max(row[-1] if row else 1, above(c) + 1)
-        for v in range(lower, nvals + 1):
-            row.append(v)
-            rec(c + 1, row)
-            row.pop()
-
-    rec(lo, [])
-    return out
+    return fill(0)
 
 
 def criterion_9_oracles() -> CriterionResult:

@@ -8,8 +8,8 @@ precision integers; small structural numbers (box sides, degrees,
 indices) stay plain.
 
 Exit status: 0 for success and true verdicts, 1 when a computation
-reaches a failing verdict or a structured error (non-integral expansion,
-wall point, a flop request above the size limit), 2 for usage errors.
+reaches a failing verdict or a structured error (wall point, a box
+above the size limit), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ def _emit(config: CommandConfig, payload: dict, table_lines) -> None:
 # seconds, and the cost grows roughly with the cube of the rank.
 MAX_FLOP_RANK = 252
 
+# Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
+# partitions, and hodge runs one Bott computation per partition, each a
+# product of about h^2/2 big integers, so hodge also caps the dimension
+# t(h-t): G(1,h) has K-rank only h.
+MAX_BOX = BoxShape(9, 9)
+
 
 def _box(config: CommandConfig, flop: bool = False) -> BoxShape:
     if config.t is None or config.h is None:
@@ -68,10 +74,10 @@ def _box(config: CommandConfig, flop: bool = False) -> BoxShape:
         box = BoxShape.for_grassmannian(config.t, config.h)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if flop and box.rank > MAX_FLOP_RANK:
+    limit = MAX_FLOP_RANK if flop else MAX_BOX.rank
+    if box.rank > limit:
         raise SizeLimit(
-            f"G({config.t},{config.h}) has K-rank {box.rank}, "
-            f"above the limit {MAX_FLOP_RANK}"
+            f"G({config.t},{config.h}) has K-rank {box.rank}, above the limit {limit}"
         )
     return box
 
@@ -215,6 +221,10 @@ def _cmd_bott(config: CommandConfig) -> int:
 
 def _cmd_hodge(config: CommandConfig) -> int:
     box = _box(config)
+    if box.dim > MAX_BOX.dim:
+        raise SizeLimit(
+            f"G({config.t},{config.h}) has dimension {box.dim}, above the limit {MAX_BOX.dim}"
+        )
     table = bott.hodge_numbers(box)
     diag = [table[p][p] for p in range(box.dim + 1)]
     payload = {
@@ -357,11 +367,7 @@ def _cmd_verify_all(config: CommandConfig) -> int:
         mark = "PASS" if r.passed else "FAIL"
         lines.append(f"{mark}  {r.number:>2}  {r.name}  [{r.elapsed:.2f}s]  {r.detail}")
     lines.append(("all criteria passed" if all_pass else "FAILURES present"))
-    if config.fmt == "json":
-        print(canonical_json(payload))
-    else:
-        for line in lines:
-            print(line)
+    _emit(config, payload, lines)
     return 0 if all_pass else 1
 
 

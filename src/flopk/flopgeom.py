@@ -16,7 +16,6 @@ check all work, since only ring operations are used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Sequence
 
 
@@ -24,11 +23,31 @@ from typing import Sequence
 # Scalars: prime fields for fuzzing
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the twelve primes up to 37 as bases decides primality
+# exactly below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
+    """Deterministic Miller-Rabin; raises ValueError at or above the bound
+    where its bases are proven exact."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is not below {_MILLER_RABIN_BOUND}, the exact primality range")
+    if n <= _MILLER_RABIN_BASES[-1]:
+        return n in _MILLER_RABIN_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -142,7 +142,7 @@ def duality_permutation(h: int) -> Permutation:
     (h-1 h)...(2 3)(1 2): the transposition exchanging 1 and h."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
-    return word_permutation(duality_word(h), h)
+    return Permutation((h, *range(2, h), 1))
 
 
 def duality_word(h: int) -> list[int]:

@@ -31,3 +31,7 @@ def test_criterion(results, number):
 
 def test_all_criteria_present(results):
     assert sorted(results) == list(range(1, 11))
+
+
+def test_criterion_9_range(results):
+    assert results[9].detail.startswith("3112 LR values over 434 products match brute force")

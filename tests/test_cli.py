@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from flopk.cli import MAX_FLOP_RANK, CommandConfig, _box, canonical_json, main
+from flopk.cli import MAX_BOX, MAX_FLOP_RANK, CommandConfig, _box, canonical_json, main
+from flopk.flopgeom import _MILLER_RABIN_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,32 @@ def test_oversized_flop_is_structured_error(capsys, argv):
 def test_largest_flop_box_is_accepted():
     # G(5,10) has K-rank 252, exactly the limit
     assert _box(CommandConfig("check-iso", t=5, h=10), flop=True).rank == MAX_FLOP_RANK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kbasis", "--t", "10", "--h", "20"),
+        ("hodge", "--t", "10", "--h", "20"),
+        ("kbasis", "--t", "15", "--h", "30"),
+        ("hodge", "--t", "1", "--h", "83"),  # K-rank 83, but dimension 82
+    ],
+    ids=lambda a: "-".join(a[0::2]),
+)
+def test_oversized_box_is_structured_error(capsys, argv):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert payload["error"]["type"] == "SizeLimit"
+
+
+def test_largest_box_is_accepted(capsys):
+    # G(9,18) has K-rank 48620 and dimension 81, exactly the limits
+    assert _box(CommandConfig("kbasis", t=9, h=18)).rank == MAX_BOX.rank == 48620
+    code, payload = run_json(capsys, "hodge", "--t", "1", "--h", "82")
+    assert code == 0
+    assert payload["diagonal"] == [1] * (MAX_BOX.dim + 1)
 
 
 def test_snf_of_flop_matrix(capsys):
@@ -204,6 +231,23 @@ def test_bad_field_is_usage_error(capsys):
     assert code == 2
 
 
+# 561 is a Carmichael number; the Miller-Rabin bound is beyond the exact range
+@pytest.mark.parametrize("field", [561, 10**18 + 1, _MILLER_RABIN_BOUND])
+def test_composite_or_unprovable_field_is_usage_error(capsys, field):
+    code, out = run_cli(capsys, "quadric", "--point", "1,1,1,1,1,1", "--field", str(field))
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("field", [32003, 10**18 + 3])
+def test_prime_field_is_accepted(capsys, field):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, "quadric", "--point", "1,3,4,-1,-2,-2", "--field", str(field))
+    assert time.perf_counter() - started < 0.5
+    assert code == 0
+    assert payload == {"on_quadric": True, "value": "0"}
+
+
 # ---------------------------------------------------------------------------
 # Output formats and determinism
 # ---------------------------------------------------------------------------
@@ -236,6 +280,15 @@ def test_json_round_trip_byte_identical(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert canonical_json(json.loads(out)) == out.strip()
+
+
+def test_verify_all_json(capsys):
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 0
+    payload = json.loads(out)
+    assert canonical_json(payload) == out.strip()
+    assert payload["all_pass"] is True
+    assert [c["number"] for c in payload["criteria"]] == list(range(1, 11))
 
 
 def test_verify_all_table(capsys):

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from flopk.flopgeom import (
+    _MILLER_RABIN_BOUND,
     FpElement,
     PrimeField,
+    _is_prime,
     determinantal_membership,
     is_indeterminate,
     pluecker_limit_map,
@@ -78,6 +80,36 @@ def test_prime_field_arithmetic():
         PrimeField(32004)
     with pytest.raises(ValueError):
         F(1) + PrimeField(7)(1)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 5000):
+        assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1)))
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (561, False),  # Carmichael
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+        (10**18 + 1, False),
+        (10**12 + 39, True),
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+        (_MILLER_RABIN_BOUND - 2, False),
+    ],
+)
+def test_is_prime_large(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    # the bound is itself a strong pseudoprime to all twelve bases
+    with pytest.raises(ValueError):
+        _is_prime(_MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(_MILLER_RABIN_BOUND + 2)
 
 
 # ---------------------------------------------------------------------------

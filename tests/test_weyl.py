@@ -102,7 +102,7 @@ def test_duality_small_cases():
 
 
 def test_duality_exchanges_extremes():
-    for h in range(2, 9):
+    for h in (*range(2, 9), 10**5):
         sigma = duality_permutation(h)
         assert sigma(1) == h and sigma(h) == 1
         assert all(sigma(i) == i for i in range(2, h))
