@@ -14,15 +14,20 @@ Hodge numbers of G(2,4) are (2, 1) in degrees (2, 3).  All four hold for
 the recipe below and fail for the block-swapped or sign-flipped
 variants.
 
-Algorithm: append the two blocks, add the staircase rho = (h-1,...,1,0);
-a repeated entry kills all cohomology; otherwise exactly one degree
-survives, the number of inversions removed by sorting, and the dimension
-is the Weyl dimension of the sorted weight minus rho.
+Algorithm: append the two blocks and add the staircase rho = (h-1,...,1,0)
+to get v, then sweep once over the pairs i < j.  A zero difference
+v_i - v_j puts v on a wall and kills all cohomology; otherwise exactly
+one degree survives, the number of negative differences (the inversions
+that sorting v would remove), and its dimension is the Weyl dimension of
+the sorted v minus rho, which is the product of the |v_i - v_j| divided
+by the Weyl denominator prod_{k<h} k!.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import factorial, prod
 from typing import NamedTuple, Optional
 
 from .partitions import BoxShape, partitions_of
@@ -41,11 +46,15 @@ class Weight:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        for block in (self.a, self.b):
-            if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
-                raise ValueError(f"block {block} is not non-increasing")
         if not self.a or not self.b:
             raise ValueError("both blocks must be non-empty")
+        entries = self.a + self.b
+        if set(map(type, entries)) != {int}:
+            bad = next(x for x in entries if type(x) is not int)
+            raise TypeError(f"weight entries must be int, got {bad!r}")
+        for block in (self.a, self.b):
+            if list(block) != sorted(block, reverse=True):
+                raise ValueError(f"block {block} is not non-increasing")
 
     @property
     def h(self) -> int:
@@ -75,33 +84,47 @@ def line_bundle_weight(k: int, box: BoxShape) -> Weight:
     return Weight((k,) * box.rows, (0,) * box.cols)
 
 
+@cache
+def _weyl_denominator(n: int) -> int:
+    """The product of j - i over 0 <= i < j < n, that is prod_{k<n} k!."""
+    return prod(map(factorial, range(n)))
+
+
+def _weyl_quotient(num: int, n: int, what) -> int:
+    den = _weyl_denominator(n)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"non-integral Weyl dimension {num}/{den} for {what}")
+    return dim
+
+
 def weyl_dimension(lam: tuple[int, ...]) -> int:
     """Dimension of the GL irreducible with (weakly dominant) weight lam."""
     n = len(lam)
     num = 1
-    den = 1
     for i in range(n):
         for j in range(i + 1, n):
             num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    if num % den:
-        raise AssertionError(f"non-integral Weyl dimension {num}/{den} for {lam}")
-    return num // den
+    return _weyl_quotient(num, n, lam)
 
 
 def bott_cohomology(w: Weight) -> Optional[BottResult]:
     """Cohomology of the irreducible bundle with weight w; None if it all
     vanishes (the dotted weight hits a wall)."""
-    h = w.h
-    rho = tuple(range(h - 1, -1, -1))
-    v = tuple(x + r for x, r in zip(w.a + w.b, rho))
-    if len(set(v)) < h:
-        return None
-    degree = sum(
-        1 for i in range(h) for j in range(i + 1, h) if v[i] < v[j]
-    )
-    lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
-    return BottResult(degree, weyl_dimension(lam))
+    h = len(w.a) + len(w.b)
+    v = [x + h - i for i, x in enumerate(w.a + w.b, 1)]
+    degree = 0
+    num = 1
+    for i, x in enumerate(v, 1):
+        for y in v[i:]:
+            if x > y:
+                num *= x - y
+            elif x < y:
+                degree += 1
+                num *= y - x
+            else:
+                return None
+    return BottResult(degree, _weyl_quotient(num, h, w))
 
 
 def serre_dual_weight(w: Weight) -> Weight:
@@ -159,7 +182,7 @@ def gaussian_binomial(h: int, t: int) -> list[int]:
     Computed by the q-Pascal recurrence; the list has length t(h-t)+1.
     """
     if not 0 <= t <= h:
-        raise ValueError(f"need 0 <= t <= h")
+        raise ValueError(f"need 0 <= t <= h, got t={t}, h={h}")
     # table[n][k] as coefficient lists
     prev = [[1]]
     for n in range(1, h + 1):

@@ -31,7 +31,10 @@ class Permutation(tuple):
     """A bijection of {1, ..., h} in one-line notation."""
 
     def __new__(cls, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(images)
+        if not set(map(type, images)) <= {int}:
+            bad = next(x for x in images if type(x) is not int)
+            raise TypeError(f"permutation entries must be int, got {bad!r}")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         return super().__new__(cls, images)

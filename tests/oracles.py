@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
 from flopk.kgroup import KVector
 from flopk.partitions import enumerate_box
@@ -47,3 +48,27 @@ def ch_expand(expr, box) -> KVector:
             )
         coords.append(val.numerator)
     return KVector(box, tuple(coords))
+
+
+def sort_bott_cohomology(w):
+    """Borel-Weil-Bott by rho-shift, sort and inversion count.
+
+    The dimension is the Weyl dimension of the sorted shifted weight minus
+    rho, with the numerator and the denominator prod (j - i) both formed
+    on every call; None when the shifted weight has a repeated entry.
+    """
+    h = w.h
+    rho = tuple(range(h - 1, -1, -1))
+    v = tuple(x + r for x, r in zip(w.a + w.b, rho))
+    if len(set(v)) < h:
+        return None
+    degree = sum(1 for i in range(h) for j in range(i + 1, h) if v[i] < v[j])
+    lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
+    num = den = 1
+    for i in range(h):
+        for j in range(i + 1, h):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    if num % den:
+        raise ArithmeticError(f"non-integral Weyl dimension {num}/{den} for {lam}")
+    return BottResult(degree, num // den)

@@ -1,8 +1,16 @@
+import itertools
+import os
 import random
-from math import comb, factorial
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
+import flopk
+from flopk import bott
 from flopk.bott import (
     BottResult,
     Weight,
@@ -15,6 +23,7 @@ from flopk.bott import (
     weyl_dimension,
 )
 from flopk.partitions import BoxShape
+from oracles import sort_bott_cohomology
 
 P1 = BoxShape.for_grassmannian(1, 2)
 P2 = BoxShape.for_grassmannian(1, 3)
@@ -58,6 +67,21 @@ def test_weight_validation_and_text():
     assert w.h == 4
     assert Weight.from_text(w.text()) == w
     assert Weight.from_text("-2,-2|0,0") == w
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", Fraction(2)], ids=repr)
+def test_weight_rejects_non_int_entries(bad):
+    with pytest.raises(TypeError, match="weight entries must be int"):
+        Weight((bad, 0), (0, 0))
+    with pytest.raises(TypeError, match="weight entries must be int"):
+        Weight((2, 0), (0, bad))
+
+
+def test_weight_rejects_empty_block():
+    with pytest.raises(ValueError, match="non-empty"):
+        Weight((), (0,))
+    with pytest.raises(ValueError, match="non-empty"):
+        Weight((0,), ())
 
 
 def test_weyl_dimension_examples():
@@ -132,6 +156,13 @@ def test_gaussian_binomial_small():
     assert sum(gaussian_binomial(6, 3)) == comb(6, 3)
 
 
+def test_gaussian_binomial_error_names_arguments():
+    with pytest.raises(ValueError, match=r"^need 0 <= t <= h, got t=5, h=3$"):
+        gaussian_binomial(3, 5)
+    with pytest.raises(ValueError, match=r"got t=-1, h=4$"):
+        gaussian_binomial(4, -1)
+
+
 # ---------------------------------------------------------------------------
 # Dualities and Euler characteristics
 # ---------------------------------------------------------------------------
@@ -173,3 +204,76 @@ def test_canonical_bundle_is_unique_top_class():
     for box in [P1, P2, G24]:
         res = bott_cohomology(line_bundle_weight(-box.h, box))
         assert res == BottResult(box.dim, 1)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass route against the sort-based reference
+# ---------------------------------------------------------------------------
+
+def _blocks(n, lo, hi):
+    """Every non-increasing tuple of length n with entries in [lo, hi]."""
+    return [tuple(reversed(c)) for c in itertools.combinations_with_replacement(range(lo, hi + 1), n)]
+
+
+def test_matches_sort_route_on_every_small_weight():
+    checked = 0
+    for h in range(2, 6):
+        for t in range(1, h):
+            for a in _blocks(t, -4, 4):
+                for b in _blocks(h - t, -4, 4):
+                    w = Weight(a, b)
+                    for x in (w, serre_dual_weight(w)):
+                        assert bott_cohomology(x) == sort_bott_cohomology(x), x
+                        checked += 1
+    # nine values per entry: C(8 + n, n) non-increasing blocks of length n
+    assert checked == 2 * sum(
+        comb(8 + t, t) * comb(8 + h - t, h - t) for h in range(2, 6) for t in range(1, h)
+    )
+
+
+@pytest.mark.parametrize("h", range(2, 10))
+def test_matches_sort_route_on_seeded_weights(h):
+    # 5000 weights on each G(t,h), entries in [-20, 20]
+    rng = random.Random(h)
+    nonzero = 0
+    for t in range(1, h):
+        for _ in range(5000):
+            a = tuple(sorted((rng.randint(-20, 20) for _ in range(t)), reverse=True))
+            b = tuple(sorted((rng.randint(-20, 20) for _ in range(h - t)), reverse=True))
+            w = Weight(a, b)
+            res = bott_cohomology(w)
+            assert res == sort_bott_cohomology(w), w
+            nonzero += res is not None
+    assert nonzero > 500 * (h - 1)
+
+
+def test_weyl_denominator_is_product_of_factorials():
+    for n in range(13):
+        direct = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                direct *= j - i
+        assert bott._weyl_denominator(n) == direct
+        assert direct == prod(factorial(k) for k in range(n))
+
+
+def test_wrong_denominator_raises(monkeypatch):
+    monkeypatch.setattr(bott, "_weyl_denominator", lambda n: 10**9 + 7)
+    with pytest.raises(AssertionError, match="non-integral Weyl dimension"):
+        bott_cohomology(line_bundle_weight(1, P2))
+    with pytest.raises(AssertionError, match="non-integral Weyl dimension"):
+        weyl_dimension((2, 1, 0))
+
+
+def test_wrong_denominator_raises_under_optimize():
+    code = (
+        "from flopk import bott\n"
+        "bott._weyl_denominator = lambda n: 10**9 + 7\n"
+        "try:\n"
+        "    bott.bott_cohomology(bott.line_bundle_weight(1, bott.BoxShape(1, 2)))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(flopk.__file__).parent.parent))
+    subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True, timeout=60)

@@ -28,6 +28,12 @@ def test_permutation_validation():
         Permutation((0, 1))
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", Fraction(2)], ids=repr)
+def test_permutation_rejects_non_int_entries(bad):
+    with pytest.raises(TypeError, match="permutation entries must be int"):
+        Permutation([bad, 1])
+
+
 def test_composition_and_inverse():
     s = Permutation((2, 3, 1))
     t = Permutation((1, 3, 2))
