@@ -32,6 +32,7 @@ from .kgroup import (
     dual_class,
     dual_twist_pair,
     expand_in_basis,
+    flop_certificate,
     flop_matrix,
     is_unimodular,
     line_bundle,

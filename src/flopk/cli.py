@@ -54,9 +54,12 @@ def _emit(config: CommandConfig, payload: dict, table_lines) -> None:
             print(line)
 
 
-# Largest K-rank C(h,t) a flop command accepts: G(5,10) certifies in
-# seconds, and the cost grows roughly with the cube of the rank.
-MAX_FLOP_RANK = 252
+# Largest K-rank C(h,t) a flop command accepts, that of G(6,12).  The
+# matrix F = U^c . Pi and its certificate F . F = I are c sparse passes
+# of the O(1) twist over each column, so the work grows with c times the
+# nonzeros of F, and printing grows with the n^2 entries: G(6,12) takes
+# about a second in one process, a third of it the JSON.
+MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
 # partitions, and hodge runs one Bott computation per partition, each a
@@ -90,9 +93,9 @@ class SizeLimit(Exception):
     """A request too large to compute in reasonable time."""
 
 
-def _matrix_payload(box: BoxShape, matrix: kgroup.IntegerMatrix) -> dict:
-    det = matrix.det()
-    snf = kgroup.smith_normal_form(matrix)
+def _flop_payload(box: BoxShape) -> dict:
+    matrix = kgroup.flop_matrix(box)
+    det, snf = kgroup.flop_certificate(box)
     return {
         "box": [box.rows, box.cols],
         "basis": [p.text() for p in enumerate_box(box)],
@@ -131,14 +134,14 @@ def _cmd_kbasis(config: CommandConfig) -> int:
 
 def _cmd_flop_matrix(config: CommandConfig) -> int:
     box = _box(config, flop=True)
-    payload = _matrix_payload(box, kgroup.flop_matrix(box))
+    payload = _flop_payload(box)
     _emit(config, payload, _matrix_table(payload))
     return 0
 
 
 def _cmd_check_iso(config: CommandConfig) -> int:
     box = _box(config, flop=True)
-    det = kgroup.flop_matrix(box).det()
+    det, _ = kgroup.flop_certificate(box)
     iso = det in (1, -1)
     payload = {"det": str(det), "isomorphism": iso}
     _emit(config, payload, [f"det: {det}", f"isomorphism: {iso}"])
@@ -156,7 +159,7 @@ def _cmd_snf(config: CommandConfig) -> int:
         _emit(config, payload, ["snf: " + " ".join(payload["snf"])])
         return 0
     box = _box(config, flop=True)
-    snf = kgroup.smith_normal_form(kgroup.flop_matrix(box))
+    _, snf = kgroup.flop_certificate(box)
     payload = {"box": [box.rows, box.cols], "snf": [str(d) for d in snf]}
     _emit(config, payload, ["snf: " + " ".join(payload["snf"])])
     return 0

@@ -22,12 +22,31 @@ Schur powers.
   gives every atom integer z-coordinates (Schur powers of the
   subbundle, its dual and the quotient, line bundles, exterior powers
   of the tangent bundle), multiplies them out and maps back by D^-1.
-* The flop matrix (``flop_matrix``) needs only D, D^-1 and the Pieri
-  twist (``pieri_twist``): no Littlewood-Richardson coefficient enters.
+* The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
+  complement and U = D^-1 . T . D multiplication by O(1) in the
+  Schur-power basis itself (``schur_twist``), which is very sparse:
+  neither D, nor the Pieri twist T, nor a Littlewood-Richardson
+  coefficient enters.  ``flop_certificate`` proves F . F = I by the
+  same sparse route and reads off det and Smith form.
+
+The twist U in closed form.  Write Sigma^lam sub = s_lam(x) =
+a_{lam+delta}(x) / a_delta(x) as a bialternant, delta = (t-1, ..., 0),
+and pad lam to t parts.  Twisting by O(1) = (x_1 ... x_t)^-1 lowers
+every exponent by one.  If lam_t >= 1 the result is s_{lam-1^t}.  If
+lam_t = 0 the last column of the alternant holds x_i^-1.  The
+relations h_k(z) = 0 for k > c say that prod_j (u - z_j) divides u^h,
+so each root has z^h = (x - 1)^h = 0 and
+x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k (a hockey-stick sum); by
+linearity in that column the class is sum_k (-1)^k C(h, k+1)
+a_{(lam_1+t-2, ..., lam_{t-1}, k)} / a_delta.  Each quotient straightens:
+zero if k repeats an entry, otherwise the sign of sorting k into place
+times s_mu, mu the sorted exponents minus delta.  Exactly c + 1 values
+of k survive, and every mu fits in the box.
 
 The Chern character (``TautClass.ch``, module chow) is a third,
 rational route; the tests solve against the character matrix of the
-basis as an independent oracle for both.
+basis as an independent oracle for both, and keep the dense product
+D^-1 . T^c . D . Pi as a second oracle for the flop matrix.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, the dual Schur power of the subbundle is isomorphic to
@@ -664,30 +683,113 @@ def pieri_twist(box: BoxShape) -> IntegerMatrix:
 
 
 @cache
+def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Multiplication by O(1) in the Schur-power basis, as sparse columns.
+
+    Entry j lists the (i, u) with [Sigma^lam_j sub (x) O(1)] =
+    sum u [Sigma^lam_i sub], nonzero u only.  With lam padded to t parts:
+
+    * lam_t >= 1: O(1) = (det sub)^-1 strips a full column, so the entry
+      is the single pair for lam - 1^t;
+    * lam_t = 0: sum_{k<h} (-1)^k C(h, k+1) straighten(lam_1 - 1, ...,
+      lam_{t-1} - 1, k), which has exactly c + 1 terms, all in the box.
+
+    This is D^-1 . T . D (``binomial_change``, ``pieri_twist``) in closed
+    form; the derivation is in the module docstring.
+    """
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    t, h = box.rows, box.h
+    columns = []
+    for lam in basis:
+        lam = tuple(lam) + (0,) * (t - len(lam))
+        if lam[-1]:
+            columns.append(((index[Partition(x - 1 for x in lam)], 1),))
+            continue
+        # rho-shifted parts of lam - 1^t but the last, strictly decreasing
+        head = [lam[i] + t - 2 - i for i in range(t - 1)]
+        column = []
+        for k in range(h):
+            if k in head:
+                continue
+            # sorting k into place passes the t - 1 - p smaller entries
+            p = sum(x > k for x in head)
+            shifted = head[:p] + [k] + head[p:]
+            mu = Partition(x - t + 1 + i for i, x in enumerate(shifted))
+            sign = -1 if (k + t - 1 - p) % 2 else 1
+            column.append((index[mu], sign * comb(h, k + 1)))
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
+def _twist_power(v: dict[int, int], twist, times: int) -> dict[int, int]:
+    """U^times applied to a sparse vector {index: coefficient}, with U given
+    by its sparse columns (``schur_twist``)."""
+    for _ in range(times):
+        out: dict[int, int] = {}
+        for j, x in v.items():
+            for i, u in twist[j]:
+                out[i] = out.get(i, 0) + u * x
+        v = {i: x for i, x in out.items() if x}
+    return v
+
+
+def _complement_indices(box: BoxShape) -> list[int]:
+    """Basis index of the rotated box complement of each basis partition."""
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    return [index[box.complement(alpha)] for alpha in basis]
+
+
+@cache
 def flop_matrix(box: BoxShape) -> IntegerMatrix:
     """Matrix of the flop correspondence on the Grothendieck lattice.
 
     Column alpha is the expansion of the dual Schur power; by the pullback
     identifications the same matrix represents the correspondence on the
     cotangent spaces and on their one-parameter deformations.  It is an
-    involution and unimodular.
+    involution and unimodular (``flop_certificate``).
 
-    Computed in integers as F = D^-1 . T^c . D . Pi: Pi sends alpha to the
-    rotated box complement beta (see ``dual_twist_pair``), D and D^-1 are
-    the binomial change of basis to the s_mu(z) and back
-    (``binomial_change``), and T is the Pieri twist by O(1)
-    (``pieri_twist``), applied c = h - t times.  So column alpha is
-    [Sigma^beta sub (x) O(c)] = [Sigma^alpha sub dual].  The route is that
-    of the integral Chow presentation of K(G) (Buch 2002, "A
-    Littlewood-Richardson rule for the K-theory of Grassmannians").
+    Computed in integers as F = U^c . Pi: Pi sends alpha to the rotated
+    box complement beta (see ``dual_twist_pair``) and U is the twist by
+    O(1) in the Schur-power basis (``schur_twist``), applied c = h - t
+    times to each column as a sparse vector.  So column alpha is
+    [Sigma^beta sub (x) O(c)] = [Sigma^alpha sub dual].  U is the
+    conjugate D^-1 . T . D of the Pieri twist T in the integral Chow
+    presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule for
+    the K-theory of Grassmannians"), in closed form from the relation
+    (x - 1)^h = 0 on each Chern root, so F = D^-1 . T^c . D . Pi with
+    neither D nor a dense product.
     """
-    basis = enumerate_box(box)
-    index = {p: i for i, p in enumerate(basis)}
-    d, d_inv = binomial_change(box)
-    m = IntegerMatrix.from_columns(
-        [d.column(index[box.complement(alpha)]) for alpha in basis]
-    )
-    twist = pieri_twist(box)
-    for _ in range(box.cols):
-        m = twist @ m
-    return d_inv @ m
+    n = box.rank
+    twist = schur_twist(box)
+    rows = [[0] * n for _ in range(n)]
+    for j, beta in enumerate(_complement_indices(box)):
+        for i, x in _twist_power({beta: 1}, twist, box.cols).items():
+            rows[i][j] = x
+    return IntegerMatrix(rows)
+
+
+def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
+    """Determinant and Smith form of the flop matrix, proven by F . F = I.
+
+    U^c . Pi is applied to every column of F (``flop_matrix``), and each
+    must come back as the unit vector; otherwise ArithmeticError.  An
+    integer involution has determinant +-1, hence Smith form (1, ..., 1),
+    and its eigenvalues are +-1, so det F = (-1)^((n - tr F) / 2).  No
+    elimination is run; Bareiss ``IntegerMatrix.det`` and
+    ``smith_normal_form`` remain independent routes to the same numbers.
+    """
+    f = flop_matrix(box)
+    twist = schur_twist(box)
+    complement = _complement_indices(box)
+    for j, column in enumerate(zip(*f.entries)):
+        v = {complement[i]: x for i, x in enumerate(column) if x}
+        if _twist_power(v, twist, box.cols) != {j: 1}:
+            raise ArithmeticError(
+                f"flop matrix of {box} is not an involution at column "
+                f"{enumerate_box(box)[j].text()}"
+            )
+    n = box.rank
+    minus_ones = (n - sum(f.entries[i][i] for i in range(n))) // 2
+    return (-1) ** minus_ones, (1,) * n

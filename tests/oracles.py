@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
-from flopk.kgroup import KVector
+from flopk.kgroup import IntegerMatrix, KVector, binomial_change, pieri_twist
 from flopk.partitions import enumerate_box
 
 
@@ -27,6 +27,25 @@ def rational_det(matrix) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def dense_flop_matrix(box) -> IntegerMatrix:
+    """The flop matrix as the dense product D^-1 . T^c . D . Pi.
+
+    Pi sends each basis partition to its rotated box complement, D and
+    D^-1 are the binomial change of basis to the s_mu(z) and back, and T
+    is the Pieri twist by O(1) in the s_mu(z) basis, applied c times.
+    """
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    d, d_inv = binomial_change(box)
+    m = IntegerMatrix.from_columns(
+        [d.column(index[box.complement(alpha)]) for alpha in basis]
+    )
+    twist = pieri_twist(box)
+    for _ in range(box.cols):
+        m = twist @ m
+    return d_inv @ m
 
 
 def ch_expand(expr, box) -> KVector:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -61,10 +62,10 @@ def test_snf_non_integer_matrix_is_usage_error(capsys, matrix):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("flop-matrix", "--t", "6", "--h", "12"),
-        ("check-iso", "--t", "6", "--h", "12"),
-        ("snf", "--t", "6", "--h", "12"),
-        ("check-iso", "--t", "5", "--h", "11"),
+        ("flop-matrix", "--t", "6", "--h", "13"),
+        ("check-iso", "--t", "6", "--h", "13"),
+        ("snf", "--t", "6", "--h", "13"),
+        ("check-iso", "--t", "7", "--h", "14"),
     ],
     ids=lambda a: "-".join(a[0::2]),
 )
@@ -77,8 +78,31 @@ def test_oversized_flop_is_structured_error(capsys, argv):
 
 
 def test_largest_flop_box_is_accepted():
-    # G(5,10) has K-rank 252, exactly the limit
-    assert _box(CommandConfig("check-iso", t=5, h=10), flop=True).rank == MAX_FLOP_RANK
+    # G(6,12) has K-rank 924, exactly the limit
+    assert _box(CommandConfig("check-iso", t=6, h=12), flop=True).rank == MAX_FLOP_RANK
+
+
+def test_check_iso_beyond_bareiss_range(capsys):
+    # G(5,11), K-rank 462, certified by F . F = I alone
+    code, payload = run_json(capsys, "check-iso", "--t", "5", "--h", "11")
+    assert code == 0
+    assert payload == {"det": "1", "isomorphism": True}
+
+
+# sha256 of `flopk flop-matrix` stdout as printed by the dense
+# D^-1 . T^c . D . Pi route with Bareiss det and Smith form
+@pytest.mark.parametrize(
+    "t, h, digest",
+    [
+        (4, 8, "2f2f36626c75788cacae549bc536483cfbdf53fcab98105272027027f59356d8"),
+        (5, 10, "2c234616e109349b8ae73c041156e70cd3b3b529238cb3b13334ca74266606ba"),
+    ],
+    ids=["G(4,8)", "G(5,10)"],
+)
+def test_flop_matrix_stdout_is_byte_identical(capsys, t, h, digest):
+    code, out = run_cli(capsys, "flop-matrix", "--t", str(t), "--h", str(h))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

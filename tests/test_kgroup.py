@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from flopk import chow, kgroup
+from flopk import chow, cli, kgroup
 from flopk.chow import SchubertVector, rational_inverse
 from flopk.kgroup import (
     IntegerMatrix,
@@ -13,6 +14,7 @@ from flopk.kgroup import (
     dual_class,
     dual_twist_pair,
     expand_in_basis,
+    flop_certificate,
     flop_matrix,
     is_unimodular,
     line_bundle,
@@ -21,6 +23,7 @@ from flopk.kgroup import (
     schur_quot,
     schur_sub,
     schur_sub_dual,
+    schur_twist,
     smith_normal_form,
     wedge_quot,
     wedge_sub,
@@ -28,7 +31,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
 
-from oracles import ch_expand, rational_det
+from oracles import ch_expand, dense_flop_matrix, rational_det
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
 P2 = BoxShape.for_grassmannian(1, 3)   # box(1,2)
@@ -230,22 +233,103 @@ def test_pieri_twist_is_line_bundle(shape):
     assert (d_inv @ pieri_twist(box) @ d).apply(o.coords) == ch_expand(line_bundle(1), box).coords
 
 
-def test_flop_matrix_route_is_integer_only(monkeypatch):
-    # the flop matrix needs no Chern character, no rational and no
-    # Littlewood-Richardson coefficient
+def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
+    # the flop matrix and its certificate need no Chern character, no
+    # rational, no Littlewood-Richardson coefficient, no change of basis
+    # to the s_mu(z) and no elimination
     def forbidden(*args, **kwargs):
-        raise AssertionError("character route used")
+        raise AssertionError("forbidden route used")
 
     for name in ("Fraction", "SchubertVector", "chern_character", "dual_chern_character",
                  "line_chern_character", "quot_chern_character", "ch_matrix_inverse",
                  "lr_coefficients"):
         monkeypatch.setattr(chow, name, forbidden)
-    monkeypatch.setattr(kgroup, "lr_coefficients", forbidden)
-    monkeypatch.setattr(kgroup, "_atom_ch", forbidden)
-    binomial_change.cache_clear()
-    pieri_twist.cache_clear()
-    m = flop_matrix.__wrapped__(BoxShape(2, 4))
+    for name in ("lr_coefficients", "_atom_ch", "binomial_change", "pieri_twist",
+                 "smith_normal_form"):
+        monkeypatch.setattr(kgroup, name, forbidden)
+    monkeypatch.setattr(IntegerMatrix, "det", forbidden)
+    flop_matrix.cache_clear()
+    schur_twist.cache_clear()
+    assert cli.main(["flop-matrix", "--t", "2", "--h", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["det"] == "1"
+    assert payload["snf"] == ["1"] * 6
+    m = IntegerMatrix([[int(x) for x in row] for row in payload["matrix"]])
     assert m @ m == IntegerMatrix.identity(m.rows)
+
+
+# every flop box G(t,h), t <= h/2, with h <= 11: G(5,11) has K-rank 462
+FLOP_BOXES = [BoxShape.for_grassmannian(t, h) for h in range(2, 12) for t in range(1, h // 2 + 1)]
+
+
+def _dense(columns, n):
+    rows = [[0] * n for _ in range(n)]
+    for j, column in enumerate(columns):
+        for i, u in column:
+            rows[i][j] = u
+    return IntegerMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "box", [BoxShape.for_grassmannian(t, h) for h in range(2, 10) for t in range(1, h)], ids=str
+)
+def test_schur_twist_is_conjugated_pieri_twist(box):
+    # the closed form is D^-1 . T . D, with c + 1 terms in every column
+    # whose last part is 0 and a single unit elsewhere
+    twist = schur_twist(box)
+    d, d_inv = binomial_change(box)
+    assert _dense(twist, box.rank) == d_inv @ pieri_twist(box) @ d
+    for lam, column in zip(enumerate_box(box), twist):
+        assert len(column) == (1 if lam.rows == box.rows else box.cols + 1)
+
+
+@pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)
+def test_flop_matrix_matches_dense_route(box):
+    assert flop_matrix(box) == dense_flop_matrix(box)
+
+
+def _complement_sign(box: BoxShape) -> int:
+    # the box complement is an involution: one transposition per 2-cycle
+    basis = enumerate_box(box)
+    moved = sum(1 for alpha in basis if box.complement(alpha) != alpha)
+    return (-1) ** (moved // 2)
+
+
+@pytest.mark.parametrize("box", FLOP_BOXES, ids=str)
+def test_flop_determinant_routes_agree(box):
+    # D and the Pieri twist are unitriangular, so det F = sign(Pi); the
+    # certificate reads det off the trace of the involution, and Bareiss
+    # elimination is the third route wherever it runs in about a second
+    det, snf = flop_certificate(box)
+    assert det == _complement_sign(box)
+    assert snf == (1,) * box.rank
+    if box.rank <= 252:
+        assert flop_matrix(box).det() == det
+
+
+def _perturbed(columns):
+    columns = list(columns)
+    (i, u), *rest = columns[0]
+    columns[0] = ((i, u + 1), *rest)
+    return tuple(columns)
+
+
+def test_certificate_rejects_perturbed_twist(monkeypatch):
+    box = BoxShape(2, 3)
+    flop_matrix(box)
+    twist = schur_twist(box)
+    monkeypatch.setattr(kgroup, "schur_twist", lambda b: _perturbed(twist))
+    with pytest.raises(ArithmeticError, match="not an involution"):
+        flop_certificate(box)
+
+
+def test_certificate_rejects_perturbed_matrix(monkeypatch):
+    box = BoxShape(2, 3)
+    rows = [list(row) for row in flop_matrix(box).entries]
+    rows[3][4] += 1
+    monkeypatch.setattr(kgroup, "flop_matrix", lambda b: IntegerMatrix(rows))
+    with pytest.raises(ArithmeticError, match="not an involution"):
+        flop_certificate(box)
 
 
 @pytest.mark.parametrize("box", CERTIFICATE_BOXES, ids=str)
