@@ -10,6 +10,11 @@ indices) stay plain.
 Exit status: 0 for success and true verdicts, 1 when a computation
 reaches a failing verdict or a structured error (wall point, a box
 above the size limit), 2 for usage errors.
+
+Only the invoked subcommand's parser is built: argparse set-up for all
+thirteen commands took longer than a small flop certificate.  An
+unknown first argument (``--help``, none, a typo) builds them all, and
+help text and error messages are the same either way.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import acceptance, bott, flopgeom, kgroup, main_component, weyl
 from .partitions import BoxShape, enumerate_box
@@ -46,11 +51,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(config: CommandConfig, payload: dict, table_lines) -> None:
+def _emit(config: CommandConfig, payload: dict, table_lines: Callable[[], list[str]]) -> None:
+    """Print ``payload`` as JSON, or under --format table the lines ``table_lines()`` builds."""
     if config.fmt == "json":
         print(canonical_json(payload))
     else:
-        for line in table_lines:
+        for line in table_lines():
             print(line)
 
 
@@ -128,14 +134,14 @@ def _cmd_kbasis(config: CommandConfig) -> int:
         "rank": len(basis),
         "basis": [p.text() for p in basis],
     }
-    _emit(config, payload, [f"rank: {len(basis)}", "basis: " + " ".join(payload["basis"])])
+    _emit(config, payload, lambda: [f"rank: {len(basis)}", "basis: " + " ".join(payload["basis"])])
     return 0
 
 
 def _cmd_flop_matrix(config: CommandConfig) -> int:
     box = _box(config, flop=True)
     payload = _flop_payload(box)
-    _emit(config, payload, _matrix_table(payload))
+    _emit(config, payload, lambda: _matrix_table(payload))
     return 0
 
 
@@ -144,7 +150,7 @@ def _cmd_check_iso(config: CommandConfig) -> int:
     det, _ = kgroup.flop_certificate(box)
     iso = det in (1, -1)
     payload = {"det": str(det), "isomorphism": iso}
-    _emit(config, payload, [f"det: {det}", f"isomorphism: {iso}"])
+    _emit(config, payload, lambda: [f"det: {det}", f"isomorphism: {iso}"])
     return 0 if iso else 1
 
 
@@ -156,12 +162,12 @@ def _cmd_snf(config: CommandConfig) -> int:
             raise UsageError(f"bad --matrix: {exc}")
         snf = kgroup.smith_normal_form(matrix)
         payload = {"snf": [str(d) for d in snf]}
-        _emit(config, payload, ["snf: " + " ".join(payload["snf"])])
+        _emit(config, payload, lambda: ["snf: " + " ".join(payload["snf"])])
         return 0
     box = _box(config, flop=True)
     _, snf = kgroup.flop_certificate(box)
     payload = {"box": [box.rows, box.cols], "snf": [str(d) for d in snf]}
-    _emit(config, payload, ["snf: " + " ".join(payload["snf"])])
+    _emit(config, payload, lambda: ["snf: " + " ".join(payload["snf"])])
     return 0
 
 
@@ -190,12 +196,12 @@ def _cmd_counterexample(config: CommandConfig) -> int:
         "index": index if index == "infinite" else int(index),
         "line_basis_in_canonical": [[str(x) for x in row] for row in change.entries],
     }
-    lines = [f"basis: {config.basis}"]
-    for label in domain:
-        lines.append(f"image of {label}: ({', '.join(payload['images'][label])})")
-    lines.append(f"snf: {list(snf)}")
-    lines.append(f"index: {index}")
-    _emit(config, payload, lines)
+    _emit(config, payload, lambda: [
+        f"basis: {config.basis}",
+        *(f"image of {label}: ({', '.join(payload['images'][label])})" for label in domain),
+        f"snf: {list(snf)}",
+        f"index: {index}",
+    ])
     return 0
 
 
@@ -206,19 +212,19 @@ def _cmd_bott(config: CommandConfig) -> int:
         weight = bott.Weight.from_text(config.weight)
     except ValueError as exc:
         raise UsageError(f"bad --weight: {exc}")
-    if config.t is not None and config.h is not None:
+    if (config.t is None) != (config.h is None):
+        raise UsageError("give --t and --h together, or neither")
+    if config.t is not None:
         if (len(weight.a), len(weight.b)) != (config.t, config.h - config.t):
             raise UsageError(
                 f"weight blocks {weight.text()} do not match t={config.t}, h={config.h}"
             )
     res = bott.bott_cohomology(weight)
     if res is None:
-        payload = {"zero": True}
-        lines = ["all cohomology vanishes"]
+        _emit(config, {"zero": True}, lambda: ["all cohomology vanishes"])
     else:
         payload = {"degree": res.degree, "dim": res.dim}
-        lines = [f"degree: {res.degree}", f"dim: {res.dim}"]
-    _emit(config, payload, lines)
+        _emit(config, payload, lambda: [f"degree: {res.degree}", f"dim: {res.dim}"])
     return 0
 
 
@@ -235,10 +241,9 @@ def _cmd_hodge(config: CommandConfig) -> int:
         "diagonal": diag,
         "table": table,
     }
-    lines = ["diagonal: " + " ".join(map(str, diag))]
-    for row in table:
-        lines.append(" ".join(map(str, row)))
-    _emit(config, payload, lines)
+    _emit(config, payload, lambda: [
+        "diagonal: " + " ".join(map(str, diag)), *(" ".join(map(str, row)) for row in table)
+    ])
     return 0
 
 
@@ -272,14 +277,10 @@ def _cmd_gamma(config: CommandConfig) -> int:
         "image": [_scalar_str(x) for x in image],
         "indeterminate": indeterminate,
     }
-    _emit(
-        config,
-        payload,
-        [
-            "image: (" + ", ".join(payload["image"]) + ")",
-            f"indeterminate: {payload['indeterminate']}",
-        ],
-    )
+    _emit(config, payload, lambda: [
+        "image: (" + ", ".join(payload["image"]) + ")",
+        f"indeterminate: {payload['indeterminate']}",
+    ])
     return 0
 
 
@@ -292,7 +293,7 @@ def _cmd_quadric(config: CommandConfig) -> int:
         raise UsageError(str(exc))
     value = flopgeom.quadric_value(pt)
     payload = {"value": _scalar_str(value), "on_quadric": not (value != 0)}
-    _emit(config, payload, [f"value: {payload['value']}"])
+    _emit(config, payload, lambda: [f"value: {payload['value']}"])
     return 0
 
 
@@ -304,7 +305,7 @@ def _cmd_springer_fiber(config: CommandConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     payload = {"grassmann": [sub, amb], "dim": dim}
-    _emit(config, payload, [f"grassmann: G({sub},{amb})", f"dim: {dim}"])
+    _emit(config, payload, lambda: [f"grassmann: G({sub},{amb})", f"dim: {dim}"])
     return 0
 
 
@@ -319,15 +320,9 @@ def _cmd_weyl_word(config: CommandConfig) -> int:
         "word": word,
         "length": len(word),
     }
-    _emit(
-        config,
-        payload,
-        [
-            f"sigma: {list(sigma)}",
-            f"word: {word}",
-            f"length: {len(word)}",
-        ],
-    )
+    _emit(config, payload, lambda: [
+        f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
+    ])
     return 0
 
 
@@ -338,15 +333,13 @@ def _cmd_chamber_sort(config: CommandConfig) -> int:
         from fractions import Fraction
 
         vec = tuple(Fraction(s.strip()) for s in config.vector.split(","))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --vector: {exc}")
     sigma, word = weyl.chamber_sort(vec)
     payload = {"sigma": list(sigma), "word": word, "length": len(word)}
-    _emit(
-        config,
-        payload,
-        [f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"],
-    )
+    _emit(config, payload, lambda: [
+        f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
+    ])
     return 0
 
 
@@ -365,36 +358,41 @@ def _cmd_verify_all(config: CommandConfig) -> int:
             for r in results
         ],
     }
-    lines = []
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"{mark}  {r.number:>2}  {r.name}  [{r.elapsed:.2f}s]  {r.detail}")
-    lines.append(("all criteria passed" if all_pass else "FAILURES present"))
-    _emit(config, payload, lines)
+    _emit(config, payload, lambda: [
+        *(f"{'PASS' if r.passed else 'FAIL'}  {r.number:>2}  {r.name}  "
+          f"[{r.elapsed:.2f}s]  {r.detail}" for r in results),
+        "all criteria passed" if all_pass else "FAILURES present",
+    ])
     return 0 if all_pass else 1
 
 
+# name -> (handler, help text, option groups); _build_parser turns each
+# option group into its arguments.  Every argparse dest is a CommandConfig field.
 _COMMANDS = {
-    "kbasis": _cmd_kbasis,
-    "flop-matrix": _cmd_flop_matrix,
-    "check-iso": _cmd_check_iso,
-    "snf": _cmd_snf,
-    "counterexample": _cmd_counterexample,
-    "bott": _cmd_bott,
-    "hodge": _cmd_hodge,
-    "gamma": _cmd_gamma,
-    "quadric": _cmd_quadric,
-    "springer-fiber": _cmd_springer_fiber,
-    "weyl-word": _cmd_weyl_word,
-    "chamber-sort": _cmd_chamber_sort,
-    "verify-all": _cmd_verify_all,
+    "kbasis": (_cmd_kbasis, "basis of the Grothendieck lattice", ("t", "h")),
+    "flop-matrix": (_cmd_flop_matrix, "matrix of the flop correspondence", ("t", "h")),
+    "check-iso": (_cmd_check_iso, "unimodularity verdict for the flop matrix", ("t", "h")),
+    "snf": (_cmd_snf, "Smith normal form (flop matrix, or --matrix)", ("t", "h", "matrix")),
+    "counterexample": (_cmd_counterexample, "index-2 main-component correspondence", ("basis",)),
+    "bott": (_cmd_bott, "cohomology of an irreducible homogeneous bundle", ("t", "h", "weight")),
+    "hodge": (_cmd_hodge, "Hodge numbers of the Grassmannian", ("t", "h")),
+    "gamma": (_cmd_gamma, "limit map into the Pluecker quadric", ("point",)),
+    "quadric": (_cmd_quadric, "evaluate the Pluecker quadric", ("point",)),
+    "springer-fiber": (
+        _cmd_springer_fiber, "type and dimension of a Springer fiber", ("t", "h", "i")
+    ),
+    "weyl-word": (_cmd_weyl_word, "duality permutation and its palindromic word", ("h",)),
+    "chamber-sort": (
+        _cmd_chamber_sort, "sort a regular vector into the dominant chamber", ("vector",)
+    ),
+    "verify-all": (_cmd_verify_all, "run the acceptance criteria", ()),
 }
 
 
 def run(config: CommandConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -403,14 +401,20 @@ def run(config: CommandConfig) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    Both parse ``command``'s argv alike: the one-command parser still
+    lists every command in its usage line, which its errors print.
+    """
     parser = argparse.ArgumentParser(
         prog="flopk",
         description="Exact K-theory and Schubert calculus for Grassmannian flops.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *flags):
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if "t" in flags:
             p.add_argument("--t", type=int)
@@ -440,41 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        return p
-
-    add("kbasis", "basis of the Grothendieck lattice", "t", "h")
-    add("flop-matrix", "matrix of the flop correspondence", "t", "h")
-    add("check-iso", "unimodularity verdict for the flop matrix", "t", "h")
-    add("snf", "Smith normal form (flop matrix, or --matrix)", "t", "h", "matrix")
-    add("counterexample", "index-2 main-component correspondence", "basis")
-    add("bott", "cohomology of an irreducible homogeneous bundle", "t", "h", "weight")
-    add("hodge", "Hodge numbers of the Grassmannian", "t", "h")
-    add("gamma", "limit map into the Pluecker quadric", "point")
-    add("quadric", "evaluate the Pluecker quadric", "point")
-    add("springer-fiber", "type and dimension of a Springer fiber", "t", "h", "i")
-    add("weyl-word", "duality permutation and its palindromic word", "h")
-    add("chamber-sort", "sort a regular vector into the dominant chamber", "vector")
-    add("verify-all", "run the acceptance criteria")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = CommandConfig(
-        command=args.command,
-        t=getattr(args, "t", None),
-        h=getattr(args, "h", None),
-        i=getattr(args, "i", None),
-        weight=getattr(args, "weight", None),
-        vector=getattr(args, "vector", None),
-        point=getattr(args, "point", None),
-        matrix=getattr(args, "matrix", None),
-        field=getattr(args, "field", None),
-        basis=getattr(args, "basis", "line"),
-        fmt=args.fmt,
-        seed=args.seed,
-    )
-    return run(config)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    return run(CommandConfig(**vars(_build_parser(command).parse_args(argv))))
 
 
 if __name__ == "__main__":

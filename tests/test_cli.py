@@ -1,10 +1,20 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
-from flopk.cli import MAX_BOX, MAX_FLOP_RANK, CommandConfig, _box, canonical_json, main
+from flopk.cli import (
+    _COMMANDS,
+    MAX_BOX,
+    MAX_FLOP_RANK,
+    CommandConfig,
+    _box,
+    _build_parser,
+    canonical_json,
+    main,
+)
 from flopk.flopgeom import _MILLER_RABIN_BOUND
 
 
@@ -103,6 +113,17 @@ def test_flop_matrix_stdout_is_byte_identical(capsys, t, h, digest):
     code, out = run_cli(capsys, "flop-matrix", "--t", str(t), "--h", str(h))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # the `flopk` entry point calls main() with no arguments; the digest
+    # is the G(2,4) one recorded in perfbench/expected.json
+    monkeypatch.setattr(sys, "argv", ["flopk", "flop-matrix", "--t", "2", "--h", "4"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "791fbd3fa9414db82aed6caf1aed7c6b8e6cfe42918983b82c1bb3d152870bee"
+    )
 
 
 @pytest.mark.parametrize(
@@ -250,6 +271,21 @@ def test_bad_weight_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("box", [("--t", "2"), ("--h", "3")])
+def test_bott_box_needs_both_sides(capsys, box):
+    assert main(["bott", "--weight", "1,0|0", *box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give --t and --h together, or neither\n"
+
+
+def test_zero_denominator_vector_is_usage_error(capsys):
+    assert main(["chamber-sort", "--vector", "1/0,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --vector: ")
+
+
 def test_bad_field_is_usage_error(capsys):
     code, out = run_cli(capsys, "quadric", "--point", "1,1,1,1,1,1", "--field", "10")
     assert code == 2
@@ -321,3 +357,37 @@ def test_verify_all_table(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)
+
+
+# ---------------------------------------------------------------------------
+# The one-command parser main builds for a known command
+# ---------------------------------------------------------------------------
+
+def parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_matches_full_parser(capsys, command):
+    lazy, full = _build_parser(command), _build_parser()
+    assert lazy.format_usage() == full.format_usage()
+    for argv in ([command, "--help"], [command, "--bogus"]):
+        assert parse_exit(capsys, lazy, argv) == parse_exit(capsys, full, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kbasis", "--t", "2", "--h", "4", "--bogus"),
+        ("flop-matrix", "--t", "x", "--h", "3"),
+        ("counterexample", "--line-basis", "--canonical-basis"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_one_command_parser_errors_match_full_parser(capsys, argv):
+    lazy = parse_exit(capsys, _build_parser(argv[0]), list(argv))
+    assert lazy == parse_exit(capsys, _build_parser(), list(argv))
+    assert lazy[0] == 2 and lazy[2].startswith("usage: flopk ")
