@@ -34,7 +34,6 @@ from .kgroup import (
     expand_in_basis,
     flop_certificate,
     flop_matrix,
-    is_unimodular,
     line_bundle,
     line_bundle_class,
     schur_quot,

@@ -112,11 +112,6 @@ class SchubertVector:
             result = result * self
         return result
 
-    def graded_part(self, d: int) -> "SchubertVector":
-        return SchubertVector(
-            self.box, {p: c for p, c in self.coeffs.items() if p.size == d}
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SchubertVector)

@@ -156,6 +156,8 @@ def _cmd_check_iso(config: CommandConfig) -> int:
 
 def _cmd_snf(config: CommandConfig) -> int:
     if config.matrix is not None:
+        if config.t is not None or config.h is not None:
+            raise UsageError("give --matrix, or --t and --h, not both")
         try:
             matrix = kgroup.IntegerMatrix(json.loads(config.matrix))
         except (ValueError, TypeError) as exc:
@@ -385,7 +387,7 @@ _COMMANDS = {
     "chamber-sort": (
         _cmd_chamber_sort, "sort a regular vector into the dominant chamber", ("vector",)
     ),
-    "verify-all": (_cmd_verify_all, "run the acceptance criteria", ()),
+    "verify-all": (_cmd_verify_all, "run the acceptance criteria", ("seed",)),
 }
 
 
@@ -443,7 +445,8 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                 const="canonical", help="present in the Schur-power basis",
             )
         p.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -14,20 +14,22 @@ the K-theoretic Chern roots of the subbundle, the substitution
 x_i = 1 + z_i presents K(G) as Lambda_t[z]/(h_k(z), k > h-t), the
 integral presentation of the Chow ring, in which the s_mu(z) over the
 box form a basis, multiply by the box-truncated Littlewood-Richardson
-rule, and O(1) = prod (1+z_i)^-1 acts by the Pieri rule.  A binomial
-change of basis (``binomial_change``) connects the s_mu(z) with the
-Schur powers.
+rule, and O(1) = prod (1+z_i)^-1 = sum_{j<=c} (-1)^j s_(j)(z) is one
+more class among them.  A binomial change of basis
+(``binomial_change``) connects the s_mu(z) with the Schur powers.
 
 * Expansion of an arbitrary tautological class (``expand_in_basis``)
   gives every atom integer z-coordinates (Schur powers of the
   subbundle, its dual and the quotient, line bundles, exterior powers
   of the tangent bundle), multiplies them out and maps back by D^-1.
+  Twisting by O(k) is |k| products with the z-coordinates of O(+-1).
 * The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
   complement and U = D^-1 . T . D multiplication by O(1) in the
   Schur-power basis itself (``schur_twist``), which is very sparse:
-  neither D, nor the Pieri twist T, nor a Littlewood-Richardson
-  coefficient enters.  ``flop_certificate`` proves F . F = I by the
-  same sparse route and reads off det and Smith form.
+  neither D, nor the Pieri twist T (the product with O(1) in the
+  s_mu(z)), nor a Littlewood-Richardson coefficient enters.
+  ``flop_certificate`` proves F . F = I by the same sparse route and
+  reads off det and Smith form.
 
 The twist U in closed form.  Write Sigma^lam sub = s_lam(x) =
 a_{lam+delta}(x) / a_delta(x) as a bialternant, delta = (t-1, ..., 0),
@@ -45,8 +47,9 @@ of k survive, and every mu fits in the box.
 
 The Chern character (``TautClass.ch``, module chow) is a third,
 rational route; the tests solve against the character matrix of the
-basis as an independent oracle for both, and keep the dense product
-D^-1 . T^c . D . Pi as a second oracle for the flop matrix.
+basis as an independent oracle for both, and keep T as a dense
+horizontal-strip matrix only to form D^-1 . T^c . D . Pi, a second
+oracle for the flop matrix.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, the dual Schur power of the subbundle is isomorphic to
@@ -307,16 +310,15 @@ def _z_product(u, v, box: BoxShape) -> tuple[int, ...]:
 
 
 def _twist_z(v, k: int, box: BoxShape) -> tuple[int, ...]:
-    """Tensor a class in z-coordinates with O(k)."""
+    """Tensor a class in z-coordinates with O(k): |k| products with O(+-1)."""
     if k >= 0:
-        twist = pieri_twist(box)
-        for _ in range(k):
-            v = twist.apply(v)
-        return tuple(v)
-    # O(-1) = det sub = prod (1 + z_i) = s_(1^t)(1 + z)
-    det_sub = _schur_z(Partition((1,) * box.rows), box)
-    for _ in range(-k):
-        v = _z_product(v, det_sub, box)
+        # O(1) = prod (1 + z_i)^-1 = sum_{j <= c} (-1)^j s_(j)(z)
+        line = tuple((-1) ** p.size if p.rows <= 1 else 0 for p in enumerate_box(box))
+    else:
+        # O(-1) = det sub = prod (1 + z_i) = s_(1^t)(1 + z)
+        line = _schur_z(Partition((1,) * box.rows), box)
+    for _ in range(abs(k)):
+        v = _z_product(v, line, box)
     return tuple(v)
 
 
@@ -438,7 +440,7 @@ class IntegerMatrix:
 
     def __init__(self, entries):
         rows = [tuple(row) for row in entries]
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
+        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("entries must be a non-empty rectangular array")
         for row in rows:
             for x in row:
@@ -506,38 +508,6 @@ class IntegerMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def inverse_unimodular(self) -> "IntegerMatrix":
-        """Inverse of a matrix with determinant +-1 (stays integral).
-
-        Fraction-free (Bareiss) Gauss-Jordan on [A | I]: every division is
-        exact, and at the end the left block is det(A) I up to the sign of
-        the row swaps and the right block is that multiple of A^-1.
-        """
-        if self.rows != self.cols:
-            raise ValueError("inverse needs a square matrix")
-        n = self.rows
-        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
-        sign = 1
-        prev = 1
-        for k in range(n):
-            if m[k][k] == 0:
-                pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-                if pivot is None:
-                    raise ValueError("matrix is not unimodular (det=0)")
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            pk = m[k][k]
-            row_k = m[k]
-            for i in range(n):
-                if i != k:
-                    a = m[i][k]
-                    m[i] = [(pk * x - a * y) // prev for x, y in zip(m[i], row_k)]
-            prev = pk
-        d = sign * prev
-        if d not in (1, -1):
-            raise ValueError(f"matrix is not unimodular (det={d})")
-        return IntegerMatrix([[prev * x for x in row[n:]] for row in m])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerMatrix) and self.entries == other.entries
 
@@ -547,11 +517,6 @@ class IntegerMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"IntegerMatrix[{body}]"
-
-
-def is_unimodular(matrix: IntegerMatrix) -> bool:
-    """True iff the (square) matrix has determinant +1 or -1."""
-    return matrix.det() in (1, -1)
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
@@ -653,35 +618,6 @@ def binomial_change(box: BoxShape) -> tuple[IntegerMatrix, IntegerMatrix]:
     return d, d_inv
 
 
-def _horizontal_strips(lam: Partition, box: BoxShape):
-    """The nu in the box with nu/lam a horizontal strip (nu interlaces lam)."""
-    lam = tuple(lam) + (0,) * (box.rows - len(lam))
-    out = [()]
-    for i in range(box.rows):
-        top = lam[i - 1] if i else box.cols
-        out = [nu + (part,) for nu in out for part in range(lam[i], top + 1)]
-    return [Partition(nu) for nu in out]
-
-
-@cache
-def pieri_twist(box: BoxShape) -> IntegerMatrix:
-    """Multiplication by O(1) in the basis s_mu(z) of K(G).
-
-    O(1) = prod (1 + z_i)^-1 = sum_k (-1)^k h_k(z), and h_k(z) vanishes for
-    k above the box width, so by the Pieri rule column lam has the sign
-    (-1)^(|nu|-|lam|) at every nu in the box with nu/lam a horizontal
-    strip, and zeros elsewhere.
-    """
-    basis = enumerate_box(box)
-    index = {p: i for i, p in enumerate(basis)}
-    n = len(basis)
-    twist = [[0] * n for _ in range(n)]
-    for j, lam in enumerate(basis):
-        for nu in _horizontal_strips(lam, box):
-            twist[index[nu]][j] = (-1) ** (nu.size - lam.size)
-    return IntegerMatrix(twist)
-
-
 @cache
 def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Multiplication by O(1) in the Schur-power basis, as sparse columns.
@@ -694,8 +630,10 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
     * lam_t = 0: sum_{k<h} (-1)^k C(h, k+1) straighten(lam_1 - 1, ...,
       lam_{t-1} - 1, k), which has exactly c + 1 terms, all in the box.
 
-    This is D^-1 . T . D (``binomial_change``, ``pieri_twist``) in closed
-    form; the derivation is in the module docstring.
+    This is D^-1 . T . D in closed form, with D from ``binomial_change``
+    and T the product with O(1) in the s_mu(z); expansion forms that
+    product itself, and T survives as a dense matrix only among the
+    tests' oracles.  The derivation is in the module docstring.
     """
     basis = enumerate_box(box)
     index = {p: i for i, p in enumerate(basis)}

@@ -29,10 +29,11 @@ from .kgroup import (
     expand_in_basis,
     line_bundle,
     line_bundle_class,
+    schur_sub,
     smith_normal_form,
     wedge_tangent,
 )
-from .partitions import BoxShape
+from .partitions import BoxShape, enumerate_box
 
 
 def koszul_ideal_class(h: int) -> KVector:
@@ -70,8 +71,18 @@ def line_basis_matrix(box: BoxShape) -> IntegerMatrix:
 
 
 def to_line_basis(v: KVector) -> tuple[int, ...]:
-    """Coordinates of a K-class in the ([O(1)], [O], [O(-1)], ...) basis."""
-    return line_basis_matrix(v.box).inverse_unimodular().apply(v.coords)
+    """Coordinates of a K-class in the ([O(1)], [O], [O(-1)], ...) basis.
+
+    On projective space the canonical basis is [Sym^j sub] = [O(-j)], so
+    the line-bundle basis is the canonical one twisted by O(1), and these
+    are the canonical coordinates of v (x) O(-1).
+    """
+    if v.box.rows != 1:
+        raise ValueError("line-bundle bases only exist for projective spaces")
+    expr = 0 * line_bundle(0)
+    for alpha, c in v.as_dict().items():
+        expr = expr + c * schur_sub(alpha)
+    return expand_in_basis(expr * line_bundle(-1), v.box).coords
 
 
 def main_component_matrix(basis: str = "line") -> IntegerMatrix:
@@ -80,8 +91,9 @@ def main_component_matrix(basis: str = "line") -> IntegerMatrix:
     In the "line" presentation rows are the target basis
     ([O(1)], [O], [O(-1)]) and columns the images of the domain basis
     ([O+(-1)], [O+], [O+(1)]), which are [O(1)], [O] and the twisted
-    ideal-sheaf class.  The "canonical" presentation conjugates by the
-    (unimodular) line-bundle basis changes on both sides.
+    ideal-sheaf class.  The "canonical" presentation has the images in
+    canonical coordinates, composed with the (unimodular) change from
+    the canonical domain basis to the domain generators.
     """
     box = BoxShape.for_grassmannian(1, 3)
     images = [
@@ -89,18 +101,16 @@ def main_component_matrix(basis: str = "line") -> IntegerMatrix:
         line_bundle_class(0, box),
         koszul_ideal_class(3),
     ]
-    line_presented = IntegerMatrix.from_columns([to_line_basis(v) for v in images])
     if basis == "line":
-        return line_presented
+        return IntegerMatrix.from_columns([to_line_basis(v) for v in images])
     if basis == "canonical":
-        # target basis change: columns [O(1)], [O], [O(-1)] in canonical
-        # coordinates; domain basis change: columns [O(-1)], [O], [O(1)]
-        # (the domain generators carry the opposite twists).
-        b_target = line_basis_matrix(box)
-        b_domain = IntegerMatrix.from_columns(
-            [line_bundle_class(k, box).coords for k in (-1, 0, 1)]
+        # the domain generators carry the opposite twists, so a canonical
+        # basis class has the reversed line-basis coordinates in them
+        b_domain_inv = IntegerMatrix.from_columns(
+            [reversed(to_line_basis(KVector.basis_vector(box, alpha)))
+             for alpha in enumerate_box(box)]
         )
-        return (b_target @ line_presented) @ b_domain.inverse_unimodular()
+        return IntegerMatrix.from_columns([v.coords for v in images]) @ b_domain_inv
     raise ValueError(f"unknown basis {basis!r}; use 'line' or 'canonical'")
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
-from flopk.kgroup import IntegerMatrix, KVector, binomial_change, pieri_twist
-from flopk.partitions import enumerate_box
+from flopk.kgroup import IntegerMatrix, KVector, binomial_change
+from flopk.partitions import Partition, enumerate_box
 
 
 def rational_det(matrix) -> Fraction:
@@ -27,6 +27,33 @@ def rational_det(matrix) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def _horizontal_strips(lam, box):
+    """The nu in the box with nu/lam a horizontal strip (nu interlaces lam)."""
+    lam = tuple(lam) + (0,) * (box.rows - len(lam))
+    out = [()]
+    for i in range(box.rows):
+        top = lam[i - 1] if i else box.cols
+        out = [nu + (part,) for nu in out for part in range(lam[i], top + 1)]
+    return [Partition(nu) for nu in out]
+
+
+def pieri_twist(box) -> IntegerMatrix:
+    """T, multiplication by O(1) in the basis s_mu(z) of K(G), by the Pieri rule.
+
+    O(1) = prod (1 + z_i)^-1 = sum_k (-1)^k h_k(z), and h_k(z) vanishes for
+    k above the box width, so column lam has the sign (-1)^(|nu|-|lam|) at
+    every nu in the box with nu/lam a horizontal strip, and zeros elsewhere.
+    """
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    n = len(basis)
+    twist = [[0] * n for _ in range(n)]
+    for j, lam in enumerate(basis):
+        for nu in _horizontal_strips(lam, box):
+            twist[index[nu]][j] = (-1) ** (nu.size - lam.size)
+    return IntegerMatrix(twist)
 
 
 def dense_flop_matrix(box) -> IntegerMatrix:

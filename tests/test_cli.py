@@ -63,7 +63,9 @@ def test_flop_matrix_schema_and_round_trip(capsys):
     assert canonical_json(json.loads(out)) == out.strip()
 
 
-@pytest.mark.parametrize("matrix", ["[[1.5]]", "[[true]]", '[["2"]]', "[[1,2],[3]]", "7"])
+@pytest.mark.parametrize(
+    "matrix", ["[[1.5]]", "[[true]]", '[["2"]]', "[[1,2],[3]]", "7", "[[]]"]
+)
 def test_snf_non_integer_matrix_is_usage_error(capsys, matrix):
     assert main(["snf", "--matrix", matrix]) == 2
     assert capsys.readouterr().out == ""
@@ -162,6 +164,16 @@ def test_snf_explicit_matrix(capsys):
     code, payload = run_json(capsys, "snf", "--matrix", "[[2,0],[0,3]]")
     assert code == 0
     assert payload["snf"] == ["1", "6"]
+
+
+@pytest.mark.parametrize(
+    "box", [("--t", "2", "--h", "4"), ("--t", "2"), ("--h", "4")], ids=lambda a: "".join(a[0::2])
+)
+def test_snf_matrix_with_box_is_usage_error(capsys, box):
+    assert main(["snf", "--matrix", "[[2,0],[0,3]]", *box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give --matrix, or --t and --h, not both\n"
 
 
 def test_counterexample(capsys):
@@ -391,3 +403,12 @@ def test_one_command_parser_errors_match_full_parser(capsys, argv):
     lazy = parse_exit(capsys, _build_parser(argv[0]), list(argv))
     assert lazy == parse_exit(capsys, _build_parser(), list(argv))
     assert lazy[0] == 2 and lazy[2].startswith("usage: flopk ")
+
+
+def test_seed_is_a_verify_all_option_only(capsys):
+    assert _build_parser("verify-all").parse_args(["verify-all", "--seed", "1"]).seed == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["flop-matrix", "--t", "2", "--h", "4", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --seed 1" in captured.err

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flopk import chow, cli, kgroup
-from flopk.chow import SchubertVector, rational_inverse
+from flopk.chow import SchubertVector
 from flopk.kgroup import (
     IntegerMatrix,
     KVector,
@@ -16,10 +16,8 @@ from flopk.kgroup import (
     expand_in_basis,
     flop_certificate,
     flop_matrix,
-    is_unimodular,
     line_bundle,
     line_bundle_class,
-    pieri_twist,
     schur_quot,
     schur_sub,
     schur_sub_dual,
@@ -31,7 +29,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
 
-from oracles import ch_expand, dense_flop_matrix, rational_det
+from oracles import ch_expand, dense_flop_matrix, pieri_twist, rational_det
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
 P2 = BoxShape.for_grassmannian(1, 3)   # box(1,2)
@@ -151,7 +149,7 @@ def test_expansion_is_integer_only(monkeypatch):
         monkeypatch.setattr(chow, name, forbidden)
     monkeypatch.setattr(kgroup, "_atom_ch", forbidden)
     monkeypatch.setattr(TautClass, "ch", forbidden)
-    for fn in (kgroup._atom_z, kgroup._product_table, binomial_change, pieri_twist):
+    for fn in (kgroup._atom_z, kgroup._product_table, binomial_change):
         fn.cache_clear()
     assert expand_in_basis(expr, box) == want
 
@@ -244,8 +242,7 @@ def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
                  "line_chern_character", "quot_chern_character", "ch_matrix_inverse",
                  "lr_coefficients"):
         monkeypatch.setattr(chow, name, forbidden)
-    for name in ("lr_coefficients", "_atom_ch", "binomial_change", "pieri_twist",
-                 "smith_normal_form"):
+    for name in ("lr_coefficients", "_atom_ch", "binomial_change", "smith_normal_form"):
         monkeypatch.setattr(kgroup, name, forbidden)
     monkeypatch.setattr(IntegerMatrix, "det", forbidden)
     flop_matrix.cache_clear()
@@ -281,6 +278,20 @@ def test_schur_twist_is_conjugated_pieri_twist(box):
     assert _dense(twist, box.rank) == d_inv @ pieri_twist(box) @ d
     for lam, column in zip(enumerate_box(box), twist):
         assert len(column) == (1 if lam.rows == box.rows else box.cols + 1)
+
+
+@pytest.mark.parametrize(
+    "box", [BoxShape.for_grassmannian(t, h) for h in range(2, 9) for t in range(1, h)], ids=str
+)
+def test_pieri_oracle_is_product_with_line_bundle(box):
+    # the horizontal-strip T against the products with [O(1)] that expansion
+    # forms through the Littlewood-Richardson table, column by column; the
+    # product with [O(-1)] undoes each
+    n = box.rank
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    columns = [kgroup._twist_z(e, 1, box) for e in units]
+    assert IntegerMatrix.from_columns(columns) == pieri_twist(box)
+    assert [kgroup._twist_z(v, -1, box) for v in columns] == units
 
 
 @pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)
@@ -336,7 +347,7 @@ def test_certificate_rejects_perturbed_matrix(monkeypatch):
 def test_flop_matrix_certificates(box):
     m = flop_matrix(box)
     assert m.rows == m.cols == box.rank
-    assert is_unimodular(m)
+    assert m.det() in (1, -1)
     assert m @ m == IntegerMatrix.identity(box.rank)
 
 
@@ -351,8 +362,8 @@ def test_integer_matrix_rejects_non_int_entries(bad):
 
 
 def test_is_unimodular_examples():
-    assert is_unimodular(IntegerMatrix.identity(4))
-    assert not is_unimodular(IntegerMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    assert IntegerMatrix.identity(4).det() in (1, -1)
+    assert IntegerMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]).det() not in (1, -1)
     with pytest.raises(ValueError):
         IntegerMatrix([[1, 2, 3], [4, 5, 6]]).det()
 
@@ -413,33 +424,3 @@ def test_snf_invariance_under_unimodular_change():
     u = flop_matrix(BoxShape(1, 3))  # a handy 4x4 unimodular matrix
     assert smith_normal_form(m) == smith_normal_form(u @ m)
     assert smith_normal_form(m) == smith_normal_form(m @ u)
-
-
-def test_inverse_unimodular():
-    u = flop_matrix(BoxShape(2, 2))
-    assert u @ u.inverse_unimodular() == IntegerMatrix.identity(6)
-    with pytest.raises(ValueError):
-        IntegerMatrix([[2, 0], [0, 1]]).inverse_unimodular()
-
-
-def test_inverse_unimodular_random_rank_10():
-    # a product of random elementary and swap matrices, so det = +-1 and
-    # every pivot position is exercised, checked against the oracle
-    rng = random.Random(17)
-    n = 10
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(60):
-        i, j = rng.sample(range(n), 2)
-        if rng.random() < 0.2:
-            m[i], m[j] = m[j], m[i]
-        else:
-            f = rng.randint(-3, 3)
-            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
-    u = IntegerMatrix(m)
-    assert u.det() in (1, -1)
-    inv = u.inverse_unimodular()
-    assert u @ inv == inv @ u == IntegerMatrix.identity(n)
-    assert inv.entries == rational_inverse(u.entries)
-    for bad in ([[0, 0], [0, 0]], [[1, 2], [2, 4]], [[2, 1], [1, 2]]):
-        with pytest.raises(ValueError, match="not unimodular"):
-            IntegerMatrix(bad).inverse_unimodular()

@@ -1,6 +1,6 @@
 import pytest
 
-from flopk.kgroup import IntegerMatrix, flop_matrix, line_bundle_class, smith_normal_form
+from flopk.kgroup import IntegerMatrix, KVector, flop_matrix, line_bundle_class, smith_normal_form
 from flopk.main_component import (
     image_index,
     koszul_ideal_class,
@@ -8,7 +8,7 @@ from flopk.main_component import (
     main_component_matrix,
     to_line_basis,
 )
-from flopk.partitions import BoxShape
+from flopk.partitions import BoxShape, enumerate_box
 
 P2 = BoxShape.for_grassmannian(1, 3)
 
@@ -59,6 +59,20 @@ def test_line_basis_matrix_unimodular():
     assert b.det() in (1, -1)
     with pytest.raises(ValueError):
         line_basis_matrix(BoxShape(2, 2))
+
+
+@pytest.mark.parametrize("h", range(2, 10))
+def test_line_basis_coordinates_invert_line_basis_matrix(h):
+    box = BoxShape.for_grassmannian(1, h)
+    b = line_basis_matrix(box)
+    for alpha in enumerate_box(box):
+        e = KVector.basis_vector(box, alpha)
+        assert b.apply(to_line_basis(e)) == e.coords
+
+
+def test_line_basis_coordinates_need_projective_space():
+    with pytest.raises(ValueError, match="projective"):
+        to_line_basis(KVector.basis_vector(BoxShape(2, 2), ()))
 
 
 def test_main_component_matrix_line_columns():
