@@ -40,8 +40,6 @@ from .kgroup import (
     schur_sub,
     schur_sub_dual,
     smith_normal_form,
-    wedge_quot,
-    wedge_sub,
     wedge_tangent,
 )
 from .main_component import (

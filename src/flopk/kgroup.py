@@ -22,7 +22,9 @@ more class among them.  A binomial change of basis
   gives every atom integer z-coordinates (Schur powers of the
   subbundle, its dual and the quotient, line bundles, exterior powers
   of the tangent bundle), multiplies them out and maps back by D^-1.
-  Twisting by O(k) is |k| products with the z-coordinates of O(+-1).
+  A dual Schur power is a Schur power twisted by O(alpha_1), so its
+  atom applies U (below) alpha_1 times in the Schur-power basis; O(k)
+  is the dual Schur power (k^t) and O(-k) the Schur power (k^t).
 * The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
   complement and U = D^-1 . T . D multiplication by O(1) in the
   Schur-power basis itself (``schur_twist``), which is very sparse:
@@ -89,6 +91,9 @@ class KVector:
                 f"expected {self.box.rank} coordinates for {self.box}, "
                 f"got {len(self.coords)}"
             )
+        for x in self.coords:
+            if type(x) is not int:
+                raise TypeError(f"coordinates must be int, got {x!r}")
 
     @classmethod
     def basis_vector(cls, box: BoxShape, alpha) -> "KVector":
@@ -114,6 +119,8 @@ class KVector:
         return KVector(self.box, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __rmul__(self, n: int) -> "KVector":
+        if not isinstance(n, int):
+            return NotImplemented
         return KVector(self.box, tuple(n * c for c in self.coords))
 
     def __str__(self):
@@ -171,6 +178,8 @@ class TautClass:
         """Tensor product, extended bilinearly."""
         if isinstance(other, int):
             return other * self
+        if not isinstance(other, TautClass):
+            return NotImplemented
         out: dict[tuple[_Atom, ...], int] = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
@@ -209,16 +218,6 @@ def schur_sub_dual(alpha) -> TautClass:
 def schur_quot(alpha) -> TautClass:
     """Sigma^alpha of the quotient bundle."""
     return TautClass._atom(("quot", Partition(alpha)))
-
-
-def wedge_sub(i: int) -> TautClass:
-    """i-th exterior power of the subbundle (the one-column Schur power)."""
-    return schur_sub((1,) * i) if i else line_bundle(0)
-
-
-def wedge_quot(i: int) -> TautClass:
-    """i-th exterior power of the quotient bundle."""
-    return schur_quot((1,) * i) if i else line_bundle(0)
 
 
 def wedge_tangent(i: int) -> TautClass:
@@ -309,19 +308,6 @@ def _z_product(u, v, box: BoxShape) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _twist_z(v, k: int, box: BoxShape) -> tuple[int, ...]:
-    """Tensor a class in z-coordinates with O(k): |k| products with O(+-1)."""
-    if k >= 0:
-        # O(1) = prod (1 + z_i)^-1 = sum_{j <= c} (-1)^j s_(j)(z)
-        line = tuple((-1) ** p.size if p.rows <= 1 else 0 for p in enumerate_box(box))
-    else:
-        # O(-1) = det sub = prod (1 + z_i) = s_(1^t)(1 + z)
-        line = _schur_z(Partition((1,) * box.rows), box)
-    for _ in range(abs(k)):
-        v = _z_product(v, line, box)
-    return tuple(v)
-
-
 def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
     """s_{alpha/nu}(1^n), by Jacobi-Trudi with h_k(1^n) = C(n+k-1, k)."""
     def h(k):
@@ -349,13 +335,18 @@ def _atom_z(atom: _Atom, box: BoxShape) -> tuple[int, ...]:
         return _schur_z(alpha, box)
     if kind == "sub*":
         # Sigma^alpha sub* = Sigma^(alpha^c) sub (x) O(alpha_1), with alpha^c
-        # the complement of alpha in the t x alpha_1 rectangle
+        # the complement of alpha in the t x alpha_1 rectangle: U^alpha_1
+        # on the Schur-power coordinates of Sigma^(alpha^c) sub, a unit
+        # vector whenever alpha^c fits the box
         alpha = Partition(arg)
         if alpha.rows > box.rows:
             raise ValueError(f"{alpha} has more than {box.rows} rows")
         padded = tuple(alpha) + (0,) * (box.rows - alpha.rows)
         rotated = Partition(alpha.cols - p for p in reversed(padded))
-        return _twist_z(_schur_z(rotated, box), alpha.cols, box)
+        d, d_inv = binomial_change(box)
+        v = {i: x for i, x in enumerate(d_inv.apply(_schur_z(rotated, box))) if x}
+        v = _twist_power(v, schur_twist(box), alpha.cols)
+        return d.apply([v.get(i, 0) for i in range(box.rank)])
     if kind == "quot":
         # [quot] = h - [sub] in the lambda-ring, so [Sigma^alpha quot] is
         # sum_{nu in alpha} (-1)^|nu| s_{alpha/nu}(1^h) [Sigma^(nu') sub];
@@ -371,7 +362,9 @@ def _atom_z(atom: _Atom, box: BoxShape) -> tuple[int, ...]:
             )
         return binomial_change(box)[0].apply(coords)
     if kind == "line":
-        return _twist_z((1,) + (0,) * (len(basis) - 1), arg, box)
+        # O(k) = (det sub*)^k and O(-k) = (det sub)^k = s_(k^t)(1 + z)
+        power = Partition((abs(arg),) * box.rows)
+        return _atom_z(("sub*", power), box) if arg >= 0 else _schur_z(power, box)
     if kind == "tangent_wedge":
         # Cauchy, as in ``_atom_ch``
         total = [0] * len(basis)
@@ -631,9 +624,11 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
       lam_{t-1} - 1, k), which has exactly c + 1 terms, all in the box.
 
     This is D^-1 . T . D in closed form, with D from ``binomial_change``
-    and T the product with O(1) in the s_mu(z); expansion forms that
-    product itself, and T survives as a dense matrix only among the
-    tests' oracles.  The derivation is in the module docstring.
+    and T the product with O(1) in the s_mu(z), and the package's only
+    twist by O(1): the flop matrix and the dual Schur power and line
+    bundle atoms of expansion apply it, and T survives as a dense matrix
+    only among the tests' oracles.  The derivation is in the module
+    docstring.
     """
     basis = enumerate_box(box)
     index = {p: i for i, p in enumerate(basis)}

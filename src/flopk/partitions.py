@@ -145,7 +145,10 @@ def conjugate(alpha: Partition) -> Partition:
 def partitions_of(
     n: int, max_rows: Optional[int] = None, max_part: Optional[int] = None
 ) -> Iterator[Partition]:
-    """All partitions of n with bounded length and part size, lex descending."""
+    """All partitions of n with bounded length and part size, lex descending;
+    none for n < 0."""
+    if n < 0:
+        return
     if max_rows is None:
         max_rows = n
     if max_part is None:

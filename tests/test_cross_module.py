@@ -86,10 +86,12 @@ def test_dual_class_chern_character_consistency(shape):
 
 def _atom_pool(box):
     """Schur powers of size <= 2 of the subbundle, its dual and the
-    quotient, the first two tangent wedges, and O(k) with |k| <= 4."""
+    quotient, dual Schur powers wider than the box, the first two tangent
+    wedges, and O(k) with |k| <= 4."""
     small = [(), (1,), (2,), (1, 1)]
+    wide = [(box.cols + 1,), (box.cols + 2, 1)]
     pool = [schur_sub(a) for a in small if len(a) <= box.rows]
-    pool += [schur_sub_dual(a) for a in small[1:] if len(a) <= box.rows]
+    pool += [schur_sub_dual(a) for a in small[1:] + wide if len(a) <= box.rows]
     pool += [schur_quot(a) for a in small[1:] if len(a) <= box.cols]
     pool += [wedge_tangent(1), wedge_tangent(2)]
     pool += [line_bundle(k) for k in range(-4, 5)]

@@ -23,8 +23,6 @@ from flopk.kgroup import (
     schur_sub_dual,
     schur_twist,
     smith_normal_form,
-    wedge_quot,
-    wedge_sub,
     wedge_tangent,
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
@@ -87,13 +85,17 @@ def test_dual_class_examples():
 
 
 def test_wedge_atoms_against_schur():
-    assert expand_in_basis(wedge_sub(2), G24) == expand_in_basis(
-        schur_sub((1, 1)), G24
-    )
-    # wedge^2 quot = Schur (1,1) of the quotient; compare through duality
-    v = expand_in_basis(wedge_quot(2), G24)
-    # det(quot) = O(1) on G(2,4)
-    assert v == line_bundle_class(1, G24)
+    # wedge^2 quot = Schur (1,1) of the quotient = det(quot) = O(1) on G(2,4)
+    assert expand_in_basis(schur_quot((1, 1)), G24) == line_bundle_class(1, G24)
+
+
+def test_negative_tangent_wedge_is_zero():
+    # like a wedge power above the dimension, on both routes
+    for box in (P2, G24):
+        zero = KVector(box, (0,) * box.rank)
+        for i in (-1, box.dim + 1):
+            assert expand_in_basis(wedge_tangent(i), box) == zero
+            assert ch_expand(wedge_tangent(i), box) == zero
 
 
 def test_round_trip_box_2_3():
@@ -222,6 +224,21 @@ def test_binomial_change_small_cases():
     assert d.column(3) == (1, 1, 0, 1, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "2", Fraction(2)], ids=repr)
+def test_kvector_rejects_non_int_coordinates(bad):
+    with pytest.raises(TypeError):
+        KVector(P2, (1, bad, 0))
+
+
+def test_scaling_rejects_non_int_factors():
+    with pytest.raises(TypeError):
+        2.5 * line_bundle_class(1, P2)
+    with pytest.raises(TypeError):
+        schur_sub((1,)) * 2.5
+    with pytest.raises(TypeError):
+        2.5 * schur_sub((1,))
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_pieri_twist_is_line_bundle(shape):
     # D^-1 T D applied to [O] is [O(1)], expanded on the character route
@@ -289,9 +306,43 @@ def test_pieri_oracle_is_product_with_line_bundle(box):
     # product with [O(-1)] undoes each
     n = box.rank
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    columns = [kgroup._twist_z(e, 1, box) for e in units]
+    plus, minus = (kgroup._atom_z(("line", k), box) for k in (1, -1))
+    columns = [kgroup._z_product(e, plus, box) for e in units]
     assert IntegerMatrix.from_columns(columns) == pieri_twist(box)
-    assert [kgroup._twist_z(v, -1, box) for v in columns] == units
+    assert [kgroup._z_product(v, minus, box) for v in columns] == units
+
+
+G48 = BoxShape.for_grassmannian(4, 8)
+
+
+def _forbid_product_table(monkeypatch):
+    def forbidden(box):
+        raise AssertionError("Littlewood-Richardson table built")
+
+    monkeypatch.setattr(kgroup, "_product_table", forbidden)
+    for fn in (kgroup._atom_z, binomial_change, schur_twist):
+        fn.cache_clear()
+
+
+def test_line_bundle_twists_build_no_product_table(monkeypatch):
+    # O(k) is a power of U on [O] and O(-k) a truncated Schur power, checked
+    # against the dense Pieri twist T: D^-1 T^3 e_0 is [O(3)], and T^3 D
+    # sends [O(-3)] back to e_0
+    _forbid_product_table(monkeypatch)
+    plus, minus = line_bundle_class(3, G48), line_bundle_class(-3, G48)
+    d, d_inv = binomial_change(G48)
+    t = pieri_twist(G48)
+    cube = t @ t @ t
+    unit = KVector.basis_vector(G48, ()).coords
+    assert plus.coords == (d_inv @ cube).apply(unit)
+    assert (cube @ d).apply(minus.coords) == unit
+
+
+def test_dual_class_builds_no_product_table(monkeypatch):
+    _forbid_product_table(monkeypatch)
+    alpha = Partition((2, 1))
+    column = enumerate_box(G48).index(alpha)
+    assert dual_class(alpha, G48).coords == dense_flop_matrix(G48).column(column)
 
 
 @pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)

@@ -88,6 +88,13 @@ def test_conjugate_matches_cell_transpose():
             assert conjugate(p) == _transpose_by_cells(p)
 
 
+def test_no_partitions_of_negative_numbers():
+    for n in (-1, -3):
+        assert list(partitions_of(n)) == []
+        assert list(partitions_of(n, 1, 2)) == []
+        assert list(partitions_of(n, 3, 3)) == []
+
+
 def test_conjugate_involution_up_to_12():
     for n in range(0, 13):
         for p in partitions_of(n):
