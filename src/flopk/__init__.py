@@ -20,7 +20,6 @@ point anywhere:
 from .partitions import (
     BoxShape,
     Partition,
-    conjugate,
     enumerate_box,
     lr_coefficients,
     partitions_of,
@@ -59,7 +58,6 @@ from .bott import (
     serre_dual_weight,
 )
 from .flopgeom import (
-    PrimeField,
     determinantal_membership,
     is_indeterminate,
     pluecker_limit_map,

@@ -152,16 +152,16 @@ def criterion_6_bott_anchors() -> CriterionResult:
 
 def criterion_7_quadric_identity(seed: int = 0) -> CriterionResult:
     """The limit map lands on the Pluecker quadric, symbolically and at
-    1000 random points over the 32003-element field."""
+    1000 random points over the 32003-element field: integer points with
+    coordinates in [0, 32003), the quadric value reduced mod 32003."""
     started = time.monotonic()
     problems = []
     if not flopgeom.quadric_vanishes_identically():
         problems.append("symbolic expansion is nonzero")
-    field = flopgeom.PrimeField(32003)
     rng = random.Random(seed)
     for _ in range(1000):
-        pt = tuple(field(rng.randrange(32003)) for _ in range(5))
-        if flopgeom.quadric_value(flopgeom.pluecker_limit_map(pt)) != 0:
+        pt = tuple(rng.randrange(32003) for _ in range(5))
+        if flopgeom.quadric_value(flopgeom.pluecker_limit_map(pt)) % 32003 != 0:
             problems.append(f"quadric nonzero at {pt}")
             break
     return _result(

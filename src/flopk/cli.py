@@ -8,8 +8,8 @@ precision integers; small structural numbers (box sides, degrees,
 indices) stay plain.
 
 Exit status: 0 for success and true verdicts, 1 when a computation
-reaches a failing verdict or a structured error (wall point, a box
-above the size limit), 2 for usage errors.
+reaches a failing verdict or a structured error (wall point, a request
+above a size limit), 2 for usage errors.
 
 Only the invoked subcommand's parser is built: argparse set-up for all
 thirteen commands took longer than a small flop certificate.  An
@@ -72,6 +72,15 @@ MAX_FLOP_RANK = 924
 # product of about h^2/2 big integers, so hodge also caps the dimension
 # t(h-t): G(1,h) has K-rank only h.
 MAX_BOX = BoxShape(9, 9)
+
+# Largest h weyl-word accepts: it prints a permutation of h entries and a
+# word of 2h-3 letters, about 5 MB of JSON in half a second at the limit.
+MAX_WEYL_H = 250_000
+
+# Most entries chamber-sort accepts.  Its word is as long as the inversion
+# count, n(n-1)/2 for an increasing vector: 244650 letters, about 0.9 MB of
+# JSON in half a second at the limit.
+MAX_VECTOR = 700
 
 
 def _box(config: CommandConfig, flop: bool = False) -> BoxShape:
@@ -249,21 +258,21 @@ def _cmd_hodge(config: CommandConfig) -> int:
     return 0
 
 
-def _parse_scalars(text: str, field: Optional[int], expect: int):
+def _parse_scalars(text: str, field: Optional[int], expect: int) -> list[int]:
+    """The comma-separated integers of ``text``, reduced mod ``field`` if given."""
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != expect:
         raise UsageError(f"expected {expect} comma-separated values, got {len(parts)}")
     values = [int(s) for s in parts]
     if field is None:
         return values
-    fp = flopgeom.PrimeField(field)
-    return [fp(v) for v in values]
+    p = flopgeom.prime_modulus(field)
+    return [v % p for v in values]
 
 
-def _scalar_str(x) -> str:
-    if isinstance(x, flopgeom.FpElement):
-        return str(x.value % x.modulus)
-    return str(x)
+def _reduce(x: int, field: Optional[int]) -> int:
+    # evaluating over Z then reducing gives the F_p value: Z -> F_p is a ring map
+    return x if field is None else x % field
 
 
 def _cmd_gamma(config: CommandConfig) -> int:
@@ -271,13 +280,14 @@ def _cmd_gamma(config: CommandConfig) -> int:
         raise UsageError("--point a,x,y,z,w is required")
     try:
         pt = _parse_scalars(config.point, config.field, 5)
-        indeterminate = flopgeom.is_indeterminate(pt)
     except ValueError as exc:
         raise UsageError(str(exc))
-    image = flopgeom.pluecker_limit_map(pt)
+    if not any(pt):
+        raise UsageError("the all-zero tuple is not a projective point")
+    image = [_reduce(x, config.field) for x in flopgeom.pluecker_limit_map(pt)]
     payload = {
-        "image": [_scalar_str(x) for x in image],
-        "indeterminate": indeterminate,
+        "image": [str(x) for x in image],
+        "indeterminate": not any(image),
     }
     _emit(config, payload, lambda: [
         "image: (" + ", ".join(payload["image"]) + ")",
@@ -293,8 +303,8 @@ def _cmd_quadric(config: CommandConfig) -> int:
         pt = _parse_scalars(config.point, config.field, 6)
     except ValueError as exc:
         raise UsageError(str(exc))
-    value = flopgeom.quadric_value(pt)
-    payload = {"value": _scalar_str(value), "on_quadric": not (value != 0)}
+    value = _reduce(flopgeom.quadric_value(pt), config.field)
+    payload = {"value": str(value), "on_quadric": value == 0}
     _emit(config, payload, lambda: [f"value: {payload['value']}"])
     return 0
 
@@ -314,6 +324,8 @@ def _cmd_springer_fiber(config: CommandConfig) -> int:
 def _cmd_weyl_word(config: CommandConfig) -> int:
     if config.h is None or config.h < 2:
         raise UsageError("--h >= 2 is required")
+    if config.h > MAX_WEYL_H:
+        raise SizeLimit(f"h = {config.h} is above the limit {MAX_WEYL_H}")
     word = weyl.duality_word(config.h)
     sigma = weyl.duality_permutation(config.h)
     payload = {
@@ -331,10 +343,13 @@ def _cmd_weyl_word(config: CommandConfig) -> int:
 def _cmd_chamber_sort(config: CommandConfig) -> int:
     if config.vector is None:
         raise UsageError("--vector v1,v2,... is required")
+    entries = config.vector.split(",")
+    if len(entries) > MAX_VECTOR:
+        raise SizeLimit(f"the vector has {len(entries)} entries, above the limit {MAX_VECTOR}")
     try:
         from fractions import Fraction
 
-        vec = tuple(Fraction(s.strip()) for s in config.vector.split(","))
+        vec = tuple(Fraction(s.strip()) for s in entries)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --vector: {exc}")
     sigma, word = weyl.chamber_sort(vec)

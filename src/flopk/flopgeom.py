@@ -8,19 +8,20 @@ the Pluecker quadric.  This module evaluates that limit map, the quadric
 form, its indeterminacy locus, the rank-one determinantal model of the
 fiber-product singularities, and the dimensions of Springer fibers.
 
-Everything is generic over the scalars: exact rationals, integers, prime
-fields, or the small polynomial type used for the symbolic identity
-check all work, since only ring operations are used.
+Everything is generic over the scalars: only ring operations are used,
+so any commutative ring works, such as the integers, exact rationals or
+the small polynomial type used for the symbolic identity check.  Over a
+prime field F_p, evaluate over the integers and reduce the result mod p:
+reduction Z -> F_p is a ring homomorphism, so this gives the F_p value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
-# Scalars: prime fields for fuzzing
+# Prime moduli
 # ---------------------------------------------------------------------------
 
 # Miller-Rabin with the twelve primes up to 37 as bases decides primality
@@ -52,83 +53,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FpElement:
-    """An element of Z/pZ supporting ring operations; no division needed."""
-
-    modulus: int
-    value: int
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.modulus, (self.value + v) % self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.modulus, (self.value - v) % self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.modulus, (v - self.value) % self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.modulus, (self.value * v) % self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(self.modulus, -self.value % self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value % self.modulus == other % self.modulus
-        if isinstance(other, FpElement):
-            return self.modulus == other.modulus and self.value % self.modulus == other.value % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.modulus, self.value % self.modulus))
-
-    def __bool__(self):
-        return self.value % self.modulus != 0
-
-    def __repr__(self):
-        return f"{self.value % self.modulus} (mod {self.modulus})"
-
-
-class PrimeField:
-    """Factory for FpElement values: F = PrimeField(32003); F(5)."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def __call__(self, v: int) -> FpElement:
-        return FpElement(self.p, v % self.p)
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+def prime_modulus(p: int) -> int:
+    """p itself if it is prime; ValueError if it is not, or if it is too
+    large for _is_prime to decide."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 # ---------------------------------------------------------------------------

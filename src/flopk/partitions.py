@@ -60,7 +60,11 @@ class Partition(tuple):
         return self[0] if self else 0
 
     def conjugate(self) -> "Partition":
-        """Transpose of the diagram."""
+        """Transpose of the Young diagram (an involution).
+
+        >>> Partition((3, 1)).conjugate()
+        Partition((2, 1, 1))
+        """
         return Partition(sum(1 for p in self if p > i) for i in range(self.cols))
 
     def contains(self, other: "Partition") -> bool:
@@ -131,15 +135,6 @@ class BoxShape:
             raise ValueError(f"{alpha} does not fit in {self}")
         padded = tuple(alpha) + (0,) * (self.rows - len(alpha))
         return Partition(self.cols - p for p in reversed(padded))
-
-
-def conjugate(alpha: Partition) -> Partition:
-    """Transpose of the Young diagram (an involution).
-
-    >>> conjugate(Partition((3, 1)))
-    Partition((2, 1, 1))
-    """
-    return Partition(alpha).conjugate()
 
 
 def partitions_of(

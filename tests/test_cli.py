@@ -1,14 +1,18 @@
 import hashlib
 import json
+import random
 import sys
 import time
 
 import pytest
 
+from flopk import flopgeom
 from flopk.cli import (
     _COMMANDS,
     MAX_BOX,
     MAX_FLOP_RANK,
+    MAX_VECTOR,
+    MAX_WEYL_H,
     CommandConfig,
     _box,
     _build_parser,
@@ -154,6 +158,38 @@ def test_largest_box_is_accepted(capsys):
     assert payload["diagonal"] == [1] * (MAX_BOX.dim + 1)
 
 
+def _increasing(n):
+    return "--vector=" + ",".join(str(i) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("weyl-word", "--h", str(MAX_WEYL_H + 1)),
+        ("weyl-word", "--h", str(10**18)),
+        ("chamber-sort", _increasing(MAX_VECTOR + 1)),
+        ("chamber-sort", _increasing(2000)),
+    ],
+    ids=["weyl-word-limit", "weyl-word-huge", "chamber-sort-limit", "chamber-sort-2000"],
+)
+def test_oversized_word_is_structured_error(capsys, argv):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert payload["error"]["type"] == "SizeLimit"
+
+
+def test_largest_words_are_accepted(capsys):
+    code, payload = run_json(capsys, "weyl-word", "--h", str(MAX_WEYL_H))
+    assert code == 0
+    assert payload["length"] == 2 * MAX_WEYL_H - 3
+    # an increasing vector is the longest chamber sort: every pair inverts
+    code, payload = run_json(capsys, "chamber-sort", _increasing(MAX_VECTOR))
+    assert code == 0
+    assert payload["length"] == MAX_VECTOR * (MAX_VECTOR - 1) // 2
+
+
 def test_snf_of_flop_matrix(capsys):
     code, payload = run_json(capsys, "snf", "--t", "2", "--h", "4")
     assert code == 0
@@ -229,6 +265,43 @@ def test_gamma_and_quadric(capsys):
     )
     assert code == 0
     assert payload == {"on_quadric": True, "value": "0"}
+
+
+def test_gamma_reduces_before_the_zero_tests(capsys):
+    # xw - yz = 8 - 1 = 7: indeterminate over F_7, not over the integers
+    code, payload = run_json(capsys, "gamma", "--point", "0,1,1,1,8", "--field", "7")
+    assert code == 0
+    assert payload == {"image": ["0"] * 6, "indeterminate": True}
+    code, payload = run_json(capsys, "gamma", "--point", "0,1,1,1,8")
+    assert code == 0
+    assert payload["indeterminate"] is False
+
+
+def test_gamma_indeterminate_matches_flopgeom(capsys):
+    rng = random.Random(3)
+    for _ in range(300):
+        pt = [rng.randint(-3, 3) for _ in range(5)]
+        if not any(pt):
+            continue
+        code, payload = run_json(capsys, "gamma", "--point=" + ",".join(map(str, pt)))
+        assert code == 0
+        assert payload["indeterminate"] is flopgeom.is_indeterminate(pt)
+
+
+@pytest.mark.parametrize("field", [2, 3, 7])
+def test_gamma_indeterminate_over_prime_fields(capsys, field):
+    # over F_p, indeterminate means alpha = 0 and xw - yz = 0 mod p
+    rng = random.Random(field)
+    for _ in range(200):
+        alpha, x, y, z, w = pt = [rng.randint(-8, 8) for _ in range(5)]
+        argv = ["gamma", "--point=" + ",".join(map(str, pt)), "--field", str(field)]
+        if all(v % field == 0 for v in pt):
+            assert main(argv) == 2
+            capsys.readouterr()
+            continue
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["indeterminate"] is (alpha % field == 0 and (x * w - y * z) % field == 0)
 
 
 def test_springer_fiber(capsys):

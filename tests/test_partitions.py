@@ -10,7 +10,6 @@ from flopk.partitions import (
     BoxShape,
     Partition,
     centralizer_order,
-    conjugate,
     enumerate_box,
     lr_coefficients,
     partitions_of,
@@ -79,13 +78,13 @@ def _transpose_by_cells(p):
     [(P(), P()), (P(2, 1), P(2, 1)), (P(3, 1), P(2, 1, 1))],
 )
 def test_conjugate_examples(p, expected):
-    assert conjugate(p) == expected
+    assert p.conjugate() == expected
 
 
 def test_conjugate_matches_cell_transpose():
     for n in range(0, 9):
         for p in partitions_of(n):
-            assert conjugate(p) == _transpose_by_cells(p)
+            assert p.conjugate() == _transpose_by_cells(p)
 
 
 def test_no_partitions_of_negative_numbers():
@@ -98,13 +97,13 @@ def test_no_partitions_of_negative_numbers():
 def test_conjugate_involution_up_to_12():
     for n in range(0, 13):
         for p in partitions_of(n):
-            assert conjugate(conjugate(p)) == p
+            assert p.conjugate().conjugate() == p
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), max_size=8))
 def test_conjugate_involution_hypothesis(parts):
     p = Partition(sorted(parts, reverse=True))
-    assert conjugate(conjugate(p)) == p
+    assert p.conjugate().conjugate() == p
 
 
 # ---------------------------------------------------------------------------
