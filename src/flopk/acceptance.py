@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Callable
 
@@ -202,37 +203,52 @@ def criterion_8_weyl_words(seed: int = 0) -> CriterionResult:
     )
 
 
+@cache
+def _lattice_words(mu: Partition) -> tuple[tuple[int, ...], ...]:
+    """Every lattice (ballot) word of content mu: mu_i letters i, and no
+    prefix with more i's than (i-1)'s."""
+    words = []
+    used = [0] * (len(mu) + 1)
+    word: list[int] = []
+
+    def extend() -> None:
+        if len(word) == mu.size:
+            words.append(tuple(word))
+            return
+        for v in range(1, len(mu) + 1):
+            if used[v] < mu[v - 1] and (v == 1 or used[v] < used[v - 1]):
+                used[v] += 1
+                word.append(v)
+                extend()
+                word.pop()
+                used[v] -= 1
+
+    extend()
+    return tuple(words)
+
+
 def _brute_force_lr(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Independent Littlewood-Richardson count: fill nu/lam row by row, left
-    to right, with values weakly increasing along rows, strictly increasing
-    down columns and within the content mu; check the lattice condition on
-    each completed reverse reading word (rows top to bottom, right to left)."""
+    """Independent Littlewood-Richardson count, by the definition: the
+    number of lattice words of content mu that, written into nu/lam in
+    reverse reading order (rows top to bottom, each right to left), give a
+    filling whose rows weakly increase and whose columns strictly
+    increase.  The words are enumerated once per mu; no LR rule of the
+    package is used."""
     if not nu.contains(lam) or nu.size != lam.size + mu.size:
         return 0
     inner = tuple(lam) + (0,) * (len(nu) - len(lam))
-    rows = [range(inner[r], nu[r]) for r in range(len(nu))]
-    cells = [(r, c) for r, row in enumerate(rows) for c in row]
-    reading = [(r, c) for r, row in enumerate(rows) for c in reversed(row)]
-    room = [0, *mu]
-    value = {}
-
-    def fill(k: int) -> int:
-        if k == len(cells):
-            word = [value[cell] for cell in reading]
-            return int(all(word[:i].count(v) < word[:i].count(v - 1)
-                           for i, v in enumerate(word) if v > 1))
-        r, c = cells[k]
-        low = max(value.get((r, c - 1), 1), value.get((r - 1, c), 0) + 1)
-        found = 0
-        for v in range(low, len(room)):
-            if room[v]:
-                room[v] -= 1
-                value[r, c] = v
-                found += fill(k + 1)
-                room[v] += 1
-        return found
-
-    return fill(0)
+    reading = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, inner[r] - 1, -1)]
+    position = {cell: k for k, cell in enumerate(reading)}
+    # (earlier, later) reading positions whose letters must strictly
+    # increase (down a column) or weakly decrease (right to left in a row)
+    column = [
+        (position[r - 1, c], k) for k, (r, c) in enumerate(reading) if (r - 1, c) in position
+    ]
+    row = [(k - 1, k) for k, (r, c) in enumerate(reading) if c + 1 < nu[r]]
+    return sum(
+        all(word[a] < word[b] for a, b in column) and all(word[a] >= word[b] for a, b in row)
+        for word in _lattice_words(mu)
+    )
 
 
 def criterion_9_oracles() -> CriterionResult:

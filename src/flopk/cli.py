@@ -82,6 +82,11 @@ MAX_WEYL_H = 250_000
 # JSON in half a second at the limit.
 MAX_VECTOR = 700
 
+# Most decimal digits gamma and quadric print in one entry: CPython's
+# default int-to-string limit.  Both maps are quadratic, so coordinates of
+# up to 2150 digits always print; without --field, longer ones may not.
+MAX_DIGITS = 4300
+
 
 def _box(config: CommandConfig, flop: bool = False) -> BoxShape:
     if config.t is None or config.h is None:
@@ -275,6 +280,15 @@ def _reduce(x: int, field: Optional[int]) -> int:
     return x if field is None else x % field
 
 
+def _decimal(values: Sequence[int], what: str) -> list[str]:
+    """The decimal strings of ``values``, refused with SizeLimit before any
+    is printed if one has more than MAX_DIGITS digits."""
+    bound = 10**MAX_DIGITS
+    if any(abs(x) >= bound for x in values):
+        raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
+    return [str(x) for x in values]
+
+
 def _cmd_gamma(config: CommandConfig) -> int:
     if config.point is None:
         raise UsageError("--point a,x,y,z,w is required")
@@ -286,7 +300,7 @@ def _cmd_gamma(config: CommandConfig) -> int:
         raise UsageError("the all-zero tuple is not a projective point")
     image = [_reduce(x, config.field) for x in flopgeom.pluecker_limit_map(pt)]
     payload = {
-        "image": [str(x) for x in image],
+        "image": _decimal(image, "a coordinate of the image"),
         "indeterminate": not any(image),
     }
     _emit(config, payload, lambda: [
@@ -304,7 +318,8 @@ def _cmd_quadric(config: CommandConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     value = _reduce(flopgeom.quadric_value(pt), config.field)
-    payload = {"value": str(value), "on_quadric": value == 0}
+    (text,) = _decimal([value], "the quadric value")
+    payload = {"value": text, "on_quadric": value == 0}
     _emit(config, payload, lambda: [f"value: {payload['value']}"])
     return 0
 

@@ -7,6 +7,14 @@ module provides the diagrams themselves, the canonical enumeration order
 of a box, Littlewood-Richardson coefficients, and symmetric-group
 characters (needed to expand Schur functions in power sums).
 
+Littlewood-Richardson coefficients are counted by generating the LR
+tableaux themselves (Fulton, *Young Tableaux*, Section 5): the rows of mu
+are added to lam as horizontal strips labelled 1, 2, ..., and in each
+row r the i's in rows <= r may not outnumber the (i-1)'s in rows < r.
+The row and column bounds of the product (a box's sides, or else
+rows(lam) + rows(mu) and cols(lam) + cols(mu)) prune the generation as
+the shape grows, so no tableau is built that is not counted.
+
 Canonical box order: partitions are graded by size, and within a grade
 sorted lexicographically descending.  Every matrix in the package is
 written with respect to this order, so outputs are deterministic.
@@ -185,75 +193,81 @@ def enumerate_box(box: BoxShape) -> tuple[Partition, ...]:
 # Littlewood-Richardson coefficients
 # ---------------------------------------------------------------------------
 
-def _lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Number of Littlewood-Richardson tableaux of shape nu/lam, content mu.
-
-    Cells are filled row by row, right to left within each row, which is
-    exactly the order of the reverse reading word; the lattice (ballot)
-    condition is enforced incrementally along with semistandardness.
-    """
-    if not nu.contains(lam) or nu.size != lam.size + mu.size:
-        return 0
-    inner = tuple(lam) + (0,) * (len(nu) - len(lam))
-    cells = []  # (row, col) in reverse-reading order, 0-based
-    for r in range(len(nu)):
-        for c in range(nu[r] - 1, inner[r] - 1, -1):
-            cells.append((r, c))
-    if not cells:
-        return 1
-    nvals = len(mu)
-    counts = [0] * (nvals + 1)
-    filling: dict[tuple[int, int], int] = {}
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        above = filling.get((r - 1, c), 0) if r > 0 and c >= inner[r - 1] else 0
-        right = filling.get((r, c + 1), nvals)
-        total = 0
-        for v in range(above + 1, min(right, nvals) + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            counts[v] += 1
-            filling[(r, c)] = v
-            total += fill(idx + 1)
-            del filling[(r, c)]
-            counts[v] -= 1
-        return total
-
-    return fill(0)
-
-
 @cache
-def _lr_expand(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    n = lam.size + mu.size
-    out = []
-    for nu in partitions_of(n, lam.rows + mu.rows, lam.cols + mu.cols):
-        if nu.contains(lam):
-            c = _lr_count(nu, lam, mu)
-            if c:
-                out.append((nu, c))
-    return tuple(out)
+def _lr_expand(
+    lam: Partition, mu: Partition, max_rows: int, max_cols: int
+) -> tuple[tuple[Partition, int], ...]:
+    """Every LR tableau of shape nu/lam and content mu with nu inside
+    max_rows x max_cols, counted by nu, nu lex descending.
+
+    Label i's cells form a horizontal strip of mu_i cells on the current
+    shape, so rows weakly increase and columns strictly increase by
+    construction.  The strip is placed row by row, top to bottom, and the
+    reverse reading word stays a lattice word: the i's in rows <= r may
+    not outnumber the (i-1)'s in rows < r.  A row takes at least the
+    cells that the rows below it have no room for, so a strip never
+    stops short of mu_i cells.
+    """
+    if lam.rows > max_rows or lam.cols > max_cols:
+        return ()
+    shape = list(lam) + [0] * (max_rows - lam.rows)
+    strips = [[0] * max_rows for _ in range(len(mu) + 1)]  # label i's row counts
+    found: dict[tuple[int, ...], int] = {}
+
+    def place(i: int, r: int, left: int, slack: int, last: int) -> None:
+        # label i goes into row r: `left` of its cells remain, the lattice
+        # condition lets at most `slack` of them into rows <= r, and rows
+        # up to `last` may take cells
+        strip = strips[i]
+        old = shape[r]
+        room = (shape[r - 1] - strip[r - 1] if r else max_cols) - old
+        below = old - shape[last] if r < last else 0  # room in rows r+1..last
+        for n in range(min(left, room, slack), max(0, left - below) - 1, -1):
+            shape[r] = old + n
+            strip[r] = n
+            if n == left:
+                begin(i + 1)
+            else:
+                place(i, r + 1, left - n, slack - n + strips[i - 1][r], last)
+        shape[r] = old
+        strip[r] = 0
+
+    def begin(i: int) -> None:
+        if i > len(mu):
+            key = tuple(shape)
+            found[key] = found.get(key, 0) + 1
+            return
+        length = next((r for r, p in enumerate(shape) if not p), max_rows)
+        # label 1 has no lattice constraint: the empty strips[0] leaves its
+        # slack at mu_1
+        place(i, 0, mu[i - 1], 0 if i > 1 else mu[0], min(length, max_rows - 1))
+
+    begin(1)
+    return tuple((Partition(nu), c) for nu, c in sorted(found.items(), reverse=True))
 
 
 def lr_coefficients(
     lam: Partition, mu: Partition, box: Optional[BoxShape] = None
 ) -> dict[Partition, int]:
-    """Littlewood-Richardson coefficients c^nu_{lam,mu}.
+    """Littlewood-Richardson coefficients c^nu_{lam,mu}, in the order of
+    ``partitions_of``.
 
-    When a box is supplied, terms with nu outside the box are dropped;
-    this is the truncation under which Schubert classes multiply.
+    Computed by generating the LR tableaux of content mu on lam directly
+    (Fulton, *Young Tableaux*, Section 5): the rows of mu are added to lam
+    as horizontal strips labelled 1, 2, ..., keeping the reverse reading
+    word a lattice word, so each tableau is generated exactly once and no
+    shape nu without one is ever listed.  When a box is supplied, terms
+    with nu outside the box are dropped; this is the truncation under
+    which Schubert classes multiply, and the box's sides bound the shapes
+    during generation.  Without a box, nu has at most rows(lam) + rows(mu)
+    rows and cols(lam) + cols(mu) columns.
     """
     lam, mu = Partition(lam), Partition(mu)
-    if box is not None and lam.size + mu.size > box.dim:
-        return {}
-    pairs = _lr_expand(lam, mu)
+    if mu.size > lam.size:
+        lam, mu = mu, lam  # c^nu_{lam,mu} = c^nu_{mu,lam}: fewer cells to label
     if box is None:
-        return dict(pairs)
-    return {nu: c for nu, c in pairs if nu.fits(box)}
+        return dict(_lr_expand(lam, mu, lam.rows + mu.rows, lam.cols + mu.cols))
+    return dict(_lr_expand(lam, mu, box.rows, box.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
 from flopk.kgroup import IntegerMatrix, KVector, binomial_change
-from flopk.partitions import Partition, enumerate_box
+from flopk.partitions import Partition, enumerate_box, partitions_of
 
 
 def rational_det(matrix) -> Fraction:
@@ -118,3 +118,94 @@ def sort_bott_cohomology(w):
     if num % den:
         raise ArithmeticError(f"non-integral Weyl dimension {num}/{den} for {lam}")
     return BottResult(degree, num // den)
+
+
+def _lr_count(nu, lam, mu) -> int:
+    """Number of Littlewood-Richardson tableaux of shape nu/lam, content mu.
+
+    Cells are filled row by row, right to left within each row, which is
+    exactly the order of the reverse reading word; the lattice (ballot)
+    condition is enforced incrementally along with semistandardness.
+    """
+    if not nu.contains(lam) or nu.size != lam.size + mu.size:
+        return 0
+    inner = tuple(lam) + (0,) * (len(nu) - len(lam))
+    cells = []  # (row, col) in reverse-reading order, 0-based
+    for r in range(len(nu)):
+        for c in range(nu[r] - 1, inner[r] - 1, -1):
+            cells.append((r, c))
+    if not cells:
+        return 1
+    nvals = len(mu)
+    counts = [0] * (nvals + 1)
+    filling = {}
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        above = filling.get((r - 1, c), 0) if r > 0 and c >= inner[r - 1] else 0
+        right = filling.get((r, c + 1), nvals)
+        total = 0
+        for v in range(above + 1, min(right, nvals) + 1):
+            if counts[v] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            counts[v] += 1
+            filling[(r, c)] = v
+            total += fill(idx + 1)
+            del filling[(r, c)]
+            counts[v] -= 1
+        return total
+
+    return fill(0)
+
+
+def enumerate_lr(lam, mu, box=None) -> dict:
+    """LR coefficients by candidate enumeration: every partition nu of
+    |lam| + |mu| with at most rows(lam) + rows(mu) rows and
+    cols(lam) + cols(mu) columns that contains lam, counted by a tableau
+    search, then truncated to the box.  Most candidates count zero."""
+    lam, mu = Partition(lam), Partition(mu)
+    out = {}
+    for nu in partitions_of(lam.size + mu.size, lam.rows + mu.rows, lam.cols + mu.cols):
+        if nu.contains(lam) and (box is None or nu.fits(box)):
+            c = _lr_count(nu, lam, mu)
+            if c:
+                out[nu] = c
+    return out
+
+
+def filling_lr(nu, lam, mu) -> int:
+    """LR coefficient by brute force over fillings: fill nu/lam row by row,
+    left to right, with values weakly increasing along rows, strictly
+    increasing down columns and within the content mu; check the lattice
+    condition on each completed reverse reading word (rows top to bottom,
+    right to left)."""
+    if not nu.contains(lam) or nu.size != lam.size + mu.size:
+        return 0
+    inner = tuple(lam) + (0,) * (len(nu) - len(lam))
+    rows = [range(inner[r], nu[r]) for r in range(len(nu))]
+    cells = [(r, c) for r, row in enumerate(rows) for c in row]
+    reading = [(r, c) for r, row in enumerate(rows) for c in reversed(row)]
+    room = [0, *mu]
+    value = {}
+
+    def fill(k):
+        if k == len(cells):
+            word = [value[cell] for cell in reading]
+            return int(all(word[:i].count(v) < word[:i].count(v - 1)
+                           for i, v in enumerate(word) if v > 1))
+        r, c = cells[k]
+        low = max(value.get((r, c - 1), 1), value.get((r - 1, c), 0) + 1)
+        found = 0
+        for v in range(low, len(room)):
+            if room[v]:
+                room[v] -= 1
+                value[r, c] = v
+                found += fill(k + 1)
+                room[v] += 1
+        return found
+
+    return fill(0)

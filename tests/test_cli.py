@@ -10,6 +10,7 @@ from flopk import flopgeom
 from flopk.cli import (
     _COMMANDS,
     MAX_BOX,
+    MAX_DIGITS,
     MAX_FLOP_RANK,
     MAX_VECTOR,
     MAX_WEYL_H,
@@ -265,6 +266,49 @@ def test_gamma_and_quadric(capsys):
     )
     assert code == 0
     assert payload == {"on_quadric": True, "value": "0"}
+
+
+_NINES = "9" * 2200  # its square has 4400 digits, above MAX_DIGITS
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", f"--point={_NINES},1,1,1,1"),
+        ("gamma", f"--point=1,{_NINES},1,1,{_NINES}"),
+        ("quadric", f"--point={_NINES},0,0,0,0,{_NINES}"),
+    ],
+    ids=["gamma-alpha", "gamma-xw", "quadric-p12-p34"],
+)
+def test_oversized_integer_output_is_structured_error(capsys, argv, fmt):
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 1
+    assert out.count("\n") == 1  # the error line and nothing before it
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "SizeLimit"
+    assert f"more than {MAX_DIGITS} digits" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_largest_integer_output_is_accepted(capsys, fmt):
+    # coordinates of MAX_DIGITS / 2 nines square to exactly MAX_DIGITS digits
+    nines = 10 ** (MAX_DIGITS // 2) - 1
+    code, out = run_cli(capsys, "gamma", f"--point={nines},0,0,0,0", "--format", fmt)
+    assert code == 0
+    assert str(nines**2) in out and len(str(nines**2)) == MAX_DIGITS
+    code, out = run_cli(
+        capsys, "quadric", f"--point={nines},0,0,0,0,{nines}", "--format", fmt
+    )
+    assert code == 0
+    assert str(nines**2) in out
+
+
+def test_oversized_point_prints_over_a_field(capsys):
+    # reduced mod p, the same point prints: 10^2200 - 1 = 4 mod 7
+    code, payload = run_json(capsys, "gamma", f"--point={_NINES},1,1,1,1", "--field", "7")
+    assert code == 0
+    assert payload == {"image": ["2", "3", "3", "4", "4", "0"], "indeterminate": False}
 
 
 def test_gamma_reduces_before_the_zero_tests(capsys):

@@ -29,10 +29,18 @@ def test_oracle_uses_no_package_lr_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("the oracle must not call the package's LR rule")
 
-    for name in ("_lr_count", "lr_coefficients"):
+    # every LR function of partitions, wherever acceptance can reach it
+    lr_names = [name for name in vars(partitions) if name.startswith(("lr_", "_lr_"))]
+    assert {"lr_coefficients", "_lr_expand"} <= set(lr_names)
+    lr_functions = [getattr(partitions, name) for name in lr_names]
+    for name in lr_names:
         monkeypatch.setattr(partitions, name, refuse)
-    monkeypatch.setattr(acceptance, "lr_coefficients", refuse)
+    for name, value in list(vars(acceptance).items()):
+        if any(value is f for f in lr_functions):
+            monkeypatch.setattr(acceptance, name, refuse)
+    assert acceptance.lr_coefficients is refuse
     assert _brute_force_lr(P((4, 3, 2, 1)), P((3, 2, 1)), P((2, 1, 1))) == 3
+    assert _brute_force_lr(P((5, 4, 2, 1)), P((3, 2, 1)), P((3, 2, 1))) == 4
 
 
 def test_criterion_9_fails_on_a_wrong_coefficient(monkeypatch):

@@ -1,0 +1,84 @@
+"""The package's LR tableau generation against the candidate enumeration it
+replaced, and criterion 9's ballot-word oracle against the filling oracle
+it replaced: two routes each, compared exhaustively on small cases and on
+seeded larger ones."""
+
+import itertools
+import random
+
+import pytest
+
+from flopk.acceptance import _brute_force_lr
+from flopk.partitions import BoxShape, enumerate_box, lr_coefficients, partitions_of
+from oracles import enumerate_lr, filling_lr
+
+
+def _same(got, want):
+    # equal coefficients, listed in the same order
+    return list(got.items()) == list(want.items())
+
+
+def test_generation_matches_enumeration_up_to_size_12():
+    pairs = 0
+    for n1 in range(13):
+        for n2 in range(13 - n1):
+            for lam in partitions_of(n1):
+                for mu in partitions_of(n2):
+                    assert _same(lr_coefficients(lam, mu), enumerate_lr(lam, mu)), (lam, mu)
+                    pairs += 1
+    assert pairs == 3132
+
+
+@pytest.mark.parametrize(
+    "t, h", [(t, h) for h in range(2, 8) for t in range(1, h)], ids=lambda v: str(v)
+)
+def test_generation_matches_enumeration_in_every_small_box(t, h):
+    box = BoxShape.for_grassmannian(t, h)
+    for lam, mu in itertools.product(enumerate_box(box), repeat=2):
+        assert _same(lr_coefficients(lam, mu, box), enumerate_lr(lam, mu, box)), (lam, mu)
+
+
+def test_generation_matches_enumeration_on_seeded_g48_pairs():
+    box = BoxShape.for_grassmannian(4, 8)
+    basis = enumerate_box(box)
+    rng = random.Random(48)
+    nonzero = 0
+    for _ in range(300):
+        lam, mu = rng.choice(basis), rng.choice(basis)
+        got = lr_coefficients(lam, mu, box)
+        assert _same(got, enumerate_lr(lam, mu, box)), (lam, mu)
+        nonzero += bool(got)
+    assert nonzero > 50
+
+
+def _criterion_9_triples():
+    # the triples criterion 9 checks, in its order
+    for n1 in range(9):
+        for n2 in range(9 - n1):
+            for lam in partitions_of(n1):
+                for mu in partitions_of(n2):
+                    for nu in partitions_of(n1 + n2, lam.rows + mu.rows):
+                        if nu.contains(lam):
+                            yield nu, lam, mu
+
+
+def test_ballot_and_filling_oracles_agree_on_criterion_9():
+    triples = list(_criterion_9_triples())
+    assert len(triples) == 3112
+    for nu, lam, mu in triples:
+        assert _brute_force_lr(nu, lam, mu) == filling_lr(nu, lam, mu), (nu, lam, mu)
+
+
+def test_ballot_and_filling_oracles_agree_on_seeded_triples():
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(200):
+        n = rng.randint(0, 11)
+        nu = rng.choice(list(partitions_of(n)))
+        lam = rng.choice([p for k in range(n + 1) for p in partitions_of(k) if nu.contains(p)])
+        mu = rng.choice(list(partitions_of(n - lam.size)))
+        want = filling_lr(nu, lam, mu)
+        assert _brute_force_lr(nu, lam, mu) == want, (nu, lam, mu)
+        assert lr_coefficients(lam, mu).get(nu, 0) == want, (nu, lam, mu)
+        nonzero += bool(want)
+    assert nonzero > 20
