@@ -264,10 +264,16 @@ def _cmd_hodge(config: CommandConfig) -> int:
 
 
 def _parse_scalars(text: str, field: Optional[int], expect: int) -> list[int]:
-    """The comma-separated integers of ``text``, reduced mod ``field`` if given."""
+    """The comma-separated integers of ``text``, reduced mod ``field`` if given.
+
+    An entry of more than MAX_DIGITS digits is refused with SizeLimit
+    before ``int`` sees it, with or without a field.
+    """
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != expect:
         raise UsageError(f"expected {expect} comma-separated values, got {len(parts)}")
+    if any(sum(ch.isdigit() for ch in s) > MAX_DIGITS for s in parts):
+        raise SizeLimit(f"a coordinate of the point has more than {MAX_DIGITS} digits")
     values = [int(s) for s in parts]
     if field is None:
         return values

@@ -9,49 +9,48 @@ by the dual-Grassmannian flop acts on it by sending each basis class to
 the class of the dual Schur power, and this module computes that matrix
 together with its unimodularity and Smith-form certificates.
 
-Both runtime routes to the lattice coordinates are integer.  With x_i
-the K-theoretic Chern roots of the subbundle, the substitution
-x_i = 1 + z_i presents K(G) as Lambda_t[z]/(h_k(z), k > h-t), the
-integral presentation of the Chow ring, in which the s_mu(z) over the
-box form a basis, multiply by the box-truncated Littlewood-Richardson
-rule, and O(1) = prod (1+z_i)^-1 = sum_{j<=c} (-1)^j s_(j)(z) is one
-more class among them.  A binomial change of basis
-(``binomial_change``) connects the s_mu(z) with the Schur powers.
+Everything runs in integers in this one basis, by straightening.  With
+x_1, ..., x_t the K-theoretic Chern roots of the subbundle, the basis
+class [Sigma^lam sub] = s_lam(x) = a_{lam+delta}(x) / a_delta(x) is a
+bialternant, delta = (t-1, ..., 0), and any weight w in Z^t names the
+class s_w(x) = a_{w+delta}(x) / a_delta(x) of a virtual bundle.  In the
+integral presentation K(G) = Lambda_t[z]/(h_k(z), k > h-t) with
+z = x - 1, the relations say that prod_j (u - z_j) divides u^h, so each
+root has (x - 1)^h = 0.  A column x^e of the alternant may therefore be
+replaced by its remainder
+
+    x^e = sum_{k<h} C(e, k) (x - 1)^k,
+
+with the generalized binomial C(e, k) = (-1)^k C(k - e - 1, k) when
+e < 0 (x is a unit), rewritten in the powers x^j, j < h.  By linearity
+in each column the alternant becomes a combination of alternants a_J
+over exponent sets J in {0, ..., h-1}; a_J / a_delta is zero if J
+repeats an entry and otherwise the sign of sorting J decreasingly times
+s_mu, mu the sorted J minus delta, a partition in the box
+(``_straighten``).
 
 * Expansion of an arbitrary tautological class (``expand_in_basis``)
-  gives every atom integer z-coordinates (Schur powers of the
-  subbundle, its dual and the quotient, line bundles, exterior powers
-  of the tangent bundle), multiplies them out and maps back by D^-1.
-  A dual Schur power is a Schur power twisted by O(alpha_1), so its
-  atom applies U (below) alpha_1 times in the Schur-power basis; O(k)
-  is the dual Schur power (k^t) and O(-k) the Schur power (k^t).
+  gives every atom its coordinates and multiplies them out.  The dual
+  Schur power has the roots x_i^-1, so Sigma^alpha sub* is s_w with
+  w = (-alpha_t, ..., -alpha_1), and O(k) = (det sub)^-k is s_w with
+  w = (-k, ..., -k); both are straightened.  The quotient comes from
+  [quot] = h - [sub] in the lambda-ring and the exterior powers of the
+  tangent bundle from the Cauchy decomposition.  Two basis classes
+  multiply as Schur polynomials in t variables, s_lam s_mu =
+  sum c^nu_{lam,mu} s_nu over the nu with at most t rows, and each s_nu
+  is straightened; these products are formed pair by pair on first use.
 * The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
-  complement and U = D^-1 . T . D multiplication by O(1) in the
-  Schur-power basis itself (``schur_twist``), which is very sparse:
-  neither D, nor the Pieri twist T (the product with O(1) in the
-  s_mu(z)), nor a Littlewood-Richardson coefficient enters.
+  complement and U multiplication by O(1) = (x_1 ... x_t)^-1
+  (``schur_twist``): column lam is s_{lam - 1^t} straightened, at most
+  c + 1 terms, and no Littlewood-Richardson coefficient enters.
   ``flop_certificate`` proves F . F = I by the same sparse route and
   reads off det and Smith form.
 
-The twist U in closed form.  Write Sigma^lam sub = s_lam(x) =
-a_{lam+delta}(x) / a_delta(x) as a bialternant, delta = (t-1, ..., 0),
-and pad lam to t parts.  Twisting by O(1) = (x_1 ... x_t)^-1 lowers
-every exponent by one.  If lam_t >= 1 the result is s_{lam-1^t}.  If
-lam_t = 0 the last column of the alternant holds x_i^-1.  The
-relations h_k(z) = 0 for k > c say that prod_j (u - z_j) divides u^h,
-so each root has z^h = (x - 1)^h = 0 and
-x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k (a hockey-stick sum); by
-linearity in that column the class is sum_k (-1)^k C(h, k+1)
-a_{(lam_1+t-2, ..., lam_{t-1}, k)} / a_delta.  Each quotient straightens:
-zero if k repeats an entry, otherwise the sign of sorting k into place
-times s_mu, mu the sorted exponents minus delta.  Exactly c + 1 values
-of k survive, and every mu fits in the box.
-
-The Chern character (``TautClass.ch``, module chow) is a third,
-rational route; the tests solve against the character matrix of the
-basis as an independent oracle for both, and keep T as a dense
-horizontal-strip matrix only to form D^-1 . T^c . D . Pi, a second
-oracle for the flop matrix.
+The Chern character (``TautClass.ch``, module chow) is a second,
+rational route, and the integral presentation above a third: the tests
+keep the binomial change of basis D to the s_mu(z), their truncated
+Littlewood-Richardson products and the Pieri twist T as oracles, for
+expansion and for the flop matrix as D^-1 . T^c . D . Pi.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, the dual Schur power of the subbundle is isomorphic to
@@ -259,53 +258,110 @@ def _atom_ch(atom: _Atom, box: BoxShape) -> SchubertVector:
 # Expansion in the Schur-power basis
 # ---------------------------------------------------------------------------
 #
-# Expansion runs in the basis s_mu(z) of K(G) = Lambda_t[z]/(h_k(z), k > h-t),
-# z_i = x_i - 1 for the K-theoretic Chern roots x_i of the subbundle (see
-# ``binomial_change``).  Each atom gets integer z-coordinates, atoms
-# multiply by the Littlewood-Richardson rule truncated to the box, and D^-1
-# maps the result back to the Schur-power basis.
+# A sparse vector is a tuple of (basis index, coefficient) pairs, nonzero
+# coefficients only.
 
-def _schur_z(lam: Partition, box: BoxShape) -> tuple[int, ...]:
-    """z-coordinates of s_lam(1 + z): the d_{lam,mu} over mu in the box.
-
-    lam may stick out of the box; the s_mu(z) with mu outside it vanish.
-    """
-    return tuple(
-        _shifted_schur_coefficient(lam, mu, box.rows) if lam.contains(mu) else 0
-        for mu in enumerate_box(box)
-    )
+def _padded(alpha: Partition, t: int) -> tuple[int, ...]:
+    return tuple(alpha) + (0,) * (t - len(alpha))
 
 
 @cache
-def _product_table(box: BoxShape) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Structure constants of the s_mu(z) basis keyed by basis index:
-    entry [i][j] lists the (k, c) with s_i s_j = sum c s_k, nonzero c only."""
-    basis = enumerate_box(box)
-    index = {p: i for i, p in enumerate(basis)}
-    n = len(basis)
-    table = [[()] * n for _ in range(n)]
-    for i, lam in enumerate(basis):
-        for j in range(i, n):
-            entry = tuple(
-                (index[nu], c) for nu, c in lr_coefficients(lam, basis[j], box).items()
-            )
-            table[i][j] = table[j][i] = entry
-    return tuple(tuple(row) for row in table)
+def _exponent_index(box: BoxShape) -> dict[tuple[int, ...], int]:
+    """Basis index of each partition, keyed by its exponents lam + delta."""
+    t = box.rows
+    return {
+        tuple(p + t - 1 - i for i, p in enumerate(_padded(lam, t))): j
+        for j, lam in enumerate(enumerate_box(box))
+    }
 
 
-def _z_product(u, v, box: BoxShape) -> tuple[int, ...]:
-    """Product of two classes given by their z-coordinates."""
-    table = _product_table(box)
-    out = [0] * len(u)
-    nonzero = [(j, b) for j, b in enumerate(v) if b]
-    for i, a in enumerate(u):
+@cache
+def _column(e: int, h: int) -> tuple[tuple[int, int], ...]:
+    """The (j, a) with x^e = sum a x^j, j < h, modulo (x - 1)^h: the
+    remainder sum_{k<h} C(e, k) (x - 1)^k expanded in powers of x, with
+    the generalized binomial C(e, k) = (-1)^k C(k - e - 1, k) for e < 0."""
+    if 0 <= e < h:
+        return ((e, 1),)
+    binomial = [comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k) for k in range(h)]
+    column = []
+    for j in range(h):
+        a = sum(binomial[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, h))
         if a:
-            row = table[i]
-            for j, b in nonzero:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
-    return tuple(out)
+            column.append((j, a))
+    return tuple(column)
+
+
+@cache
+def _straighten(weight: tuple[int, ...], box: BoxShape) -> tuple[tuple[int, int], ...]:
+    """s_weight(x) = a_{weight+delta}(x) / a_delta(x) in the Schur-power
+    basis, for any t integers (see the module docstring).
+
+    Each column x^e of the alternant is reduced modulo (x - 1)^h and the
+    columns are wedged: an exponent set that repeats an entry drops out,
+    and the others are kept strictly decreasing, with the sign of the
+    sort, so each final set is lam + delta for a basis partition lam.
+    """
+    t, h = box.rows, box.h
+    wedge = {(): 1}
+    for i, w in enumerate(weight):
+        out: dict[tuple[int, ...], int] = {}
+        for j, a in _column(w + t - 1 - i, h):
+            for exps, c in wedge.items():
+                if j in exps:
+                    continue
+                # j goes after the p larger entries, passing the smaller ones
+                p = sum(x > j for x in exps)
+                key = exps[:p] + (j,) + exps[p:]
+                out[key] = out.get(key, 0) + (-a * c if (len(exps) - p) % 2 else a * c)
+        wedge = out
+    index = _exponent_index(box)
+    return tuple(sorted((index[exps], c) for exps, c in wedge.items() if c))
+
+
+def _product(i: int, j: int, box: BoxShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """[Sigma^lam sub] (x) [Sigma^mu sub] for the basis indices i <= j, as
+    the tuple of basis indices and the tuple of their coefficients (two
+    flat tuples take a quarter of the memory of the pairs).
+
+    s_lam s_mu is the sum of c^nu_{lam,mu} s_nu over the nu with at most
+    t rows, each s_nu straightened; index 0 is the empty partition, the
+    unit, for which no LR coefficient is needed (nor could the bounding
+    box of the nu, t x (lam_1 + mu_1), have a zero side).
+    """
+    if i == 0:
+        return (j,), (1,)
+    basis = enumerate_box(box)
+    lam, mu = basis[i], basis[j]
+    t = box.rows
+    out: dict[int, int] = {}
+    for nu, c in lr_coefficients(lam, mu, BoxShape(t, lam.cols + mu.cols)).items():
+        for k, u in _straighten(_padded(nu, t), box):
+            out[k] = out.get(k, 0) + c * u
+    out = {k: x for k, x in out.items() if x}
+    return tuple(out), tuple(out.values())
+
+
+@cache
+def _products(box: BoxShape) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``_product`` of each index pair i <= j met so far on the box;
+    ``_multiply`` fills it."""
+    return {}
+
+
+def _multiply(u, v, box: BoxShape) -> tuple[tuple[int, int], ...]:
+    """Product of two sparse vectors."""
+    products = _products(box)
+    out: dict[int, int] = {}
+    for i, a in u:
+        for j, b in v:
+            key = (i, j) if i <= j else (j, i)
+            terms = products.get(key)
+            if terms is None:
+                terms = products[key] = _product(*key, box)
+            ab = a * b
+            for k, c in zip(*terms):
+                out[k] = out.get(k, 0) + ab * c
+    return tuple((k, x) for k, x in out.items() if x)
 
 
 def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
@@ -323,74 +379,65 @@ def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
 
 
 @cache
-def _atom_z(atom: _Atom, box: BoxShape) -> tuple[int, ...]:
-    """z-coordinates of one atom; raises ValueError exactly where the
+def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
+    """Sparse coordinates of one atom; raises ValueError exactly where the
     character route (``_atom_ch``) does."""
     kind, arg = atom
-    basis = enumerate_box(box)
+    t = box.rows
     if kind == "sub":
         alpha = Partition(arg)
         if not alpha.fits(box):
             raise ValueError(f"{alpha} does not fit in {box}")
-        return _schur_z(alpha, box)
+        return _straighten(_padded(alpha, t), box)
     if kind == "sub*":
-        # Sigma^alpha sub* = Sigma^(alpha^c) sub (x) O(alpha_1), with alpha^c
-        # the complement of alpha in the t x alpha_1 rectangle: U^alpha_1
-        # on the Schur-power coordinates of Sigma^(alpha^c) sub, a unit
-        # vector whenever alpha^c fits the box
+        # the dual has the roots x_i^-1: s_alpha(x^-1) = s_(-alpha_t, ..., -alpha_1)(x)
         alpha = Partition(arg)
-        if alpha.rows > box.rows:
-            raise ValueError(f"{alpha} has more than {box.rows} rows")
-        padded = tuple(alpha) + (0,) * (box.rows - alpha.rows)
-        rotated = Partition(alpha.cols - p for p in reversed(padded))
-        d, d_inv = binomial_change(box)
-        v = {i: x for i, x in enumerate(d_inv.apply(_schur_z(rotated, box))) if x}
-        v = _twist_power(v, schur_twist(box), alpha.cols)
-        return d.apply([v.get(i, 0) for i in range(box.rank)])
+        if alpha.rows > t:
+            raise ValueError(f"{alpha} has more than {t} rows")
+        return _straighten(tuple(-a for a in reversed(_padded(alpha, t))), box)
     if kind == "quot":
         # [quot] = h - [sub] in the lambda-ring, so [Sigma^alpha quot] is
         # sum_{nu in alpha} (-1)^|nu| s_{alpha/nu}(1^h) [Sigma^(nu') sub];
-        # nu' fits in the box exactly when it has at most t rows
+        # nu' fits in the box exactly when it has at most t rows, and each
+        # count is positive, the columns of alpha/nu being shorter than h
         alpha = Partition(arg)
         if alpha.rows > box.cols:
             raise ValueError(f"{alpha} has more than {box.cols} rows")
-        coords = []
-        for beta in basis:
-            nu = beta.conjugate()
-            coords.append(
-                (-1) ** nu.size * _skew_count(alpha, nu, box.h) if alpha.contains(nu) else 0
-            )
-        return binomial_change(box)[0].apply(coords)
+        return tuple(
+            (i, (-1) ** nu.size * _skew_count(alpha, nu, box.h))
+            for i, nu in enumerate(beta.conjugate() for beta in enumerate_box(box))
+            if alpha.contains(nu)
+        )
     if kind == "line":
-        # O(k) = (det sub*)^k and O(-k) = (det sub)^k = s_(k^t)(1 + z)
-        power = Partition((abs(arg),) * box.rows)
-        return _atom_z(("sub*", power), box) if arg >= 0 else _schur_z(power, box)
+        # O(k) = (det sub)^-k
+        return _straighten((-arg,) * t, box)
     if kind == "tangent_wedge":
         # Cauchy, as in ``_atom_ch``
-        total = [0] * len(basis)
-        for mu in partitions_of(arg, box.rows, box.cols):
-            term = _z_product(
-                _atom_z(("sub*", mu), box), _atom_z(("quot", mu.conjugate()), box), box
+        total: dict[int, int] = {}
+        for mu in partitions_of(arg, t, box.cols):
+            term = _multiply(
+                _atom_vector(("sub*", mu), box), _atom_vector(("quot", mu.conjugate()), box), box
             )
-            total = [x + y for x, y in zip(total, term)]
-        return tuple(total)
+            for k, x in term:
+                total[k] = total.get(k, 0) + x
+        return tuple((k, x) for k, x in total.items() if x)
     raise ValueError(f"unknown atom {atom}")
 
 
 def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
     """Integer coordinates of a tautological class in the Schur-power basis.
 
-    Computed in integers throughout: the z-coordinates of the atoms are
-    multiplied out term by term and mapped back by D^-1.
+    Computed in integers throughout, in this basis alone: the atoms are
+    straightened and multiplied out term by term.
     """
     total = [0] * box.rank
     for atoms, coeff in expr.terms.items():
-        term = (1,) + (0,) * (box.rank - 1)
-        for i, atom in enumerate(atoms):
-            z = _atom_z(atom, box)
-            term = z if i == 0 else _z_product(term, z, box)
-        total = [x + coeff * y for x, y in zip(total, term)]
-    return KVector(box, binomial_change(box)[1].apply(total))
+        term = _atom_vector(atoms[0], box) if atoms else ((0, 1),)
+        for atom in atoms[1:]:
+            term = _multiply(term, _atom_vector(atom, box), box)
+        for k, x in term:
+            total[k] += coeff * x
+    return KVector(box, tuple(total))
 
 
 def line_bundle_class(k: int, box: BoxShape) -> KVector:
@@ -578,81 +625,29 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     return tuple(nonzero) + (0,) * (len(diag) - len(nonzero))
 
 
-def _shifted_schur_coefficient(lam: Partition, mu: Partition, t: int) -> int:
-    """d_{lam,mu} = det C(lam_i + t - i, mu_j + t - j), i, j = 1..t: the
-    coefficient of s_mu(z) in s_lam(1 + z) over t variables."""
-    lam = tuple(lam) + (0,) * (t - len(lam))
-    mu = tuple(mu) + (0,) * (t - len(mu))
-    return IntegerMatrix(
-        [[comb(lam[i] + t - 1 - i, mu[j] + t - 1 - j) for j in range(t)] for i in range(t)]
-    ).det()
-
-
-@cache
-def binomial_change(box: BoxShape) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """The change of basis D from Schur powers to the s_mu(z), and its inverse.
-
-    [Sigma^lam sub] = s_lam(1 + z) = sum_{mu in lam} d_{lam,mu} s_mu(z), so
-    column lam of D holds the d_{lam,mu} (Lascoux 1978, "Classes de Chern
-    d'un produit tensoriel"; Macdonald, Symmetric Functions, I.3 Ex. 10).
-    Every mu inside lam fits in the box, so no truncation enters and D is
-    unitriangular in the canonical order.  z = x - 1 is the same
-    substitution with shift -1, and d_{lam,mu} is homogeneous of degree
-    |lam| - |mu| in the shift, so D^-1 has the entries
-    (-1)^(|lam|-|mu|) d_{lam,mu}: no solve is needed.
-    """
-    basis = enumerate_box(box)
-    d = IntegerMatrix.from_columns([_schur_z(lam, box) for lam in basis])
-    sizes = [p.size for p in basis]
-    d_inv = IntegerMatrix(
-        [[-x if (si - sj) % 2 else x for x, sj in zip(row, sizes)]
-         for row, si in zip(d.entries, sizes)]
-    )
-    return d, d_inv
-
-
 @cache
 def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Multiplication by O(1) in the Schur-power basis, as sparse columns.
 
     Entry j lists the (i, u) with [Sigma^lam_j sub (x) O(1)] =
-    sum u [Sigma^lam_i sub], nonzero u only.  With lam padded to t parts:
+    sum u [Sigma^lam_i sub], nonzero u only.  O(1) = (x_1 ... x_t)^-1
+    lowers every exponent of the alternant by one, so the entry is
+    s_{lam - 1^t} straightened.  With lam padded to t parts:
 
-    * lam_t >= 1: O(1) = (det sub)^-1 strips a full column, so the entry
-      is the single pair for lam - 1^t;
-    * lam_t = 0: sum_{k<h} (-1)^k C(h, k+1) straighten(lam_1 - 1, ...,
-      lam_{t-1} - 1, k), which has exactly c + 1 terms, all in the box.
+    * lam_t >= 1: the single pair for lam - 1^t;
+    * lam_t = 0: only the last column of the alternant, x^-1 =
+      sum_{k<h} (-1)^k C(h, k+1) x^k (a hockey-stick sum), leaves
+      {0, ..., h-1}, and exactly c + 1 values of k survive the wedge.
 
-    This is D^-1 . T . D in closed form, with D from ``binomial_change``
-    and T the product with O(1) in the s_mu(z), and the package's only
-    twist by O(1): the flop matrix and the dual Schur power and line
-    bundle atoms of expansion apply it, and T survives as a dense matrix
-    only among the tests' oracles.  The derivation is in the module
-    docstring.
+    This is the package's only twist by O(1): the flop matrix applies it.
+    In the integral presentation it is D^-1 . T . D, with D the binomial
+    change of basis to the s_mu(z) and T the Pieri product with O(1)
+    there; both survive as dense matrices only among the tests' oracles.
     """
-    basis = enumerate_box(box)
-    index = {p: i for i, p in enumerate(basis)}
-    t, h = box.rows, box.h
-    columns = []
-    for lam in basis:
-        lam = tuple(lam) + (0,) * (t - len(lam))
-        if lam[-1]:
-            columns.append(((index[Partition(x - 1 for x in lam)], 1),))
-            continue
-        # rho-shifted parts of lam - 1^t but the last, strictly decreasing
-        head = [lam[i] + t - 2 - i for i in range(t - 1)]
-        column = []
-        for k in range(h):
-            if k in head:
-                continue
-            # sorting k into place passes the t - 1 - p smaller entries
-            p = sum(x > k for x in head)
-            shifted = head[:p] + [k] + head[p:]
-            mu = Partition(x - t + 1 + i for i, x in enumerate(shifted))
-            sign = -1 if (k + t - 1 - p) % 2 else 1
-            column.append((index[mu], sign * comb(h, k + 1)))
-        columns.append(tuple(column))
-    return tuple(columns)
+    t = box.rows
+    return tuple(
+        _straighten(tuple(x - 1 for x in _padded(lam, t)), box) for lam in enumerate_box(box)
+    )
 
 
 def _twist_power(v: dict[int, int], twist, times: int) -> dict[int, int]:
@@ -687,11 +682,10 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     box complement beta (see ``dual_twist_pair``) and U is the twist by
     O(1) in the Schur-power basis (``schur_twist``), applied c = h - t
     times to each column as a sparse vector.  So column alpha is
-    [Sigma^beta sub (x) O(c)] = [Sigma^alpha sub dual].  U is the
-    conjugate D^-1 . T . D of the Pieri twist T in the integral Chow
-    presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule for
-    the K-theory of Grassmannians"), in closed form from the relation
-    (x - 1)^h = 0 on each Chern root, so F = D^-1 . T^c . D . Pi with
+    [Sigma^beta sub (x) O(c)] = [Sigma^alpha sub dual].  In the integral
+    Chow presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule
+    for the K-theory of Grassmannians") U is the conjugate D^-1 . T . D
+    of the Pieri twist T, so F = D^-1 . T^c . D . Pi, formed here with
     neither D nor a dense product.
     """
     n = box.rank

@@ -1,11 +1,13 @@
 """Reference implementations that only the tests use."""
 
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
-from flopk.kgroup import IntegerMatrix, KVector, binomial_change
-from flopk.partitions import Partition, enumerate_box, partitions_of
+from flopk.kgroup import IntegerMatrix, KVector, _skew_count
+from flopk.partitions import Partition, enumerate_box, lr_coefficients, partitions_of
 
 
 def rational_det(matrix) -> Fraction:
@@ -29,6 +31,59 @@ def rational_det(matrix) -> Fraction:
     return det
 
 
+# ---------------------------------------------------------------------------
+# The integral presentation K(G) = Lambda_t[z]/(h_k(z), k > h-t), z = x - 1
+# ---------------------------------------------------------------------------
+#
+# The s_mu(z) over the box form a basis, they multiply by the
+# box-truncated Littlewood-Richardson rule, and a binomial change of basis
+# D connects them with the Schur powers.  Coordinates in this basis are
+# called z-coordinates.
+
+def _shifted_schur_coefficient(lam: Partition, mu: Partition, t: int) -> int:
+    """d_{lam,mu} = det C(lam_i + t - i, mu_j + t - j), i, j = 1..t: the
+    coefficient of s_mu(z) in s_lam(1 + z) over t variables."""
+    lam = tuple(lam) + (0,) * (t - len(lam))
+    mu = tuple(mu) + (0,) * (t - len(mu))
+    return IntegerMatrix(
+        [[comb(lam[i] + t - 1 - i, mu[j] + t - 1 - j) for j in range(t)] for i in range(t)]
+    ).det()
+
+
+def _schur_z(lam: Partition, box) -> tuple[int, ...]:
+    """z-coordinates of s_lam(1 + z): the d_{lam,mu} over mu in the box.
+
+    lam may stick out of the box; the s_mu(z) with mu outside it vanish.
+    """
+    return tuple(
+        _shifted_schur_coefficient(lam, mu, box.rows) if lam.contains(mu) else 0
+        for mu in enumerate_box(box)
+    )
+
+
+@cache
+def binomial_change(box) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """The change of basis D from Schur powers to the s_mu(z), and its inverse.
+
+    [Sigma^lam sub] = s_lam(1 + z) = sum_{mu in lam} d_{lam,mu} s_mu(z), so
+    column lam of D holds the d_{lam,mu} (Lascoux 1978, "Classes de Chern
+    d'un produit tensoriel"; Macdonald, Symmetric Functions, I.3 Ex. 10).
+    Every mu inside lam fits in the box, so no truncation enters and D is
+    unitriangular in the canonical order.  z = x - 1 is the same
+    substitution with shift -1, and d_{lam,mu} is homogeneous of degree
+    |lam| - |mu| in the shift, so D^-1 has the entries
+    (-1)^(|lam|-|mu|) d_{lam,mu}: no solve is needed.
+    """
+    basis = enumerate_box(box)
+    d = IntegerMatrix.from_columns([_schur_z(lam, box) for lam in basis])
+    sizes = [p.size for p in basis]
+    d_inv = IntegerMatrix(
+        [[-x if (si - sj) % 2 else x for x, sj in zip(row, sizes)]
+         for row, si in zip(d.entries, sizes)]
+    )
+    return d, d_inv
+
+
 def _horizontal_strips(lam, box):
     """The nu in the box with nu/lam a horizontal strip (nu interlaces lam)."""
     lam = tuple(lam) + (0,) * (box.rows - len(lam))
@@ -39,6 +94,7 @@ def _horizontal_strips(lam, box):
     return [Partition(nu) for nu in out]
 
 
+@cache
 def pieri_twist(box) -> IntegerMatrix:
     """T, multiplication by O(1) in the basis s_mu(z) of K(G), by the Pieri rule.
 
@@ -73,6 +129,94 @@ def dense_flop_matrix(box) -> IntegerMatrix:
     for _ in range(box.cols):
         m = twist @ m
     return d_inv @ m
+
+
+@cache
+def _z_table(box) -> dict:
+    """Structure constants of the s_mu(z): (i, j) -> [(k, c)] with
+    s_i s_j = sum c s_k, by the Littlewood-Richardson rule truncated to
+    the box, for every pair of basis indices."""
+    basis = enumerate_box(box)
+    index = {p: i for i, p in enumerate(basis)}
+    table = {}
+    for i, lam in enumerate(basis):
+        for j in range(i, len(basis)):
+            entry = [(index[nu], c) for nu, c in lr_coefficients(lam, basis[j], box).items()]
+            table[i, j] = table[j, i] = entry
+    return table
+
+
+def z_product(u, v, box) -> tuple[int, ...]:
+    """Product of two classes given by their z-coordinates."""
+    table = _z_table(box)
+    out = [0] * len(u)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                for k, c in table[i, j]:
+                    out[k] += a * b * c
+    return tuple(out)
+
+
+def _pieri_power(v, box, times: int) -> tuple[int, ...]:
+    """T^times applied to z-coordinates: the product with O(times)."""
+    twist = pieri_twist(box)
+    for _ in range(times):
+        v = twist.apply(v)
+    return v
+
+
+@cache
+def _z_atom(atom, box) -> tuple[int, ...]:
+    """z-coordinates of one atom."""
+    kind, arg = atom
+    if kind == "sub":
+        return _schur_z(Partition(arg), box)
+    if kind == "sub*":
+        # Sigma^alpha sub* = Sigma^(alpha^c) sub (x) O(alpha_1), with alpha^c
+        # the complement of alpha in the t x alpha_1 rectangle
+        alpha = Partition(arg)
+        padded = tuple(alpha) + (0,) * (box.rows - alpha.rows)
+        rotated = Partition(alpha.cols - p for p in reversed(padded))
+        return _pieri_power(_schur_z(rotated, box), box, alpha.cols)
+    if kind == "quot":
+        # [quot] = h - [sub]: sum_{nu in alpha} (-1)^|nu| s_{alpha/nu}(1^h)
+        # [Sigma^(nu') sub], through D
+        alpha = Partition(arg)
+        coords = []
+        for beta in enumerate_box(box):
+            nu = beta.conjugate()
+            coords.append(
+                (-1) ** nu.size * _skew_count(alpha, nu, box.h) if alpha.contains(nu) else 0
+            )
+        return binomial_change(box)[0].apply(coords)
+    if kind == "line":
+        # O(k) = T^k [O], and O(-k) = (det sub)^k = s_(k^t)(1 + z)
+        if arg >= 0:
+            return _pieri_power(KVector.basis_vector(box, ()).coords, box, arg)
+        return _schur_z(Partition((-arg,) * box.rows), box)
+    if kind == "tangent_wedge":
+        # Cauchy: wedge^i(sub* (x) quot) = sum over mu of Sigma^mu sub* (x)
+        # Sigma^(mu') quot
+        total = (0,) * box.rank
+        for mu in partitions_of(arg, box.rows, box.cols):
+            term = z_product(_z_atom(("sub*", mu), box), _z_atom(("quot", mu.conjugate()), box), box)
+            total = tuple(x + y for x, y in zip(total, term))
+        return total
+    raise ValueError(f"unknown atom {atom}")
+
+
+def z_expand(expr, box) -> KVector:
+    """Expansion of a tautological class through the integral presentation:
+    the atoms' z-coordinates are multiplied by the truncated LR table and
+    mapped back to the Schur-power basis by D^-1."""
+    total = [0] * box.rank
+    for atoms, coeff in expr.terms.items():
+        term = KVector.basis_vector(box, ()).coords
+        for atom in atoms:
+            term = z_product(term, _z_atom(atom, box), box)
+        total = [x + coeff * y for x, y in zip(total, term)]
+    return KVector(box, binomial_change(box)[1].apply(total))
 
 
 def ch_expand(expr, box) -> KVector:

@@ -304,6 +304,35 @@ def test_largest_integer_output_is_accepted(capsys, fmt):
     assert str(nines**2) in out
 
 
+@pytest.mark.parametrize("field", [None, "7"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", f"--point={'9' * (MAX_DIGITS + 100)},1,1,1,1"),
+        ("quadric", f"--point=1,1,1,1,1,-{'9' * (MAX_DIGITS + 1)}"),
+    ],
+    ids=["gamma", "quadric"],
+)
+def test_oversized_point_is_structured_error(capsys, argv, field):
+    # refused before int() meets CPython's int-from-string limit, whose
+    # advice a user of the command line cannot follow
+    extra = ("--field", field) if field else ()
+    code, out = run_cli(capsys, *argv, *extra)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == {
+        "type": "SizeLimit",
+        "message": f"a coordinate of the point has more than {MAX_DIGITS} digits",
+    }
+
+
+def test_longest_point_is_accepted(capsys):
+    # MAX_DIGITS digits parse; reduced mod 7 the image prints
+    code, payload = run_json(capsys, "gamma", f"--point={'9' * MAX_DIGITS},1,1,1,1", "--field", "7")
+    assert code == 0
+    assert payload["indeterminate"] is False
+
+
 def test_oversized_point_prints_over_a_field(capsys):
     # reduced mod p, the same point prints: 10^2200 - 1 = 4 mod 7
     code, payload = run_json(capsys, "gamma", f"--point={_NINES},1,1,1,1", "--field", "7")

@@ -1,0 +1,68 @@
+"""Expansion by straightening in the Schur-power basis against the
+integral presentation: the z-coordinates of the atoms, multiplied by the
+box-truncated Littlewood-Richardson table and mapped back by D^-1
+(``oracles.z_expand``)."""
+
+import random
+
+import pytest
+
+from flopk.kgroup import (
+    expand_in_basis,
+    line_bundle,
+    schur_quot,
+    schur_sub,
+    schur_sub_dual,
+    wedge_tangent,
+)
+from flopk.partitions import BoxShape, enumerate_box, partitions_of
+
+from oracles import z_expand
+
+
+def _atom_pool(box):
+    """Every basis Schur power of the subbundle and of its dual, the
+    quotient's Schur powers of size <= 3, the tangent wedges up to the
+    fourth, and O(k) with |k| <= 2h."""
+    basis = enumerate_box(box)
+    pool = [schur_sub(a) for a in basis] + [schur_sub_dual(a) for a in basis]
+    pool += [schur_quot(a) for n in range(1, 4) for a in partitions_of(n, box.cols)]
+    pool += [wedge_tangent(i) for i in range(5)]
+    pool += [line_bundle(k) for k in range(-2 * box.h, 2 * box.h + 1)]
+    return pool
+
+
+def _check(box, exprs):
+    for expr in exprs:
+        assert expand_in_basis(expr, box) == z_expand(expr, box), expr
+
+
+def _pairs(box, count, seed):
+    rng = random.Random(seed)
+    pool = _atom_pool(box)
+    return [rng.choice(pool) * rng.choice(pool) for _ in range(count)]
+
+
+# every box G(t,h) with h <= 7
+_BOXES = [BoxShape.for_grassmannian(t, h) for h in range(2, 8) for t in range(1, h)]
+
+
+@pytest.mark.parametrize("box", _BOXES, ids=str)
+def test_atoms_match_z_route(box):
+    _check(box, _atom_pool(box))
+
+
+@pytest.mark.parametrize("box", _BOXES, ids=str)
+def test_atom_pairs_match_z_route(box):
+    _check(box, _pairs(box, 200, seed=box.rows * 100 + box.cols))
+
+
+def test_atom_pairs_match_z_route_on_g48():
+    box = BoxShape.for_grassmannian(4, 8)
+    _check(box, _pairs(box, 40, seed=48))
+
+
+def test_largest_box_matches_z_route():
+    # the z-route's truncated LR table on G(5,10) takes about 2 s to build
+    box = BoxShape.for_grassmannian(5, 10)
+    _check(box, [schur_sub((1,)) * line_bundle(1), wedge_tangent(2)])

@@ -10,7 +10,6 @@ from flopk.kgroup import (
     IntegerMatrix,
     KVector,
     TautClass,
-    binomial_change,
     dual_class,
     dual_twist_pair,
     expand_in_basis,
@@ -27,7 +26,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
 
-from oracles import ch_expand, dense_flop_matrix, pieri_twist, rational_det
+from oracles import binomial_change, ch_expand, dense_flop_matrix, pieri_twist, rational_det
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
 P2 = BoxShape.for_grassmannian(1, 3)   # box(1,2)
@@ -133,6 +132,12 @@ def test_expansion_rejects_like_character_route(expr, message):
         ch_expand(expr, G24)
 
 
+def _clear_expansion_caches():
+    for fn in (kgroup._atom_vector, kgroup._products, kgroup._straighten, kgroup._column,
+               schur_twist):
+        fn.cache_clear()
+
+
 def test_expansion_is_integer_only(monkeypatch):
     # no rational, no Schubert vector, no character of an atom and no
     # character-matrix inverse on the expansion route
@@ -151,8 +156,7 @@ def test_expansion_is_integer_only(monkeypatch):
         monkeypatch.setattr(chow, name, forbidden)
     monkeypatch.setattr(kgroup, "_atom_ch", forbidden)
     monkeypatch.setattr(TautClass, "ch", forbidden)
-    for fn in (kgroup._atom_z, kgroup._product_table, binomial_change):
-        fn.cache_clear()
+    _clear_expansion_caches()
     assert expand_in_basis(expr, box) == want
 
 
@@ -250,8 +254,8 @@ def test_pieri_twist_is_line_bundle(shape):
 
 def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
     # the flop matrix and its certificate need no Chern character, no
-    # rational, no Littlewood-Richardson coefficient, no change of basis
-    # to the s_mu(z) and no elimination
+    # rational, no Littlewood-Richardson coefficient and no elimination,
+    # and the package has no change of basis to the s_mu(z)
     def forbidden(*args, **kwargs):
         raise AssertionError("forbidden route used")
 
@@ -259,7 +263,8 @@ def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
                  "line_chern_character", "quot_chern_character", "ch_matrix_inverse",
                  "lr_coefficients"):
         monkeypatch.setattr(chow, name, forbidden)
-    for name in ("lr_coefficients", "_atom_ch", "binomial_change", "smith_normal_form"):
+    assert not hasattr(kgroup, "binomial_change")
+    for name in ("lr_coefficients", "_atom_ch", "smith_normal_form"):
         monkeypatch.setattr(kgroup, name, forbidden)
     monkeypatch.setattr(IntegerMatrix, "det", forbidden)
     flop_matrix.cache_clear()
@@ -288,7 +293,7 @@ def _dense(columns, n):
     "box", [BoxShape.for_grassmannian(t, h) for h in range(2, 10) for t in range(1, h)], ids=str
 )
 def test_schur_twist_is_conjugated_pieri_twist(box):
-    # the closed form is D^-1 . T . D, with c + 1 terms in every column
+    # the straightened twist is D^-1 . T . D, with c + 1 terms in every column
     # whose last part is 0 and a single unit elsewhere
     twist = schur_twist(box)
     d, d_inv = binomial_change(box)
@@ -301,34 +306,39 @@ def test_schur_twist_is_conjugated_pieri_twist(box):
     "box", [BoxShape.for_grassmannian(t, h) for h in range(2, 9) for t in range(1, h)], ids=str
 )
 def test_pieri_oracle_is_product_with_line_bundle(box):
-    # the horizontal-strip T against the products with [O(1)] that expansion
-    # forms through the Littlewood-Richardson table, column by column; the
-    # product with [O(-1)] undoes each
-    n = box.rank
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    plus, minus = (kgroup._atom_z(("line", k), box) for k in (1, -1))
-    columns = [kgroup._z_product(e, plus, box) for e in units]
-    assert IntegerMatrix.from_columns(columns) == pieri_twist(box)
-    assert [kgroup._z_product(v, minus, box) for v in columns] == units
+    # the horizontal-strip T, conjugated by D, against the products with
+    # [O(1)] that expansion forms, column by column; the products with
+    # [O(-1)] undo them
+    plus, minus = (
+        IntegerMatrix.from_columns(
+            [expand_in_basis(schur_sub(lam) * line_bundle(k), box).coords
+             for lam in enumerate_box(box)]
+        )
+        for k in (1, -1)
+    )
+    d, d_inv = binomial_change(box)
+    assert plus == d_inv @ pieri_twist(box) @ d
+    assert minus @ plus == IntegerMatrix.identity(box.rank)
 
 
 G48 = BoxShape.for_grassmannian(4, 8)
 
 
-def _forbid_product_table(monkeypatch):
-    def forbidden(box):
-        raise AssertionError("Littlewood-Richardson table built")
+def _forbid_lr(monkeypatch):
+    # a single atom is straightened: it needs no Littlewood-Richardson
+    # coefficient at all
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Littlewood-Richardson coefficient used")
 
-    monkeypatch.setattr(kgroup, "_product_table", forbidden)
-    for fn in (kgroup._atom_z, binomial_change, schur_twist):
-        fn.cache_clear()
+    monkeypatch.setattr(kgroup, "lr_coefficients", forbidden)
+    _clear_expansion_caches()
 
 
 def test_line_bundle_twists_build_no_product_table(monkeypatch):
-    # O(k) is a power of U on [O] and O(-k) a truncated Schur power, checked
-    # against the dense Pieri twist T: D^-1 T^3 e_0 is [O(3)], and T^3 D
-    # sends [O(-3)] back to e_0
-    _forbid_product_table(monkeypatch)
+    # O(3) and O(-3) are straightened weights, checked against the dense
+    # Pieri twist T: D^-1 T^3 e_0 is [O(3)], and T^3 D sends [O(-3)] back
+    # to e_0
+    _forbid_lr(monkeypatch)
     plus, minus = line_bundle_class(3, G48), line_bundle_class(-3, G48)
     d, d_inv = binomial_change(G48)
     t = pieri_twist(G48)
@@ -339,7 +349,7 @@ def test_line_bundle_twists_build_no_product_table(monkeypatch):
 
 
 def test_dual_class_builds_no_product_table(monkeypatch):
-    _forbid_product_table(monkeypatch)
+    _forbid_lr(monkeypatch)
     alpha = Partition((2, 1))
     column = enumerate_box(G48).index(alpha)
     assert dual_class(alpha, G48).coords == dense_flop_matrix(G48).column(column)
