@@ -410,6 +410,8 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
         )
     if kind == "line":
         # O(k) = (det sub)^-k
+        if type(arg) is not int:
+            raise TypeError(f"line bundle degree must be int, got {arg!r}")
         return _straighten((-arg,) * t, box)
     if kind == "tangent_wedge":
         # Cauchy, as in ``_atom_ch``

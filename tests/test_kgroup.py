@@ -243,6 +243,13 @@ def test_scaling_rejects_non_int_factors():
         2.5 * schur_sub((1,))
 
 
+@pytest.mark.parametrize("bad", [1.5, -2.0, True, "2"], ids=repr)
+def test_line_bundle_rejects_non_int_degree(bad):
+    # -2.0 would straighten to the class of O(-2) if it were let through
+    with pytest.raises(TypeError):
+        expand_in_basis(line_bundle(bad), G24)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_pieri_twist_is_line_bundle(shape):
     # D^-1 T D applied to [O] is [O(1)], expanded on the character route
