@@ -29,7 +29,6 @@ from .kgroup import (
     KVector,
     TautClass,
     dual_class,
-    dual_twist_pair,
     expand_in_basis,
     flop_certificate,
     flop_matrix,
@@ -76,25 +75,4 @@ from .weyl import (
     word_permutation,
 )
 
-# No runtime route needs the rational Chow ring (it is the tests' oracle),
-# so importing the package does not load it; its names load on first use.
-_CHOW_NAMES = (
-    "SchubertVector",
-    "ch_matrix",
-    "chern_character",
-    "dual_chern_character",
-    "line_chern_character",
-    "quot_chern_character",
-    "sub_chern_classes",
-)
-
-
-def __getattr__(name):
-    if name in _CHOW_NAMES:
-        from . import chow
-
-        return getattr(chow, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [name for name in dir() if not name.startswith("_")] + ["chow", *_CHOW_NAMES]
+__all__ = [name for name in dir() if not name.startswith("_")]

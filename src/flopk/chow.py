@@ -10,8 +10,8 @@ the character of a Schur power is assembled from the symmetric-group
 character expansion of Schur functions in power sums.
 
 All coefficients are exact rationals (fractions.Fraction); nothing in
-this module ever touches floating point, because the unimodularity
-certificates computed downstream depend on exactness.
+this module ever touches floating point, because the tests compare the
+characters it computes exactly with the integer routes of module kgroup.
 """
 
 from __future__ import annotations

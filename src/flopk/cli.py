@@ -21,39 +21,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import acceptance, bott, flopgeom, kgroup, main_component, weyl
 from .partitions import BoxShape, enumerate_box
 
 
-@dataclass
-class CommandConfig:
-    """Everything a subcommand needs, normalized from argv."""
-
-    command: str
-    t: Optional[int] = None
-    h: Optional[int] = None
-    i: Optional[int] = None
-    weight: Optional[str] = None
-    vector: Optional[str] = None
-    point: Optional[str] = None
-    matrix: Optional[str] = None
-    field: Optional[int] = None
-    basis: str = "line"
-    fmt: str = "json"
-    seed: int = 0
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(config: CommandConfig, payload: dict, table_lines: Callable[[], list[str]]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, table_lines: Callable[[], list[str]]) -> None:
     """Print ``payload`` as JSON, or under --format table the lines ``table_lines()`` builds."""
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(canonical_json(payload))
     else:
         for line in table_lines():
@@ -82,25 +64,40 @@ MAX_WEYL_H = 250_000
 # JSON in half a second at the limit.
 MAX_VECTOR = 700
 
-# Most decimal digits gamma and quadric print in one entry: CPython's
-# default int-to-string limit.  Both maps are quadratic, so coordinates of
-# up to 2150 digits always print; without --field, longer ones may not.
+# Most decimal digits in one number a command reads or prints: CPython's
+# default int-to-string limit.  gamma and quadric are quadratic maps, so
+# coordinates of up to 2150 digits always print; without --field, longer
+# ones may not.
 MAX_DIGITS = 4300
 
+# Most characters bott accepts in --weight.  The sweep multiplies up to
+# h(h-1)/2 differences of the shifted weight, so its cost grows with both
+# the number h of entries and their digits, and the text's length bounds
+# both.  The slowest weights of this length, about 300 small entries off
+# every wall (so that every pair is multiplied), take half a second cold.
+MAX_WEIGHT_TEXT = 600
 
-def _box(config: CommandConfig, flop: bool = False) -> BoxShape:
-    if config.t is None or config.h is None:
+# Most characters snf accepts in --matrix.  Elimination grows the entries,
+# so the cost grows with their digits as well as with the matrix's size,
+# and the text's length bounds both.  The slowest random matrices of this
+# length, 2 x 2 with 2000-digit entries, take about 0.4 s cold; 40 x 40
+# with 3-digit entries fits, in about 0.2 s.
+MAX_MATRIX_TEXT = 8000
+
+
+def _box(args: argparse.Namespace, flop: bool = False) -> BoxShape:
+    if args.t is None or args.h is None:
         raise UsageError("--t and --h are required")
-    if flop and 2 * config.t > config.h:
-        raise UsageError(f"flop commands require t <= h/2, got t={config.t}, h={config.h}")
+    if flop and 2 * args.t > args.h:
+        raise UsageError(f"flop commands require t <= h/2, got t={args.t}, h={args.h}")
     try:
-        box = BoxShape.for_grassmannian(config.t, config.h)
+        box = BoxShape.for_grassmannian(args.t, args.h)
     except ValueError as exc:
         raise UsageError(str(exc))
     limit = MAX_FLOP_RANK if flop else MAX_BOX.rank
     if box.rank > limit:
         raise SizeLimit(
-            f"G({config.t},{config.h}) has K-rank {box.rank}, above the limit {limit}"
+            f"G({args.t},{args.h}) has K-rank {box.rank}, above the limit {limit}"
         )
     return box
 
@@ -111,6 +108,28 @@ class UsageError(Exception):
 
 class SizeLimit(Exception):
     """A request too large to compute in reasonable time."""
+
+
+def _check_digits(text: str, what: str) -> None:
+    """Refuse ``text`` with SizeLimit if a number in it has more than
+    MAX_DIGITS digits.
+
+    Every numeric-text option passes through here before it is parsed, so
+    no parser meets CPython's int-from-string limit, whose advice a user of
+    the command line cannot follow.  A number is a run of digits and
+    underscores, the unit that limit counts.
+    """
+    if any(len(run) - run.count("_") > MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
+        raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
+
+
+def _decimal(values: Sequence[int], what: str) -> list[str]:
+    """The decimal strings of ``values``, refused with SizeLimit before any
+    is printed if one has more than MAX_DIGITS digits."""
+    bound = 10**MAX_DIGITS
+    if any(abs(x) >= bound for x in values):
+        raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
+    return [str(x) for x in values]
 
 
 def _flop_payload(box: BoxShape) -> dict:
@@ -140,67 +159,72 @@ def _matrix_table(payload: dict) -> list[str]:
 # Subcommand implementations; each returns the exit status
 # ---------------------------------------------------------------------------
 
-def _cmd_kbasis(config: CommandConfig) -> int:
-    box = _box(config)
+def _cmd_kbasis(args: argparse.Namespace) -> int:
+    box = _box(args)
     basis = enumerate_box(box)
     payload = {
         "box": [box.rows, box.cols],
         "rank": len(basis),
         "basis": [p.text() for p in basis],
     }
-    _emit(config, payload, lambda: [f"rank: {len(basis)}", "basis: " + " ".join(payload["basis"])])
+    _emit(args, payload, lambda: [f"rank: {len(basis)}", "basis: " + " ".join(payload["basis"])])
     return 0
 
 
-def _cmd_flop_matrix(config: CommandConfig) -> int:
-    box = _box(config, flop=True)
+def _cmd_flop_matrix(args: argparse.Namespace) -> int:
+    box = _box(args, flop=True)
     payload = _flop_payload(box)
-    _emit(config, payload, lambda: _matrix_table(payload))
+    _emit(args, payload, lambda: _matrix_table(payload))
     return 0
 
 
-def _cmd_check_iso(config: CommandConfig) -> int:
-    box = _box(config, flop=True)
+def _cmd_check_iso(args: argparse.Namespace) -> int:
+    box = _box(args, flop=True)
     det, _ = kgroup.flop_certificate(box)
     iso = det in (1, -1)
     payload = {"det": str(det), "isomorphism": iso}
-    _emit(config, payload, lambda: [f"det: {det}", f"isomorphism: {iso}"])
+    _emit(args, payload, lambda: [f"det: {det}", f"isomorphism: {iso}"])
     return 0 if iso else 1
 
 
-def _cmd_snf(config: CommandConfig) -> int:
-    if config.matrix is not None:
-        if config.t is not None or config.h is not None:
+def _cmd_snf(args: argparse.Namespace) -> int:
+    if args.matrix is not None:
+        if args.t is not None or args.h is not None:
             raise UsageError("give --matrix, or --t and --h, not both")
+        _check_digits(args.matrix, "an entry of the matrix")
+        if len(args.matrix) > MAX_MATRIX_TEXT:
+            raise SizeLimit(
+                f"the matrix has {len(args.matrix)} characters, above the limit {MAX_MATRIX_TEXT}"
+            )
         try:
-            matrix = kgroup.IntegerMatrix(json.loads(config.matrix))
-        except (ValueError, TypeError) as exc:
+            matrix = kgroup.IntegerMatrix(json.loads(args.matrix))
+        except (ValueError, TypeError, RecursionError) as exc:
             raise UsageError(f"bad --matrix: {exc}")
         snf = kgroup.smith_normal_form(matrix)
-        payload = {"snf": [str(d) for d in snf]}
-        _emit(config, payload, lambda: ["snf: " + " ".join(payload["snf"])])
-        return 0
-    box = _box(config, flop=True)
-    _, snf = kgroup.flop_certificate(box)
-    payload = {"box": [box.rows, box.cols], "snf": [str(d) for d in snf]}
-    _emit(config, payload, lambda: ["snf: " + " ".join(payload["snf"])])
+        payload = {}
+    else:
+        box = _box(args, flop=True)
+        _, snf = kgroup.flop_certificate(box)
+        payload = {"box": [box.rows, box.cols]}
+    payload["snf"] = _decimal(snf, "an invariant factor")
+    _emit(args, payload, lambda: ["snf: " + " ".join(payload["snf"])])
     return 0
 
 
-def _cmd_counterexample(config: CommandConfig) -> int:
-    matrix = main_component.main_component_matrix(config.basis)
+def _cmd_counterexample(args: argparse.Namespace) -> int:
+    matrix = main_component.main_component_matrix(args.basis)
     snf = kgroup.smith_normal_form(matrix)
     index = main_component.image_index(matrix)
     box = BoxShape.for_grassmannian(1, 3)
     change = main_component.line_basis_matrix(box)
-    if config.basis == "line":
+    if args.basis == "line":
         target = ["O(1)", "O", "O(-1)"]
         domain = ["O+(-1)", "O+", "O+(1)"]
     else:
         target = [f"S^{p.text()}" for p in enumerate_box(box)]
         domain = [f"S^{p.text()}+" for p in enumerate_box(box)]
     payload = {
-        "basis": config.basis,
+        "basis": args.basis,
         "target_basis": target,
         "domain_basis": domain,
         "images": {
@@ -212,8 +236,8 @@ def _cmd_counterexample(config: CommandConfig) -> int:
         "index": index if index == "infinite" else int(index),
         "line_basis_in_canonical": [[str(x) for x in row] for row in change.entries],
     }
-    _emit(config, payload, lambda: [
-        f"basis: {config.basis}",
+    _emit(args, payload, lambda: [
+        f"basis: {args.basis}",
         *(f"image of {label}: ({', '.join(payload['images'][label])})" for label in domain),
         f"snf: {list(snf)}",
         f"index: {index}",
@@ -221,34 +245,40 @@ def _cmd_counterexample(config: CommandConfig) -> int:
     return 0
 
 
-def _cmd_bott(config: CommandConfig) -> int:
-    if config.weight is None:
+def _cmd_bott(args: argparse.Namespace) -> int:
+    if args.weight is None:
         raise UsageError("--weight is required, e.g. \"-2,-2|0,0\"")
+    _check_digits(args.weight, "an entry of the weight")
+    if len(args.weight) > MAX_WEIGHT_TEXT:
+        raise SizeLimit(
+            f"the weight has {len(args.weight)} characters, above the limit {MAX_WEIGHT_TEXT}"
+        )
     try:
-        weight = bott.Weight.from_text(config.weight)
+        weight = bott.Weight.from_text(args.weight)
     except ValueError as exc:
         raise UsageError(f"bad --weight: {exc}")
-    if (config.t is None) != (config.h is None):
+    if (args.t is None) != (args.h is None):
         raise UsageError("give --t and --h together, or neither")
-    if config.t is not None:
-        if (len(weight.a), len(weight.b)) != (config.t, config.h - config.t):
+    if args.t is not None:
+        if (len(weight.a), len(weight.b)) != (args.t, args.h - args.t):
             raise UsageError(
-                f"weight blocks {weight.text()} do not match t={config.t}, h={config.h}"
+                f"weight blocks {weight.text()} do not match t={args.t}, h={args.h}"
             )
     res = bott.bott_cohomology(weight)
     if res is None:
-        _emit(config, {"zero": True}, lambda: ["all cohomology vanishes"])
+        _emit(args, {"zero": True}, lambda: ["all cohomology vanishes"])
     else:
+        (dim,) = _decimal([res.dim], "the dimension")
         payload = {"degree": res.degree, "dim": res.dim}
-        _emit(config, payload, lambda: [f"degree: {res.degree}", f"dim: {res.dim}"])
+        _emit(args, payload, lambda: [f"degree: {res.degree}", f"dim: {dim}"])
     return 0
 
 
-def _cmd_hodge(config: CommandConfig) -> int:
-    box = _box(config)
+def _cmd_hodge(args: argparse.Namespace) -> int:
+    box = _box(args)
     if box.dim > MAX_BOX.dim:
         raise SizeLimit(
-            f"G({config.t},{config.h}) has dimension {box.dim}, above the limit {MAX_BOX.dim}"
+            f"G({args.t},{args.h}) has dimension {box.dim}, above the limit {MAX_BOX.dim}"
         )
     table = bott.hodge_numbers(box)
     diag = [table[p][p] for p in range(box.dim + 1)]
@@ -257,23 +287,18 @@ def _cmd_hodge(config: CommandConfig) -> int:
         "diagonal": diag,
         "table": table,
     }
-    _emit(config, payload, lambda: [
+    _emit(args, payload, lambda: [
         "diagonal: " + " ".join(map(str, diag)), *(" ".join(map(str, row)) for row in table)
     ])
     return 0
 
 
 def _parse_scalars(text: str, field: Optional[int], expect: int) -> list[int]:
-    """The comma-separated integers of ``text``, reduced mod ``field`` if given.
-
-    An entry of more than MAX_DIGITS digits is refused with SizeLimit
-    before ``int`` sees it, with or without a field.
-    """
+    """The comma-separated integers of ``text``, reduced mod ``field`` if given."""
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != expect:
         raise UsageError(f"expected {expect} comma-separated values, got {len(parts)}")
-    if any(sum(ch.isdigit() for ch in s) > MAX_DIGITS for s in parts):
-        raise SizeLimit(f"a coordinate of the point has more than {MAX_DIGITS} digits")
+    _check_digits(text, "a coordinate of the point")
     values = [int(s) for s in parts]
     if field is None:
         return values
@@ -286,85 +311,77 @@ def _reduce(x: int, field: Optional[int]) -> int:
     return x if field is None else x % field
 
 
-def _decimal(values: Sequence[int], what: str) -> list[str]:
-    """The decimal strings of ``values``, refused with SizeLimit before any
-    is printed if one has more than MAX_DIGITS digits."""
-    bound = 10**MAX_DIGITS
-    if any(abs(x) >= bound for x in values):
-        raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
-    return [str(x) for x in values]
-
-
-def _cmd_gamma(config: CommandConfig) -> int:
-    if config.point is None:
+def _cmd_gamma(args: argparse.Namespace) -> int:
+    if args.point is None:
         raise UsageError("--point a,x,y,z,w is required")
     try:
-        pt = _parse_scalars(config.point, config.field, 5)
+        pt = _parse_scalars(args.point, args.field, 5)
     except ValueError as exc:
         raise UsageError(str(exc))
     if not any(pt):
         raise UsageError("the all-zero tuple is not a projective point")
-    image = [_reduce(x, config.field) for x in flopgeom.pluecker_limit_map(pt)]
+    image = [_reduce(x, args.field) for x in flopgeom.pluecker_limit_map(pt)]
     payload = {
         "image": _decimal(image, "a coordinate of the image"),
         "indeterminate": not any(image),
     }
-    _emit(config, payload, lambda: [
+    _emit(args, payload, lambda: [
         "image: (" + ", ".join(payload["image"]) + ")",
         f"indeterminate: {payload['indeterminate']}",
     ])
     return 0
 
 
-def _cmd_quadric(config: CommandConfig) -> int:
-    if config.point is None:
+def _cmd_quadric(args: argparse.Namespace) -> int:
+    if args.point is None:
         raise UsageError("--point p12,p13,p14,p23,p24,p34 is required")
     try:
-        pt = _parse_scalars(config.point, config.field, 6)
+        pt = _parse_scalars(args.point, args.field, 6)
     except ValueError as exc:
         raise UsageError(str(exc))
-    value = _reduce(flopgeom.quadric_value(pt), config.field)
+    value = _reduce(flopgeom.quadric_value(pt), args.field)
     (text,) = _decimal([value], "the quadric value")
     payload = {"value": text, "on_quadric": value == 0}
-    _emit(config, payload, lambda: [f"value: {payload['value']}"])
+    _emit(args, payload, lambda: [f"value: {payload['value']}"])
     return 0
 
 
-def _cmd_springer_fiber(config: CommandConfig) -> int:
-    if config.t is None or config.h is None or config.i is None:
+def _cmd_springer_fiber(args: argparse.Namespace) -> int:
+    if args.t is None or args.h is None or args.i is None:
         raise UsageError("--t, --h and --i are required")
     try:
-        (sub, amb), dim = flopgeom.springer_fiber(config.t, config.h, config.i)
+        (sub, amb), dim = flopgeom.springer_fiber(args.t, args.h, args.i)
     except ValueError as exc:
         raise UsageError(str(exc))
     payload = {"grassmann": [sub, amb], "dim": dim}
-    _emit(config, payload, lambda: [f"grassmann: G({sub},{amb})", f"dim: {dim}"])
+    _emit(args, payload, lambda: [f"grassmann: G({sub},{amb})", f"dim: {dim}"])
     return 0
 
 
-def _cmd_weyl_word(config: CommandConfig) -> int:
-    if config.h is None or config.h < 2:
+def _cmd_weyl_word(args: argparse.Namespace) -> int:
+    if args.h is None or args.h < 2:
         raise UsageError("--h >= 2 is required")
-    if config.h > MAX_WEYL_H:
-        raise SizeLimit(f"h = {config.h} is above the limit {MAX_WEYL_H}")
-    word = weyl.duality_word(config.h)
-    sigma = weyl.duality_permutation(config.h)
+    if args.h > MAX_WEYL_H:
+        raise SizeLimit(f"h = {args.h} is above the limit {MAX_WEYL_H}")
+    word = weyl.duality_word(args.h)
+    sigma = weyl.duality_permutation(args.h)
     payload = {
-        "h": config.h,
+        "h": args.h,
         "sigma": list(sigma),
         "word": word,
         "length": len(word),
     }
-    _emit(config, payload, lambda: [
+    _emit(args, payload, lambda: [
         f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
     ])
     return 0
 
 
-def _cmd_chamber_sort(config: CommandConfig) -> int:
-    if config.vector is None:
+def _cmd_chamber_sort(args: argparse.Namespace) -> int:
+    if args.vector is None:
         raise UsageError("--vector v1,v2,... is required")
-    entries = config.vector.split(",")
+    _check_digits(args.vector, "an entry of the vector")
+    entries = args.vector.split(",")
     if len(entries) > MAX_VECTOR:
         raise SizeLimit(f"the vector has {len(entries)} entries, above the limit {MAX_VECTOR}")
     try:
@@ -375,14 +392,14 @@ def _cmd_chamber_sort(config: CommandConfig) -> int:
         raise UsageError(f"bad --vector: {exc}")
     sigma, word = weyl.chamber_sort(vec)
     payload = {"sigma": list(sigma), "word": word, "length": len(word)}
-    _emit(config, payload, lambda: [
+    _emit(args, payload, lambda: [
         f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
     ])
     return 0
 
 
-def _cmd_verify_all(config: CommandConfig) -> int:
-    results = acceptance.run_all(seed=config.seed)
+def _cmd_verify_all(args: argparse.Namespace) -> int:
+    results = acceptance.run_all(seed=args.seed)
     all_pass = all(r.passed for r in results)
     payload = {
         "all_pass": all_pass,
@@ -396,7 +413,7 @@ def _cmd_verify_all(config: CommandConfig) -> int:
             for r in results
         ],
     }
-    _emit(config, payload, lambda: [
+    _emit(args, payload, lambda: [
         *(f"{'PASS' if r.passed else 'FAIL'}  {r.number:>2}  {r.name}  "
           f"[{r.elapsed:.2f}s]  {r.detail}" for r in results),
         "all criteria passed" if all_pass else "FAILURES present",
@@ -405,7 +422,7 @@ def _cmd_verify_all(config: CommandConfig) -> int:
 
 
 # name -> (handler, help text, option groups); _build_parser turns each
-# option group into its arguments.  Every argparse dest is a CommandConfig field.
+# option group into its arguments.
 _COMMANDS = {
     "kbasis": (_cmd_kbasis, "basis of the Grothendieck lattice", ("t", "h")),
     "flop-matrix": (_cmd_flop_matrix, "matrix of the flop correspondence", ("t", "h")),
@@ -427,10 +444,10 @@ _COMMANDS = {
 }
 
 
-def run(config: CommandConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments; returns the process exit status."""
     try:
-        return _COMMANDS[config.command][0](config)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -489,7 +506,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    return run(CommandConfig(**vars(_build_parser(command).parse_args(argv))))
+    return run(_build_parser(command).parse_args(argv))
 
 
 if __name__ == "__main__":

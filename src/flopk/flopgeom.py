@@ -97,9 +97,9 @@ def is_indeterminate(pt: Sequence) -> bool:
     projective point and is rejected.
     """
     alpha, x, y, z, w = pt
-    if all(not (c != 0) for c in (alpha, x, y, z, w)):
+    if all(c == 0 for c in (alpha, x, y, z, w)):
         raise ValueError("the all-zero tuple is not a projective point")
-    return not (alpha != 0) and not (x * w - y * z != 0)
+    return alpha == 0 and x * w - y * z == 0
 
 
 def determinantal_membership(p8: Sequence) -> bool:
@@ -128,9 +128,9 @@ class _Poly:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms):
         self.n = n
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def variable(cls, n, i):
@@ -143,33 +143,19 @@ class _Poly:
             out[e] = out.get(e, 0) + c
         return _Poly(self.n, out)
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, k):
-        return _Poly(self.n, {e: k * c for e, c in self.terms.items()})
-
     def __neg__(self):
-        return (-1) * self
+        return _Poly(self.n, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return _Poly(self.n, out)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({(0,) * self.n: other} if other else {})
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def is_zero(self):
         return not self.terms

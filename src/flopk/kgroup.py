@@ -53,10 +53,9 @@ Littlewood-Richardson products and the Pieri twist T as oracles, for
 expansion and for the flop matrix as D^-1 . T^c . D . Pi.
 
 A classical identity behind the involution property: for alpha in the
-t x (h-t) box, the dual Schur power of the subbundle is isomorphic to
-the Schur power of the rotated box complement of alpha twisted by
-O(h-t), so dualizing permutes the basis up to a uniform twist (see
-``dual_twist_pair``).  One consequence worth recording: the restriction
+t x (h-t) box, Sigma^alpha sub* = Sigma^beta sub (x) O(h-t), with beta
+the rotated box complement of alpha, so dualizing permutes the basis up
+to a uniform twist.  One consequence worth recording: the restriction
 of a basis bundle to the central fiber of the one-parameter deformation
 sits in a two-term exact sequence with the bundle itself on both ends,
 so its K-class is the difference of equal classes, i.e. zero; classes
@@ -452,25 +451,6 @@ def dual_class(alpha, box: BoxShape) -> KVector:
     return expand_in_basis(schur_sub_dual(alpha), box)
 
 
-def dual_twist_pair(alpha, box: BoxShape) -> tuple[Partition, int]:
-    """The (beta, c) with Sigma^alpha(sub dual) = Sigma^beta(sub) (x) O(c).
-
-    beta is the rotated box complement of alpha and c the box width; the
-    identity is verified by expansion and holds with this single uniform
-    twist for every alpha in the box.
-    """
-    alpha = Partition(alpha)
-    beta = box.complement(alpha)
-    c = box.cols
-    lhs = dual_class(alpha, box)
-    rhs = expand_in_basis(schur_sub(beta) * line_bundle(c), box)
-    if lhs != rhs:
-        raise AssertionError(
-            f"twist identity failed for {alpha} in {box}: {lhs} != {rhs}"
-        )
-    return beta, c
-
-
 # ---------------------------------------------------------------------------
 # Integer matrices: determinant, Smith form, flop certificates
 # ---------------------------------------------------------------------------
@@ -642,9 +622,6 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
       {0, ..., h-1}, and exactly c + 1 values of k survive the wedge.
 
     This is the package's only twist by O(1): the flop matrix applies it.
-    In the integral presentation it is D^-1 . T . D, with D the binomial
-    change of basis to the s_mu(z) and T the Pieri product with O(1)
-    there; both survive as dense matrices only among the tests' oracles.
     """
     t = box.rows
     return tuple(
@@ -680,15 +657,14 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     cotangent spaces and on their one-parameter deformations.  It is an
     involution and unimodular (``flop_certificate``).
 
-    Computed in integers as F = U^c . Pi: Pi sends alpha to the rotated
-    box complement beta (see ``dual_twist_pair``) and U is the twist by
-    O(1) in the Schur-power basis (``schur_twist``), applied c = h - t
-    times to each column as a sparse vector.  So column alpha is
-    [Sigma^beta sub (x) O(c)] = [Sigma^alpha sub dual].  In the integral
-    Chow presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule
-    for the K-theory of Grassmannians") U is the conjugate D^-1 . T . D
-    of the Pieri twist T, so F = D^-1 . T^c . D . Pi, formed here with
-    neither D nor a dense product.
+    Computed in integers as F = U^c . Pi from the identity
+    Sigma^alpha sub* = Sigma^beta sub (x) O(c), with beta the rotated box
+    complement of alpha and c = h - t: Pi sends alpha to beta and U is the
+    twist by O(1) in the Schur-power basis (``schur_twist``), applied c
+    times to each column as a sparse vector.  In the integral Chow
+    presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule for the
+    K-theory of Grassmannians") U is the conjugate D^-1 . T . D of the
+    Pieri twist T, so F = D^-1 . T^c . D . Pi.
     """
     n = box.rank
     twist = schur_twist(box)

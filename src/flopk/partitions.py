@@ -88,13 +88,6 @@ class Partition(tuple):
         """Comma-separated parts; "-" for the empty partition."""
         return ",".join(str(p) for p in self) if self else "-"
 
-    @classmethod
-    def from_text(cls, s: str) -> "Partition":
-        s = s.strip()
-        if s in ("-", ""):
-            return cls()
-        return cls(int(p) for p in s.split(","))
-
     def __repr__(self):
         return f"Partition({tuple(self)})"
 

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import random
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -12,9 +14,10 @@ from flopk.cli import (
     MAX_BOX,
     MAX_DIGITS,
     MAX_FLOP_RANK,
+    MAX_MATRIX_TEXT,
     MAX_VECTOR,
+    MAX_WEIGHT_TEXT,
     MAX_WEYL_H,
-    CommandConfig,
     _box,
     _build_parser,
     canonical_json,
@@ -96,7 +99,7 @@ def test_oversized_flop_is_structured_error(capsys, argv):
 
 def test_largest_flop_box_is_accepted():
     # G(6,12) has K-rank 924, exactly the limit
-    assert _box(CommandConfig("check-iso", t=6, h=12), flop=True).rank == MAX_FLOP_RANK
+    assert _box(argparse.Namespace(t=6, h=12), flop=True).rank == MAX_FLOP_RANK
 
 
 def test_check_iso_beyond_bareiss_range(capsys):
@@ -153,7 +156,7 @@ def test_oversized_box_is_structured_error(capsys, argv):
 
 def test_largest_box_is_accepted(capsys):
     # G(9,18) has K-rank 48620 and dimension 81, exactly the limits
-    assert _box(CommandConfig("kbasis", t=9, h=18)).rank == MAX_BOX.rank == 48620
+    assert _box(argparse.Namespace(t=9, h=18)).rank == MAX_BOX.rank == 48620
     code, payload = run_json(capsys, "hodge", "--t", "1", "--h", "82")
     assert code == 0
     assert payload["diagonal"] == [1] * (MAX_BOX.dim + 1)
@@ -338,6 +341,107 @@ def test_oversized_point_prints_over_a_field(capsys):
     code, payload = run_json(capsys, "gamma", f"--point={_NINES},1,1,1,1", "--field", "7")
     assert code == 0
     assert payload == {"image": ["2", "3", "3", "4", "4", "0"], "indeterminate": False}
+
+
+_LONG = "9" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("gamma", f"--point={_LONG},1,1,1,1"), "a coordinate of the point"),
+        (("quadric", f"--point=1,1,1,1,1,-{_LONG}"), "a coordinate of the point"),
+        (("bott", f"--weight={_LONG}|0"), "an entry of the weight"),
+        (("snf", f"--matrix=[[1,{_LONG}]]"), "an entry of the matrix"),
+        (("chamber-sort", f"--vector=1/{_LONG},0"), "an entry of the vector"),
+        # underscores separate digits without ending the number
+        (("chamber-sort", f"--vector=1_{_LONG[1:]},0"), "an entry of the vector"),
+    ],
+    ids=["gamma", "quadric", "bott", "snf", "chamber-sort", "chamber-sort-underscores"],
+)
+def test_oversized_number_is_structured_error(capsys, argv, what):
+    # refused before parsing, instead of a usage error quoting CPython's
+    # advice to call sys.set_int_max_str_digits()
+    started = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "SizeLimit", "message": f"{what} has more than {MAX_DIGITS} digits"}
+    }
+
+
+def test_longest_numbers_are_accepted(capsys):
+    # MAX_DIGITS digits parse; digits split by a separator count apart
+    nines = "9" * MAX_DIGITS
+    code, payload = run_json(capsys, "snf", f"--matrix=[[{nines}]]")
+    assert (code, payload) == (0, {"snf": [nines]})
+    code, payload = run_json(capsys, "chamber-sort", f"--vector=1/{nines},{nines},0")
+    assert (code, payload["sigma"]) == (0, [2, 1, 3])
+
+
+def _zero_weight(h):
+    # no wall: the sweep multiplies every pair, the slowest weight per character
+    return ",".join(["0"] * (h - 1)) + "|0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bott", "--weight=10" + _zero_weight(MAX_WEIGHT_TEXT // 2)),
+        ("bott", "--weight=" + ",".join(str(-i) for i in range(1500)) + "|0"),
+        ("snf", "--matrix=[[1]]" + " " * (MAX_MATRIX_TEXT - 4)),
+        ("snf", "--matrix=" + json.dumps([[7] * 80] * 80)),
+    ],
+    ids=["bott-limit", "bott-h1501", "snf-limit", "snf-80x80"],
+)
+def test_oversized_text_is_structured_error(capsys, argv):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert payload["error"]["type"] == "SizeLimit"
+    assert "characters, above the limit" in payload["error"]["message"]
+
+
+def test_longest_weight_is_accepted(capsys):
+    weight = "1" + _zero_weight(MAX_WEIGHT_TEXT // 2)
+    assert len(weight) == MAX_WEIGHT_TEXT
+    # Sigma^(10) of the dual subbundle of G(299,300): its sections are
+    # Sym^10 of C^300
+    code, payload = run_json(capsys, "bott", f"--weight={weight}")
+    assert (code, payload) == (0, {"degree": 0, "dim": comb(309, 10)})
+
+
+def test_longest_matrix_is_accepted(capsys):
+    # 2 x 2 with entries of about 2000 digits is the slowest shape measured
+    rng = random.Random(0)
+    digits = (1997, 1998, 1998, 1998)
+    a, b, c, d = (rng.randrange(10 ** (n - 1), 10**n) for n in digits)
+    text = f"[[{a},{b}],[{c},{d}]]"
+    assert len(text) == MAX_MATRIX_TEXT
+    code, payload = run_json(capsys, "snf", f"--matrix={text}")
+    assert code == 0
+    d1, d2 = map(int, payload["snf"])
+    assert d2 % d1 == 0 and d1 * d2 == abs(a * d - b * c)
+
+
+def test_oversized_bott_dimension_is_structured_error(capsys):
+    # O(10^480) on P^9 has C(10^480 + 9, 9) sections, a number of 4315 digits
+    weight = f"--weight={10**480}|" + ",".join(["0"] * 9)
+    for fmt in ("json", "table"):
+        code, out = run_cli(capsys, "bott", weight, "--format", fmt)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"type": "SizeLimit", "message": f"the dimension has more than {MAX_DIGITS} digits"}
+        }
+
+
+def test_snf_deeply_nested_matrix_is_usage_error(capsys):
+    assert main(["snf", "--matrix", "[" * 2000 + "]" * 2000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --matrix: maximum recursion depth exceeded")
 
 
 def test_gamma_reduces_before_the_zero_tests(capsys):

@@ -11,7 +11,6 @@ from flopk.kgroup import (
     KVector,
     TautClass,
     dual_class,
-    dual_twist_pair,
     expand_in_basis,
     flop_certificate,
     flop_matrix,
@@ -171,24 +170,29 @@ def test_kvector_validation_and_algebra():
 
 
 # ---------------------------------------------------------------------------
-# Duality twist certificate
+# Duality twist identity
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3)])
 def test_dual_twist_uniform(shape):
+    # Sigma^alpha S* = Sigma^beta S (x) O(c), beta the rotated box
+    # complement and c the box width, with one twist for every alpha
     box = BoxShape(*shape)
     for alpha in enumerate_box(box):
-        beta, c = dual_twist_pair(alpha, box)
-        assert c == box.cols
-        assert beta == box.complement(alpha)
+        twisted = schur_sub(box.complement(alpha)) * line_bundle(box.cols)
+        assert dual_class(alpha, box) == expand_in_basis(twisted, box)
 
 
 def test_dual_twist_is_bijection():
     # the twist relation permutes the basis: the dual classes, as a set,
     # are the twisted basis classes
     box = BoxShape(2, 2)
-    betas = {dual_twist_pair(alpha, box)[0] for alpha in enumerate_box(box)}
-    assert betas == set(enumerate_box(box))
+    duals = {dual_class(alpha, box) for alpha in enumerate_box(box)}
+    twisted = {
+        expand_in_basis(schur_sub(beta) * line_bundle(box.cols), box)
+        for beta in enumerate_box(box)
+    }
+    assert duals == twisted and len(duals) == box.rank
 
 
 # ---------------------------------------------------------------------------
