@@ -3,76 +3,26 @@
 The package computes, over the integers and rationals with no floating
 point anywhere:
 
-* partitions in a box and Littlewood-Richardson coefficients,
+* partitions in a box and Littlewood-Richardson coefficients
+  (``partitions``),
 * the rational Chow ring of G(t,h) in the Schubert basis and the Chern
-  character of Schur powers of the tautological subbundle,
+  character of tautological classes, the rational oracle of the integer
+  routes (``chow``),
 * the Grothendieck lattice K(G) in the Schur-power basis, expansion of
   tautological classes, and the flop correspondence matrix with its
-  unimodularity (Smith form) certificates,
+  unimodularity (Smith form) certificates (``kgroup``),
 * the main-component correspondence on the cotangent space of the
-  projective plane, whose image has index 2,
-* Borel-Weil-Bott cohomology of homogeneous bundles and Hodge numbers,
+  projective plane, whose image has index 2 (``main_component``),
+* Borel-Weil-Bott cohomology of homogeneous bundles and Hodge numbers
+  (``bott``),
 * the coordinate model of the flop for G(2,4) (limit map, Pluecker
-  quadric, determinantal singularity model),
-* reduced-word and chamber combinatorics of the symmetric group.
+  quadric, determinantal singularity model) (``flopgeom``),
+* reduced-word and chamber combinatorics of the symmetric group
+  (``weyl``).
+
+Every name lives in its module, e.g. ``from flopk.kgroup import
+flop_matrix``.  Importing the package loads the integer modules below;
+``chow`` loads only when asked for.
 """
 
-from .partitions import (
-    BoxShape,
-    Partition,
-    enumerate_box,
-    lr_coefficients,
-    partitions_of,
-)
-from .kgroup import (
-    IntegerMatrix,
-    KVector,
-    TautClass,
-    dual_class,
-    expand_in_basis,
-    flop_certificate,
-    flop_matrix,
-    line_bundle,
-    line_bundle_class,
-    schur_quot,
-    schur_sub,
-    schur_sub_dual,
-    smith_normal_form,
-    wedge_tangent,
-)
-from .main_component import (
-    image_index,
-    koszul_ideal_class,
-    line_basis_matrix,
-    main_component_matrix,
-)
-from .bott import (
-    BottResult,
-    Weight,
-    bott_cohomology,
-    exterior_cotangent_decomposition,
-    gaussian_binomial,
-    hodge_numbers,
-    line_bundle_weight,
-    serre_dual_weight,
-)
-from .flopgeom import (
-    determinantal_membership,
-    is_indeterminate,
-    pluecker_limit_map,
-    quadric_value,
-    quadric_vanishes_identically,
-    springer_fiber,
-)
-from .weyl import (
-    Permutation,
-    RegularityViolation,
-    adjacent_word,
-    apply_word,
-    chamber_sort,
-    duality_permutation,
-    duality_word,
-    word_permutation,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import partitions, kgroup, main_component, bott, flopgeom, weyl

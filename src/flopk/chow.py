@@ -7,7 +7,9 @@ bundles: the total Chern class of the quotient bundle is the sum of the
 one-row special classes, the subbundle's Chern classes come from series
 inversion, power sums of Chern roots follow by Newton's identities, and
 the character of a Schur power is assembled from the symmetric-group
-character expansion of Schur functions in power sums.
+character expansion of Schur functions in power sums, the characters by
+the Murnaghan-Nakayama rule.  ``tautological_ch`` extends it to any
+tautological class; no other module computes a Chern character.
 
 All coefficients are exact rationals (fractions.Fraction); nothing in
 this module ever touches floating point, because the tests compare the
@@ -16,19 +18,12 @@ characters it computes exactly with the integer routes of module kgroup.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .partitions import (
-    BoxShape,
-    Partition,
-    centralizer_order,
-    enumerate_box,
-    lr_coefficients,
-    partitions_of,
-    sn_character,
-)
+from .partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
 
 
 class SchubertVector:
@@ -133,6 +128,51 @@ class SchubertVector:
 
 
 # ---------------------------------------------------------------------------
+# Symmetric-group characters (Murnaghan-Nakayama)
+# ---------------------------------------------------------------------------
+
+def centralizer_order(rho: Partition) -> int:
+    """z_rho = prod_k k^{m_k} m_k!, the centralizer order of cycle type rho."""
+    z = 1
+    for k, grp in itertools.groupby(rho):
+        m = len(list(grp))
+        z *= k**m * factorial(m)
+    return z
+
+
+@cache
+def sn_character(lam: Partition, rho: Partition) -> int:
+    """Irreducible character of S_n: chi^lam at cycle type rho (|lam| = |rho|).
+
+    Computed by the Murnaghan-Nakayama rule in beta-set form: removing a
+    border strip of length r is moving one beta number down by r, with
+    sign (-1)^(number of beta numbers jumped over).
+    """
+    lam, rho = Partition(lam), Partition(rho)
+    if lam.size != rho.size:
+        raise ValueError(f"|{lam}| != |{rho}|")
+    if not rho:
+        return 1
+    r = rho[0]
+    rest = Partition(rho[1:])
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in beta_set:
+            continue
+        crossed = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
+        new_lam = Partition(
+            x - (m - 1 - i) for i, x in enumerate(new_beta) if x - (m - 1 - i) > 0
+        )
+        total += (-1) ** crossed * sn_character(new_lam, rest)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Chern classes and power sums of the tautological bundles
 # ---------------------------------------------------------------------------
 
@@ -183,13 +223,10 @@ def _power_sums_from_elementary(
 
 
 @cache
-def _sub_power_sums(box: BoxShape) -> tuple[SchubertVector, ...]:
-    return _power_sums_from_elementary(sub_chern_classes(box), box)
-
-
-@cache
-def _quot_power_sums(box: BoxShape) -> tuple[SchubertVector, ...]:
-    return _power_sums_from_elementary(quot_chern_classes(box), box)
+def _power_sums(box: BoxShape, bundle: str) -> tuple[SchubertVector, ...]:
+    """Power sums p_1..p_dim of the Chern roots of "sub" or "quot"."""
+    chern = sub_chern_classes if bundle == "sub" else quot_chern_classes
+    return _power_sums_from_elementary(chern(box), box)
 
 
 @cache
@@ -199,12 +236,8 @@ def _exp_power_sum(box: BoxShape, bundle: str, k: int) -> SchubertVector:
     Expanded as rank + sum_m k^m p_m / m!, truncated at the dimension of
     the Grassmannian.  Negative k covers the dual bundle.
     """
-    if bundle == "sub":
-        psums, rank = _sub_power_sums(box), box.rows
-    elif bundle == "quot":
-        psums, rank = _quot_power_sums(box), box.cols
-    else:
-        raise ValueError(bundle)
+    psums = _power_sums(box, bundle)
+    rank = box.rows if bundle == "sub" else box.cols
     acc = Fraction(rank) * SchubertVector.unit(box)
     for m in range(1, box.dim + 1):
         acc = acc + Fraction(k**m, factorial(m)) * psums[m]
@@ -212,11 +245,14 @@ def _exp_power_sum(box: BoxShape, bundle: str, k: int) -> SchubertVector:
 
 
 @cache
-def _exp_power_sum_product(box: BoxShape, bundle: str, rho: Partition) -> SchubertVector:
-    if not rho:
+def _exp_power_sum_product(
+    box: BoxShape, bundle: str, parts: tuple[int, ...]
+) -> SchubertVector:
+    """The product of the P_k over the signed parts k."""
+    if not parts:
         return SchubertVector.unit(box)
-    head = _exp_power_sum(box, bundle, rho[0])
-    return head * _exp_power_sum_product(box, bundle, Partition(rho[1:]))
+    head = _exp_power_sum(box, bundle, parts[0])
+    return head * _exp_power_sum_product(box, bundle, parts[1:])
 
 
 def _schur_of_exp(alpha: Partition, box: BoxShape, bundle: str, sign: int) -> SchubertVector:
@@ -234,12 +270,7 @@ def _schur_of_exp(alpha: Partition, box: BoxShape, bundle: str, sign: int) -> Sc
         chi = sn_character(alpha, rho)
         if not chi:
             continue
-        if sign > 0:
-            prod = _exp_power_sum_product(box, bundle, rho)
-        else:
-            prod = SchubertVector.unit(box)
-            for r in rho:
-                prod = prod * _exp_power_sum(box, bundle, -r)
+        prod = _exp_power_sum_product(box, bundle, tuple(sign * r for r in rho))
         acc = acc + Fraction(chi, centralizer_order(rho)) * prod
     return acc
 
@@ -281,6 +312,46 @@ def line_chern_character(k: int, box: BoxShape) -> SchubertVector:
         acc = acc + Fraction(k**m, factorial(m)) * power
         power = power * sigma1
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Tautological classes
+# ---------------------------------------------------------------------------
+
+def tautological_ch(expr, box: BoxShape) -> SchubertVector:
+    """Chern character of a tautological class (``kgroup.TautClass``) on
+    the given Grassmannian: each tensor product of atoms is the product of
+    their characters."""
+    total = SchubertVector.zero(box)
+    for atoms, coeff in expr.terms.items():
+        term = coeff * SchubertVector.unit(box)
+        for atom in atoms:
+            term = term * _atom_ch(atom, box)
+        total = total + term
+    return total
+
+
+@cache
+def _atom_ch(atom: tuple, box: BoxShape) -> SchubertVector:
+    kind, arg = atom
+    if kind == "sub":
+        return chern_character(arg, box)
+    if kind == "sub*":
+        return dual_chern_character(arg, box)
+    if kind == "quot":
+        return quot_chern_character(arg, box)
+    if kind == "line":
+        return line_chern_character(arg, box)
+    if kind == "tangent_wedge":
+        # Cauchy: wedge^i(sub* (x) quot) splits into Schur powers over
+        # partitions of i, the conjugate acting on the quotient factor.
+        total = SchubertVector.zero(box)
+        for mu in partitions_of(arg, box.rows, box.cols):
+            total = total + dual_chern_character(mu, box) * quot_chern_character(
+                mu.conjugate(), box
+            )
+        return total
+    raise ValueError(f"unknown atom {atom}")
 
 
 # ---------------------------------------------------------------------------

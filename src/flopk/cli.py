@@ -95,10 +95,20 @@ def _box(args: argparse.Namespace, flop: bool = False) -> BoxShape:
     except ValueError as exc:
         raise UsageError(str(exc))
     limit = MAX_FLOP_RANK if flop else MAX_BOX.rank
-    if box.rank > limit:
-        raise SizeLimit(
-            f"G({args.t},{args.h}) has K-rank {box.rank}, above the limit {limit}"
-        )
+    # C(h, k), k = min(t, h - t), one factor at a time: the partial values
+    # C(h, i) grow for i <= h/2, so once one is too long to print, so is
+    # the rank, and no such rank is ever built in full
+    bound = 10**MAX_DIGITS
+    rank = 1
+    for i in range(1, min(box.rows, box.cols) + 1):
+        rank = rank * (box.h - i + 1) // i
+        if rank >= bound:
+            raise SizeLimit(
+                f"G({args.t},{args.h}) has a K-rank of more than {MAX_DIGITS} digits, "
+                f"above the limit {limit}"
+            )
+    if rank > limit:
+        raise SizeLimit(f"G({args.t},{args.h}) has K-rank {rank}, above the limit {limit}")
     return box
 
 
@@ -120,6 +130,32 @@ def _check_digits(text: str, what: str) -> None:
     underscores, the unit that limit counts.
     """
     if any(len(run) - run.count("_") > MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
+        raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
+
+
+# A decimal entry of --vector, as fractions.Fraction reads one: digits,
+# an optional fractional part, an optional exponent.
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def _check_exponent(entry: str, what: str) -> None:
+    """Refuse a decimal ``entry`` with SizeLimit if the numerator or the
+    denominator that Fraction builds from it has more than MAX_DIGITS
+    digits.
+
+    Fraction multiplies by the power of ten that the exponent and the
+    fractional part name, which ``_check_digits`` cannot see: ``1e2000000``
+    is nine characters long, and its numerator has two million and one
+    digits.
+    """
+    match = _DECIMAL.fullmatch(entry)
+    if match is None or (match[2] is None and match[3] is None):
+        return
+    whole, frac, exp = (g.replace("_", "") if g else "" for g in match.groups())
+    shift = int(exp or 0) - len(frac)
+    numerator = len((whole + frac).lstrip("0")) + max(shift, 0)
+    denominator = 1 + max(-shift, 0)
+    if max(numerator, denominator) > MAX_DIGITS:
         raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
 
 
@@ -384,6 +420,8 @@ def _cmd_chamber_sort(args: argparse.Namespace) -> int:
     entries = args.vector.split(",")
     if len(entries) > MAX_VECTOR:
         raise SizeLimit(f"the vector has {len(entries)} entries, above the limit {MAX_VECTOR}")
+    for entry in entries:
+        _check_exponent(entry, "an entry of the vector")
     try:
         from fractions import Fraction
 

@@ -46,11 +46,12 @@ s_mu, mu the sorted J minus delta, a partition in the box
   ``flop_certificate`` proves F . F = I by the same sparse route and
   reads off det and Smith form.
 
-The Chern character (``TautClass.ch``, module chow) is a second,
-rational route, and the integral presentation above a third: the tests
-keep the binomial change of basis D to the s_mu(z), their truncated
-Littlewood-Richardson products and the Pieri twist T as oracles, for
-expansion and for the flop matrix as D^-1 . T^c . D . Pi.
+The Chern character (``TautClass.ch``, which hands the class to
+``chow.tautological_ch``) is a second, rational route, and the integral
+presentation above a third: the tests keep the binomial change of basis
+D to the s_mu(z), their truncated Littlewood-Richardson products and
+the Pieri twist T as oracles, for expansion and for the flop matrix as
+D^-1 . T^c . D . Pi.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, Sigma^alpha sub* = Sigma^beta sub (x) O(h-t), with beta
@@ -185,17 +186,11 @@ class TautClass:
                 out[key] = out.get(key, 0) + va * vb
         return TautClass(out)
 
-    def ch(self, box: BoxShape) -> SchubertVector:
+    def ch(self, box: BoxShape):
         """Chern character of the expression on the given Grassmannian."""
-        from .chow import SchubertVector
+        from .chow import tautological_ch
 
-        total = SchubertVector.zero(box)
-        for atoms, coeff in self.terms.items():
-            term = coeff * SchubertVector.unit(box)
-            for atom in atoms:
-                term = term * _atom_ch(atom, box)
-            total = total + term
-        return total
+        return tautological_ch(self, box)
 
     def __repr__(self):
         if not self.terms:
@@ -226,31 +221,6 @@ def wedge_tangent(i: int) -> TautClass:
 def line_bundle(k: int) -> TautClass:
     """O(k); O(-1) is the determinant of the subbundle."""
     return TautClass._atom(("line", k))
-
-
-@cache
-def _atom_ch(atom: _Atom, box: BoxShape) -> SchubertVector:
-    from . import chow
-
-    kind, arg = atom
-    if kind == "sub":
-        return chow.chern_character(arg, box)
-    if kind == "sub*":
-        return chow.dual_chern_character(arg, box)
-    if kind == "quot":
-        return chow.quot_chern_character(arg, box)
-    if kind == "line":
-        return chow.line_chern_character(arg, box)
-    if kind == "tangent_wedge":
-        # Cauchy: wedge^i(sub* (x) quot) splits into Schur powers over
-        # partitions of i, the conjugate acting on the quotient factor.
-        total = chow.SchubertVector.zero(box)
-        for mu in partitions_of(arg, box.rows, box.cols):
-            total = total + chow.dual_chern_character(mu, box) * chow.quot_chern_character(
-                mu.conjugate(), box
-            )
-        return total
-    raise ValueError(f"unknown atom {atom}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +350,7 @@ def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
 @cache
 def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
     """Sparse coordinates of one atom; raises ValueError exactly where the
-    character route (``_atom_ch``) does."""
+    character route (``chow.tautological_ch``) does."""
     kind, arg = atom
     t = box.rows
     if kind == "sub":
@@ -413,7 +383,8 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
             raise TypeError(f"line bundle degree must be int, got {arg!r}")
         return _straighten((-arg,) * t, box)
     if kind == "tangent_wedge":
-        # Cauchy, as in ``_atom_ch``
+        # Cauchy: wedge^i(sub* (x) quot) splits into Sigma^mu sub* (x)
+        # Sigma^mu' quot over the partitions mu of i
         total: dict[int, int] = {}
         for mu in partitions_of(arg, t, box.cols):
             term = _multiply(

@@ -4,8 +4,7 @@ Partitions label every basis in this package: the Schubert basis of the
 Chow ring of G(t,h) and the Schur-power basis of its Grothendieck group
 are both indexed by the partitions fitting in a t x (h-t) box.  This
 module provides the diagrams themselves, the canonical enumeration order
-of a box, Littlewood-Richardson coefficients, and symmetric-group
-characters (needed to expand Schur functions in power sums).
+of a box, and Littlewood-Richardson coefficients.
 
 Littlewood-Richardson coefficients are counted by generating the LR
 tableaux themselves (Fulton, *Young Tableaux*, Section 5): the rows of mu
@@ -22,10 +21,9 @@ written with respect to this order, so outputs are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial
+from math import comb
 from typing import Iterator, Optional
 
 
@@ -261,48 +259,3 @@ def lr_coefficients(
     if box is None:
         return dict(_lr_expand(lam, mu, lam.rows + mu.rows, lam.cols + mu.cols))
     return dict(_lr_expand(lam, mu, box.rows, box.cols))
-
-
-# ---------------------------------------------------------------------------
-# Symmetric-group characters (Murnaghan-Nakayama)
-# ---------------------------------------------------------------------------
-
-def centralizer_order(rho: Partition) -> int:
-    """z_rho = prod_k k^{m_k} m_k!, the centralizer order of cycle type rho."""
-    z = 1
-    for k, grp in itertools.groupby(rho):
-        m = len(list(grp))
-        z *= k**m * factorial(m)
-    return z
-
-
-@cache
-def sn_character(lam: Partition, rho: Partition) -> int:
-    """Irreducible character of S_n: chi^lam at cycle type rho (|lam| = |rho|).
-
-    Computed by the Murnaghan-Nakayama rule in beta-set form: removing a
-    border strip of length r is moving one beta number down by r, with
-    sign (-1)^(number of beta numbers jumped over).
-    """
-    lam, rho = Partition(lam), Partition(rho)
-    if lam.size != rho.size:
-        raise ValueError(f"|{lam}| != |{rho}|")
-    if not rho:
-        return 1
-    r = rho[0]
-    rest = Partition(rho[1:])
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in beta_set:
-            continue
-        crossed = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_lam = Partition(
-            x - (m - 1 - i) for i, x in enumerate(new_beta) if x - (m - 1 - i) > 0
-        )
-        total += (-1) ** crossed * sn_character(new_lam, rest)
-    return total

@@ -86,6 +86,9 @@ def test_snf_non_integer_matrix_is_usage_error(capsys, matrix):
         ("check-iso", "--t", "6", "--h", "13"),
         ("snf", "--t", "6", "--h", "13"),
         ("check-iso", "--t", "7", "--h", "14"),
+        # K-ranks too long to print: refused before C(h,t) is built in full
+        ("check-iso", "--t", "10000", "--h", "20000"),
+        ("flop-matrix", "--t", "1000000", "--h", "2000000"),
     ],
     ids=lambda a: "-".join(a[0::2]),
 )
@@ -143,6 +146,8 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
         ("hodge", "--t", "10", "--h", "20"),
         ("kbasis", "--t", "15", "--h", "30"),
         ("hodge", "--t", "1", "--h", "83"),  # K-rank 83, but dimension 82
+        ("kbasis", "--t", "10000", "--h", "20000"),
+        ("kbasis", "--t", "1000000", "--h", "2000000"),
     ],
     ids=lambda a: "-".join(a[0::2]),
 )
@@ -152,6 +157,20 @@ def test_oversized_box_is_structured_error(capsys, argv):
     assert time.perf_counter() - started < 0.5
     assert code == 1
     assert payload["error"]["type"] == "SizeLimit"
+
+
+def test_oversized_rank_message(capsys):
+    # a rank that prints is given in full; a longer one by its digit count
+    code, payload = run_json(capsys, "check-iso", "--t", "7", "--h", "14")
+    assert (code, payload["error"]["message"]) == (
+        1, "G(7,14) has K-rank 3432, above the limit 924"
+    )
+    code, payload = run_json(capsys, "kbasis", "--t", "10000", "--h", "20000")
+    assert code == 1
+    assert payload["error"]["message"] == (
+        f"G(10000,20000) has a K-rank of more than {MAX_DIGITS} digits, "
+        f"above the limit {MAX_BOX.rank}"
+    )
 
 
 def test_largest_box_is_accepted(capsys):
@@ -356,8 +375,16 @@ _LONG = "9" * (MAX_DIGITS + 1)
         (("chamber-sort", f"--vector=1/{_LONG},0"), "an entry of the vector"),
         # underscores separate digits without ending the number
         (("chamber-sort", f"--vector=1_{_LONG[1:]},0"), "an entry of the vector"),
+        # an exponent names a power of ten that Fraction writes out in full
+        (("chamber-sort", "--vector=1e2000000,0"), "an entry of the vector"),
+        (("chamber-sort", "--vector=1e-5000,0"), "an entry of the vector"),
+        (("chamber-sort", "--vector=1e5000,1e5000"), "an entry of the vector"),
+        # as does a fractional part: 1.99...9 with 4300 nines has a 4301-digit numerator
+        (("chamber-sort", f"--vector=1.{_LONG[1:]},1.{_LONG[1:]}"), "an entry of the vector"),
     ],
-    ids=["gamma", "quadric", "bott", "snf", "chamber-sort", "chamber-sort-underscores"],
+    ids=["gamma", "quadric", "bott", "snf", "chamber-sort", "chamber-sort-underscores",
+         "chamber-sort-exponent", "chamber-sort-negative-exponent", "chamber-sort-wall",
+         "chamber-sort-fraction-wall"],
 )
 def test_oversized_number_is_structured_error(capsys, argv, what):
     # refused before parsing, instead of a usage error quoting CPython's
@@ -378,6 +405,21 @@ def test_longest_numbers_are_accepted(capsys):
     assert (code, payload) == (0, {"snf": [nines]})
     code, payload = run_json(capsys, "chamber-sort", f"--vector=1/{nines},{nines},0")
     assert (code, payload["sigma"]) == (0, [2, 1, 3])
+
+
+@pytest.mark.parametrize(
+    "vector, sigma",
+    [
+        ("1e3,2", [1, 2]),
+        ("1/3,2.5", [2, 1]),
+        (f"1e{MAX_DIGITS - 1},0", [1, 2]),
+        (f"1e-{MAX_DIGITS - 1},0", [1, 2]),
+        (f"0.5e{MAX_DIGITS},0", [1, 2]),
+    ],
+)
+def test_exponents_within_the_limit_are_accepted(capsys, vector, sigma):
+    code, payload = run_json(capsys, "chamber-sort", f"--vector={vector}")
+    assert (code, payload["sigma"]) == (0, sigma)
 
 
 def _zero_weight(h):

@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flopk.partitions import (
-    BoxShape,
-    Partition,
-    centralizer_order,
-    enumerate_box,
-    lr_coefficients,
-    partitions_of,
-    sn_character,
-)
+from flopk.chow import centralizer_order, sn_character
+from flopk.partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
 
 
 def P(*parts):

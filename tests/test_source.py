@@ -28,13 +28,44 @@ def test_no_assert_statements():
 
 def test_import_does_not_load_the_chow_ring():
     # the rational Chow ring is only the tests' oracle: importing the
-    # package and its command line must not load it, and its names are
-    # reached through flopk.chow alone
+    # package and its command line must load neither it nor fractions,
+    # and its names are reached through flopk.chow alone
     code = (
         "import sys, flopk, flopk.cli\n"
-        "loaded = 'flopk.chow' in sys.modules\n"
+        "loaded = 'flopk.chow' in sys.modules or 'fractions' in sys.modules\n"
         "import flopk.chow\n"
         "sys.exit(loaded or hasattr(flopk, 'chern_character') or not flopk.chow.chern_character)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(flopk.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_only_tautological_ch_is_imported_from_chow():
+    # module chow is the one home of the Chern character: elsewhere in the
+    # package only TautClass.ch reaches into it, for tautological_ch
+    found = []
+    for path in SOURCES:
+        if path.name == "chow.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = tuple(alias.name for alias in node.names)
+                if node.module in ("chow", "flopk.chow"):
+                    found.append((path.name, names))
+                elif node.module in (None, "flopk") and "chow" in names:
+                    found.append((path.name, ("chow",)))
+            elif isinstance(node, ast.Import):
+                found += [(path.name, (a.name,)) for a in node.names if a.name == "flopk.chow"]
+    assert found == [("kgroup.py", ("tautological_ch",))]
+
+
+def test_package_root_holds_only_modules():
+    # every name lives in its module: the package root re-exports nothing
+    code = (
+        "import sys, types, flopk\n"
+        "public = [n for n, v in vars(flopk).items()\n"
+        "          if not n.startswith('_') and not isinstance(v, types.ModuleType)]\n"
+        "sys.exit(str(public) if public else 0)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(flopk.__file__).parent.parent))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
