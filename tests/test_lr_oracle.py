@@ -4,7 +4,7 @@ the criterion fails when the package's LR rule is wrong."""
 import pytest
 
 from flopk import acceptance, partitions
-from flopk.acceptance import _brute_force_lr
+from flopk.acceptance import _brute_force_lr, _count_fillings, _lattice_words, _skew_constraints
 from flopk.partitions import Partition as P
 
 
@@ -41,6 +41,21 @@ def test_oracle_uses_no_package_lr_code(monkeypatch):
     assert acceptance.lr_coefficients is refuse
     assert _brute_force_lr(P((4, 3, 2, 1)), P((3, 2, 1)), P((2, 1, 1))) == 3
     assert _brute_force_lr(P((5, 4, 2, 1)), P((3, 2, 1)), P((3, 2, 1))) == 4
+    # the two helpers criterion 9 calls directly, without _brute_force_lr's guards
+    for nu, lam, mu, want in [
+        ((4, 3, 2, 1), (3, 2, 1), (2, 1, 1), 3),
+        ((5, 4, 2, 1), (3, 2, 1), (3, 2, 1), 4),
+        ((3, 2, 1), (2, 1), (2, 1), 2),
+        ((2, 1), (), (2, 1), 1),
+    ]:
+        constraints = _skew_constraints(P(nu), P(lam))
+        assert _count_fillings(constraints, _lattice_words(P(mu))) == want
+
+
+def test_skew_constraints_of_a_small_shape():
+    # nu/lam = (2,2)/(1): reading order (0,1), (1,1), (1,0); (1,1) sits
+    # under (0,1), and (1,0) is left of (1,1) in its row
+    assert _skew_constraints(P((2, 2)), P((1,))) == [[0], [1], [1], [2]]
 
 
 def test_criterion_9_fails_on_a_wrong_coefficient(monkeypatch):
@@ -56,3 +71,24 @@ def test_criterion_9_fails_on_a_wrong_coefficient(monkeypatch):
     result = acceptance.criterion_9_oracles()
     assert not result.passed
     assert result.detail == "c^Partition((3, 2, 1))_Partition((2, 1)),Partition((2, 1))"
+
+
+def test_criterion_9_fails_when_the_oracle_loses_a_word(monkeypatch):
+    real = acceptance._lattice_words
+
+    def short(mu):
+        # drop the word 1,1,2: the only filling of the straight shape (2,1)
+        words = real(mu)
+        return tuple(w for w in words if w != (1, 1, 2)) if mu == P((2, 1)) else words
+
+    monkeypatch.setattr(acceptance, "_lattice_words", short)
+    result = acceptance.criterion_9_oracles()
+    assert not result.passed
+    named = result.detail.split("; ")
+    assert len(named) == 5
+    assert all(entry.endswith(",Partition((2, 1))") for entry in named)
+    assert named[:3] == [
+        "c^Partition((2, 1))_Partition(()),Partition((2, 1))",
+        "c^Partition((3, 1))_Partition((1,)),Partition((2, 1))",
+        "c^Partition((2, 1, 1))_Partition((1,)),Partition((2, 1))",
+    ]
