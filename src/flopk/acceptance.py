@@ -90,7 +90,8 @@ def criterion_3_involution() -> CriterionResult:
 
 
 def criterion_4_main_component() -> CriterionResult:
-    """Image vectors, Smith form (1,1,2) and index 2 of the main component."""
+    """Image vectors, Smith form (1,1,2) and index 2 of the main component;
+    the index comes from the determinant, not from the Smith form."""
     started = time.monotonic()
     m = main_component.main_component_matrix("line")
     cols = [m.column(j) for j in range(3)]
@@ -255,22 +256,13 @@ def _count_fillings(constraints: list[list[int]], words: tuple[tuple[int, ...], 
     return count
 
 
-def _brute_force_lr(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Independent Littlewood-Richardson count, by the definition: the
-    number of lattice words of content mu that, written into nu/lam in
-    reverse reading order, give a filling whose rows weakly increase and
-    whose columns strictly increase.  Each word is tested against every
-    constraint of nu/lam; no LR rule of the package is used."""
-    if not nu.contains(lam) or nu.size != lam.size + mu.size:
-        return 0
-    return _count_fillings(_skew_constraints(nu, lam), _lattice_words(mu))
-
-
 def criterion_9_oracles() -> CriterionResult:
-    """LR agreement with ``_brute_force_lr``, basis round trips, and absence
-    of non-integral expansions.  Each skew shape's constraints are derived
-    once, for all mu of its size, and every lattice word is still tested
-    against all of them."""
+    """LR agreement with a brute-force count that shares no code with the
+    package's LR rule, basis round trips, and absence of non-integral
+    expansions.  Each skew shape's constraints are derived once
+    (``_skew_constraints``), for all mu of its size, and every lattice word
+    of content mu (``_lattice_words``) is still tested against all of them
+    (``_count_fillings``)."""
     started = time.monotonic()
     problems = []
     pairs = checked = 0

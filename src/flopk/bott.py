@@ -20,7 +20,8 @@ v_i - v_j puts v on a wall and kills all cohomology; otherwise exactly
 one degree survives, the number of negative differences (the inversions
 that sorting v would remove), and its dimension is the Weyl dimension of
 the sorted v minus rho, which is the product of the |v_i - v_j| divided
-by the Weyl denominator prod_{k<h} k!.
+by the Weyl denominator prod_{k<h} k!.  The Weyl dimension formula and
+the Gaussian binomial are oracles of the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -90,24 +91,6 @@ def _weyl_denominator(n: int) -> int:
     return prod(map(factorial, range(n)))
 
 
-def _weyl_quotient(num: int, n: int, what) -> int:
-    den = _weyl_denominator(n)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"non-integral Weyl dimension {num}/{den} for {what}")
-    return dim
-
-
-def weyl_dimension(lam: tuple[int, ...]) -> int:
-    """Dimension of the GL irreducible with (weakly dominant) weight lam."""
-    n = len(lam)
-    num = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-    return _weyl_quotient(num, n, lam)
-
-
 def bott_cohomology(w: Weight) -> Optional[BottResult]:
     """Cohomology of the irreducible bundle with weight w; None if it all
     vanishes (the dotted weight hits a wall)."""
@@ -124,7 +107,11 @@ def bott_cohomology(w: Weight) -> Optional[BottResult]:
                 num *= y - x
             else:
                 return None
-    return BottResult(degree, _weyl_quotient(num, h, w))
+    den = _weyl_denominator(h)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"non-integral Weyl dimension {num}/{den} for {w}")
+    return BottResult(degree, dim)
 
 
 def serre_dual_weight(w: Weight) -> Weight:
@@ -175,30 +162,3 @@ def hodge_numbers(box: BoxShape) -> list[list[int]]:
                 table[p][res.degree] += res.dim
     return table
 
-
-def gaussian_binomial(h: int, t: int) -> list[int]:
-    """Coefficients of the Gaussian binomial [h choose t]_q.
-
-    Computed by the q-Pascal recurrence; the list has length t(h-t)+1.
-    """
-    if not 0 <= t <= h:
-        raise ValueError(f"need 0 <= t <= h, got t={t}, h={h}")
-    # table[n][k] as coefficient lists
-    prev = [[1]]
-    for n in range(1, h + 1):
-        cur = []
-        for k in range(n + 1):
-            if k == 0 or k == n:
-                cur.append([1])
-                continue
-            left = prev[k - 1]  # [n-1 choose k-1]
-            right = prev[k]  # [n-1 choose k], shifted by q^k
-            size = max(len(left), len(right) + k)
-            coeffs = [0] * size
-            for i, c in enumerate(left):
-                coeffs[i] += c
-            for i, c in enumerate(right):
-                coeffs[i + k] += c
-            cur.append(coeffs)
-        prev = cur
-    return prev[t]

@@ -269,7 +269,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         },
         "matrix": [[str(x) for x in row] for row in matrix.entries],
         "snf": list(snf),
-        "index": index if index == "infinite" else int(index),
+        "index": index,
         "line_basis_in_canonical": [[str(x) for x in row] for row in change.entries],
     }
     _emit(args, payload, lambda: [
@@ -389,8 +389,9 @@ def _cmd_springer_fiber(args: argparse.Namespace) -> int:
         (sub, amb), dim = flopgeom.springer_fiber(args.t, args.h, args.i)
     except ValueError as exc:
         raise UsageError(str(exc))
+    (text,) = _decimal([dim], "the dimension")
     payload = {"grassmann": [sub, amb], "dim": dim}
-    _emit(args, payload, lambda: [f"grassmann: G({sub},{amb})", f"dim: {dim}"])
+    _emit(args, payload, lambda: [f"grassmann: G({sub},{amb})", f"dim: {text}"])
     return 0
 
 

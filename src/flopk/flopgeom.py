@@ -4,9 +4,12 @@ Near a point of the zero section, the exceptional locus of the blown-up
 deformation space is a projective 4-space with homogeneous coordinates
 (alpha : x : y : z : w); the correspondence degenerates there to an
 explicit rational map into the dual Grassmannian sitting inside P^5 as
-the Pluecker quadric.  This module evaluates that limit map, the quadric
-form, its indeterminacy locus, the rank-one determinantal model of the
-fiber-product singularities, and the dimensions of Springer fibers.
+the Pluecker quadric.  This module evaluates that limit map, whose zero
+tuple marks the indeterminacy locus, and the quadric form, proves
+symbolically that the map lands on the quadric, and gives the dimensions
+of Springer fibers.  The indeterminacy test and the rank-one
+determinantal model of the fiber-product singularities are oracles of
+the tests (``tests/oracles.py``).
 
 Everything is generic over the scalars: only ring operations are used,
 so any commutative ring works, such as the integers, exact rationals or
@@ -88,35 +91,6 @@ def quadric_value(pt: Sequence):
     """The Pluecker quadric p12 p34 - p13 p24 + p14 p23 evaluated at pt."""
     p12, p13, p14, p23, p24, p34 = pt
     return p12 * p34 - p13 * p24 + p14 * p23
-
-
-def is_indeterminate(pt: Sequence) -> bool:
-    """True iff the limit map sends pt to the zero tuple.
-
-    Equivalent to alpha = 0 and xw - yz = 0.  The all-zero input is not a
-    projective point and is rejected.
-    """
-    alpha, x, y, z, w = pt
-    if all(c == 0 for c in (alpha, x, y, z, w)):
-        raise ValueError("the all-zero tuple is not a projective point")
-    return alpha == 0 and x * w - y * z == 0
-
-
-def determinantal_membership(p8: Sequence) -> bool:
-    """Membership in the rank-<=1 locus of [[x,y,z,w],[-v,t,u,-s]].
-
-    Input order (x, y, z, w, s, t, u, v); true iff all six 2x2 minors
-    vanish.  This is the local model of the fiber-product singularities
-    along the graph of the duality isomorphism.
-    """
-    x, y, z, w, s, t, u, v = p8
-    top = (x, y, z, w)
-    bottom = (-v, t, u, -s)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if top[i] * bottom[j] - top[j] * bottom[i] != 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -122,12 +122,6 @@ class KVector:
             return NotImplemented
         return KVector(self.box, tuple(n * c for c in self.coords))
 
-    def __str__(self):
-        parts = []
-        for p, c in self.as_dict().items():
-            parts.append(f"{c}[S^{p.text()}]")
-        return " + ".join(parts) if parts else "0"
-
 
 # ---------------------------------------------------------------------------
 # Formal tautological class expressions
@@ -383,6 +377,8 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
             raise TypeError(f"line bundle degree must be int, got {arg!r}")
         return _straighten((-arg,) * t, box)
     if kind == "tangent_wedge":
+        if type(arg) is not int:
+            raise TypeError(f"tangent wedge degree must be int, got {arg!r}")
         # Cauchy: wedge^i(sub* (x) quot) splits into Sigma^mu sub* (x)
         # Sigma^mu' quot over the partitions mu of i
         total: dict[int, int] = {}

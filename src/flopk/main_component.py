@@ -30,7 +30,6 @@ from .kgroup import (
     line_bundle,
     line_bundle_class,
     schur_sub,
-    smith_normal_form,
     wedge_tangent,
 )
 from .partitions import BoxShape, enumerate_box
@@ -117,15 +116,9 @@ def main_component_matrix(basis: str = "line") -> IntegerMatrix:
 def image_index(matrix: IntegerMatrix):
     """Index of the column lattice inside the ambient lattice.
 
-    The product of the Smith invariant factors, or the string "infinite"
-    when the matrix is singular (rank-deficient column lattice).
+    The absolute value of the determinant, or the string "infinite" when
+    the matrix is singular (rank-deficient column lattice).
     """
     if matrix.rows != matrix.cols:
         raise ValueError("image index needs a square matrix")
-    invariants = smith_normal_form(matrix)
-    index = 1
-    for d in invariants:
-        if d == 0:
-            return "infinite"
-        index *= d
-    return index
+    return abs(matrix.det()) or "infinite"

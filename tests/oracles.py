@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
+from flopk.acceptance import _count_fillings, _lattice_words, _skew_constraints
 from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
 from flopk.kgroup import IntegerMatrix, KVector, _skew_count
@@ -254,14 +255,91 @@ def sort_bott_cohomology(w):
         return None
     degree = sum(1 for i in range(h) for j in range(i + 1, h) if v[i] < v[j])
     lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
+    return BottResult(degree, weyl_dimension(lam))
+
+
+def weyl_dimension(lam) -> int:
+    """Dimension of the GL irreducible with (weakly dominant) weight lam:
+    the product of lam_i - lam_j + j - i over i < j, divided by the
+    product of j - i, both formed on every call."""
+    n = len(lam)
     num = den = 1
-    for i in range(h):
-        for j in range(i + 1, h):
+    for i in range(n):
+        for j in range(i + 1, n):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     if num % den:
         raise ArithmeticError(f"non-integral Weyl dimension {num}/{den} for {lam}")
-    return BottResult(degree, num // den)
+    return num // den
+
+
+def gaussian_binomial(h: int, t: int) -> list[int]:
+    """Coefficients of the Gaussian binomial [h choose t]_q.
+
+    Computed by the q-Pascal recurrence; the list has length t(h-t)+1.
+    """
+    if not 0 <= t <= h:
+        raise ValueError(f"need 0 <= t <= h, got t={t}, h={h}")
+    # table[n][k] as coefficient lists
+    prev = [[1]]
+    for n in range(1, h + 1):
+        cur = []
+        for k in range(n + 1):
+            if k == 0 or k == n:
+                cur.append([1])
+                continue
+            left = prev[k - 1]  # [n-1 choose k-1]
+            right = prev[k]  # [n-1 choose k], shifted by q^k
+            size = max(len(left), len(right) + k)
+            coeffs = [0] * size
+            for i, c in enumerate(left):
+                coeffs[i] += c
+            for i, c in enumerate(right):
+                coeffs[i + k] += c
+            cur.append(coeffs)
+        prev = cur
+    return prev[t]
+
+
+def is_indeterminate(pt) -> bool:
+    """True iff the limit map of the G(2,4) model sends pt = (alpha : x :
+    y : z : w) to the zero tuple.
+
+    Equivalent to alpha = 0 and xw - yz = 0.  The all-zero input is not a
+    projective point and is rejected.
+    """
+    alpha, x, y, z, w = pt
+    if all(c == 0 for c in (alpha, x, y, z, w)):
+        raise ValueError("the all-zero tuple is not a projective point")
+    return alpha == 0 and x * w - y * z == 0
+
+
+def determinantal_membership(p8) -> bool:
+    """Membership in the rank-<=1 locus of [[x,y,z,w],[-v,t,u,-s]].
+
+    Input order (x, y, z, w, s, t, u, v); true iff all six 2x2 minors
+    vanish.  This is the local model of the fiber-product singularities
+    along the graph of the duality isomorphism.
+    """
+    x, y, z, w, s, t, u, v = p8
+    top = (x, y, z, w)
+    bottom = (-v, t, u, -s)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if top[i] * bottom[j] - top[j] * bottom[i] != 0:
+                return False
+    return True
+
+
+def brute_force_lr(nu, lam, mu) -> int:
+    """Criterion 9's Littlewood-Richardson count for one triple, by the
+    definition: the number of lattice words of content mu that, written
+    into nu/lam in reverse reading order, give a filling whose rows weakly
+    increase and whose columns strictly increase.  Each word is tested
+    against every constraint of nu/lam; no LR rule of the package is used."""
+    if not nu.contains(lam) or nu.size != lam.size + mu.size:
+        return 0
+    return _count_fillings(_skew_constraints(nu, lam), _lattice_words(mu))
 
 
 def _lr_count(nu, lam, mu) -> int:

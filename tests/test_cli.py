@@ -2,13 +2,15 @@ import argparse
 import hashlib
 import json
 import random
+import re
+import shlex
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from flopk import flopgeom
 from flopk.cli import (
     _COMMANDS,
     MAX_BOX,
@@ -24,6 +26,7 @@ from flopk.cli import (
     main,
 )
 from flopk.flopgeom import _MILLER_RABIN_BOUND
+from oracles import is_indeterminate
 
 
 def run_cli(capsys, *argv):
@@ -504,7 +507,7 @@ def test_gamma_indeterminate_matches_flopgeom(capsys):
             continue
         code, payload = run_json(capsys, "gamma", "--point=" + ",".join(map(str, pt)))
         assert code == 0
-        assert payload["indeterminate"] is flopgeom.is_indeterminate(pt)
+        assert payload["indeterminate"] is is_indeterminate(pt)
 
 
 @pytest.mark.parametrize("field", [2, 3, 7])
@@ -529,6 +532,17 @@ def test_springer_fiber(capsys):
     )
     assert code == 0
     assert payload == {"dim": 0, "grassmann": [0, 0]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_oversized_springer_dimension_is_structured_error(capsys, fmt):
+    # t (h - t) with t of 4000 digits and h - t of 4001 has 8001 digits
+    t, h = "9" * 4000, "9" * 4001
+    code, out = run_cli(capsys, "springer-fiber", "--t", t, "--h", h, "--i", "0", "--format", fmt)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "SizeLimit", "message": f"the dimension has more than {MAX_DIGITS} digits"}
+    }
 
 
 def test_weyl_word(capsys):
@@ -704,3 +718,35 @@ def test_seed_is_a_verify_all_option_only(capsys):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
     assert "unrecognized arguments: --seed 1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# The README's command block
+# ---------------------------------------------------------------------------
+
+def _readme_commands():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("flopk ")]
+
+
+def test_readme_command_block_covers_every_command():
+    lines = _readme_commands()
+    assert len(lines) == 15
+    assert {shlex.split(line)[1] for line in lines} == set(_COMMANDS)
+    claimed = [line.split()[1] for line in lines if re.search(r"# \{|diagonal \(|word \[", line)]
+    assert claimed == ["check-iso", "bott", "hodge", "weyl-word"]
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split("#")[0].strip())
+def test_readme_command_runs_as_documented(capsys, line):
+    command, _, comment = line.partition("#")
+    code, out = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    comment = comment.strip()
+    if comment.startswith("{"):
+        assert out.strip() == comment
+    if match := re.search(r"diagonal \(([\d,]+)\)", comment):
+        assert json.loads(out)["diagonal"] == json.loads(f"[{match[1]}]")
+    if match := re.search(r"word (\[[\d,]+\])", comment):
+        assert json.loads(out)["word"] == json.loads(match[1])

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from flopk.bott import BottResult, Weight, bott_cohomology, weyl_dimension
+from flopk.bott import BottResult, Weight, bott_cohomology
 from flopk.chow import SchubertVector, chern_character, dual_chern_character
 from flopk.kgroup import (
     IntegerMatrix,
@@ -24,7 +24,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, enumerate_box
 
-from oracles import ch_expand
+from oracles import ch_expand, weyl_dimension
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3)])

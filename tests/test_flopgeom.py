@@ -6,14 +6,13 @@ import pytest
 from flopk.flopgeom import (
     _MILLER_RABIN_BOUND,
     _is_prime,
-    determinantal_membership,
-    is_indeterminate,
     pluecker_limit_map,
     prime_modulus,
     quadric_value,
     quadric_vanishes_identically,
     springer_fiber,
 )
+from oracles import determinantal_membership, is_indeterminate
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,13 @@ def test_line_bundle_rejects_non_int_degree(bad):
         expand_in_basis(line_bundle(bad), G24)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "1"], ids=repr)
+def test_tangent_wedge_rejects_non_int_degree(bad):
+    # True would count as 1 and expand to the class of the tangent bundle
+    with pytest.raises(TypeError, match="tangent wedge degree must be int"):
+        expand_in_basis(wedge_tangent(bad), G24)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_pieri_twist_is_line_bundle(shape):
     # D^-1 T D applied to [O] is [O(1)], expanded on the character route

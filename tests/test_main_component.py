@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 
 from flopk.kgroup import IntegerMatrix, KVector, flop_matrix, line_bundle_class, smith_normal_form
@@ -111,6 +114,17 @@ def test_image_index_edge_cases():
     assert image_index(IntegerMatrix([[1, 0], [0, 0]])) == "infinite"
     with pytest.raises(ValueError):
         image_index(IntegerMatrix([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_image_index_is_product_of_invariant_factors():
+    # the index comes from the determinant; the Smith form must agree
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = IntegerMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        snf = smith_normal_form(m)
+        want = "infinite" if 0 in snf else prod(snf)
+        assert image_index(m) == want, m
 
 
 def test_unknown_basis_rejected():

@@ -69,3 +69,19 @@ def test_package_root_holds_only_modules():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(flopk.__file__).parent.parent))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_test_only_oracles_stay_out_of_the_package():
+    # these live in tests/oracles.py, or are gone; no package code calls them
+    from flopk import acceptance, bott, flopgeom, kgroup
+
+    moved = {
+        bott: ("weyl_dimension", "gaussian_binomial"),
+        flopgeom: ("is_indeterminate", "determinantal_membership"),
+        acceptance: ("_brute_force_lr",),
+    }
+    back = [
+        f"{m.__name__}.{name}" for m, names in moved.items() for name in names if hasattr(m, name)
+    ]
+    assert back == []
+    assert "__str__" not in vars(kgroup.KVector)
