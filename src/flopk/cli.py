@@ -42,11 +42,10 @@ def _emit(args: argparse.Namespace, payload: dict, table_lines: Callable[[], lis
             print(line)
 
 
-# Largest K-rank C(h,t) a flop command accepts, that of G(6,12).  The
-# matrix F = U^c . Pi and its certificate F . F = I are c sparse passes
-# of the O(1) twist over each column, so the work grows with c times the
-# nonzeros of F, and printing grows with the n^2 entries: G(6,12) takes
-# about a second in one process, a third of it the JSON.
+# Largest K-rank C(h,t) a flop command accepts, that of G(6,12).  check-iso
+# and snf check that G = U . Pi is an involution, about n (c+1)^2 products;
+# flop-matrix also builds F = U^c . Pi and prints its n^2 entries.  Cold,
+# G(6,12) takes 0.1 s and 0.5 s, but G(1,h) has c = h - 1 and costs more.
 MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)

@@ -43,8 +43,8 @@ s_mu, mu the sorted J minus delta, a partition in the box
   complement and U multiplication by O(1) = (x_1 ... x_t)^-1
   (``schur_twist``): column lam is s_{lam - 1^t} straightened, at most
   c + 1 terms, and no Littlewood-Richardson coefficient enters.
-  ``flop_certificate`` proves F . F = I by the same sparse route and
-  reads off det and Smith form.
+  ``flop_certificate`` never forms F: it checks that G = U . Pi is an
+  involution and reads det F off tr G and the 2-cycles of Pi.
 
 The Chern character (``TautClass.ch``, which hands the class to
 ``chow.tautological_ch``) is a second, rational route, and the integral
@@ -588,7 +588,7 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
       sum_{k<h} (-1)^k C(h, k+1) x^k (a hockey-stick sum), leaves
       {0, ..., h-1}, and exactly c + 1 values of k survive the wedge.
 
-    This is the package's only twist by O(1): the flop matrix applies it.
+    The only twist by O(1): the flop matrix and its certificate use it.
     """
     t = box.rows
     return tuple(
@@ -643,25 +643,26 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
 
 
 def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
-    """Determinant and Smith form of the flop matrix, proven by F . F = I.
+    """Determinant and Smith form of F = U^c . Pi from U and Pi alone.
 
-    U^c . Pi is applied to every column of F (``flop_matrix``), and each
-    must come back as the unit vector; otherwise ArithmeticError.  An
-    integer involution has determinant +-1, hence Smith form (1, ..., 1),
-    and its eigenvalues are +-1, so det F = (-1)^((n - tr F) / 2).  No
-    elimination is run; Bareiss ``IntegerMatrix.det`` and
-    ``smith_normal_form`` remain independent routes to the same numbers.
+    G = U . Pi (column j is U's column at Pi(j)) must have G . G e_j = e_j
+    for every j, else ArithmeticError; then Pi . U . Pi = U^-1, so F . F =
+    U^c . (Pi . U . Pi)^c = I.  An integer involution A has det A =
+    (-1)^((n - tr A) / 2), and det Pi is -1 to the number of 2-cycles, so
+    det U = det G . det Pi is computed, not assumed, and det F = (det G .
+    det Pi)^c . det Pi = +-1: Smith form (1, ..., 1).  Bareiss
+    ``IntegerMatrix.det`` and ``smith_normal_form`` are independent routes.
     """
-    f = flop_matrix(box)
     twist = schur_twist(box)
     complement = _complement_indices(box)
-    for j, column in enumerate(zip(*f.entries)):
-        v = {complement[i]: x for i, x in enumerate(column) if x}
-        if _twist_power(v, twist, box.cols) != {j: 1}:
+    trace = 0
+    for j, beta in enumerate(complement):
+        trace += dict(twist[beta]).get(j, 0)
+        if _twist_power({complement[i]: x for i, x in twist[beta]}, twist, 1) != {j: 1}:
             raise ArithmeticError(
                 f"flop matrix of {box} is not an involution at column "
                 f"{enumerate_box(box)[j].text()}"
             )
-    n = box.rank
-    minus_ones = (n - sum(f.entries[i][i] for i in range(n))) // 2
-    return (-1) ** minus_ones, (1,) * n
+    det_pi = (-1) ** (sum(i != beta for i, beta in enumerate(complement)) // 2)
+    det_g = (-1) ** ((box.rank - trace) // 2)
+    return (det_g * det_pi) ** box.cols * det_pi, (1,) * box.rank

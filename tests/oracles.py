@@ -7,7 +7,14 @@ from math import comb
 from flopk.acceptance import _count_fillings, _lattice_words, _skew_constraints
 from flopk.bott import BottResult
 from flopk.chow import ch_matrix_inverse
-from flopk.kgroup import IntegerMatrix, KVector, _skew_count
+from flopk.kgroup import (
+    IntegerMatrix,
+    KVector,
+    _complement_indices,
+    _skew_count,
+    _twist_power,
+    schur_twist,
+)
 from flopk.partitions import Partition, enumerate_box, lr_coefficients, partitions_of
 
 
@@ -130,6 +137,30 @@ def dense_flop_matrix(box) -> IntegerMatrix:
     for _ in range(box.cols):
         m = twist @ m
     return d_inv @ m
+
+
+def involution_certificate(matrix, box) -> tuple[int, tuple[int, ...]]:
+    """Determinant and Smith form of a given flop matrix F, proven by
+    F . F = I.
+
+    U^c . Pi (``schur_twist`` and the box complement) is applied to every
+    column of F, and each must come back as the unit vector; otherwise
+    ArithmeticError.  An integer involution has determinant +-1, hence
+    Smith form (1, ..., 1), and its eigenvalues are +-1, so det F =
+    (-1)^((n - tr F) / 2).
+    """
+    twist = schur_twist(box)
+    complement = _complement_indices(box)
+    for j, column in enumerate(zip(*matrix.entries)):
+        v = {complement[i]: x for i, x in enumerate(column) if x}
+        if _twist_power(v, twist, box.cols) != {j: 1}:
+            raise ArithmeticError(
+                f"flop matrix of {box} is not an involution at column "
+                f"{enumerate_box(box)[j].text()}"
+            )
+    n = box.rank
+    minus_ones = (n - sum(matrix.entries[i][i] for i in range(n))) // 2
+    return (-1) ** minus_ones, (1,) * n
 
 
 @cache

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from flopk import kgroup
 from flopk.cli import (
     _COMMANDS,
     MAX_BOX,
@@ -59,6 +60,24 @@ def test_check_iso(capsys):
     assert code == 0
     assert payload["isomorphism"] is True
     assert payload["det"] in ("1", "-1")
+
+
+@pytest.mark.parametrize("argv, json_out, table_out", [
+    ("check-iso --t 2 --h 5", '{"det":"1","isomorphism":true}', "det: 1\nisomorphism: True"),
+    ("check-iso --t 3 --h 6", '{"det":"1","isomorphism":true}', "det: 1\nisomorphism: True"),
+    ("snf --t 2 --h 5", '{"box":[2,3],"snf":[' + ",".join(['"1"'] * 10) + "]}", "snf:" + " 1" * 10),
+    ("snf --t 3 --h 6", '{"box":[3,3],"snf":[' + ",".join(['"1"'] * 20) + "]}", "snf:" + " 1" * 20),
+], ids=["check-iso-G(2,5)", "check-iso-G(3,6)", "snf-G(2,5)", "snf-G(3,6)"])
+def test_certificate_commands_never_build_the_flop_matrix(monkeypatch, capsys, argv, json_out,
+                                                         table_out):
+    # check-iso and snf --t --h certify from the twist and the complement
+    # alone; G(2,5) has odd c = 3
+    def forbidden(box):
+        raise AssertionError("flop matrix built")
+
+    monkeypatch.setattr(kgroup, "flop_matrix", forbidden)
+    assert run_cli(capsys, *argv.split()) == (0, json_out + "\n")
+    assert run_cli(capsys, *argv.split(), "--format", "table") == (0, table_out + "\n")
 
 
 def test_flop_matrix_schema_and_round_trip(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,7 +26,14 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
 
-from oracles import binomial_change, ch_expand, dense_flop_matrix, pieri_twist, rational_det
+from oracles import (
+    binomial_change,
+    ch_expand,
+    dense_flop_matrix,
+    involution_certificate,
+    pieri_twist,
+    rational_det,
+)
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
 P2 = BoxShape.for_grassmannian(1, 3)   # box(1,2)
@@ -413,13 +421,39 @@ def test_certificate_rejects_perturbed_twist(monkeypatch):
         flop_certificate(box)
 
 
-def test_certificate_rejects_perturbed_matrix(monkeypatch):
+def test_certificate_rejects_perturbed_matrix():
+    # flop_certificate never reads F, so the F . F = I oracle is the check
+    # that catches a wrong entry of F
     box = BoxShape(2, 3)
     rows = [list(row) for row in flop_matrix(box).entries]
     rows[3][4] += 1
-    monkeypatch.setattr(kgroup, "flop_matrix", lambda b: IntegerMatrix(rows))
     with pytest.raises(ArithmeticError, match="not an involution"):
-        flop_certificate(box)
+        involution_certificate(IntegerMatrix(rows), box)
+
+
+@pytest.mark.parametrize("box", FLOP_BOXES + [BoxShape.for_grassmannian(6, 12)], ids=str)
+def test_certificate_matches_involution_oracle(box):
+    # U . Pi as an involution, against U^c . Pi applied to every column of F
+    assert flop_certificate(box) == involution_certificate(flop_matrix(box), box)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [BoxShape.for_grassmannian(t, h) for h in range(2, 12) for t in range(1, h) if comb(h, t) <= 130],
+    ids=str,
+)
+def test_twist_determinant_is_one(box):
+    # det U = 1 by Bareiss, odd c included, and as the certificate reads
+    # it: det G . det Pi, with det G = (-1)^((n - tr G) / 2) for the
+    # involution G = U . Pi, whose Bareiss det agrees
+    n = box.rank
+    twist = schur_twist(box)
+    complement = kgroup._complement_indices(box)
+    trace = sum(u for j, beta in enumerate(complement) for i, u in twist[beta] if i == j)
+    det_g = (-1) ** ((n - trace) // 2)
+    assert _dense(twist, n).det() == 1
+    assert _dense([twist[beta] for beta in complement], n).det() == det_g
+    assert det_g * _complement_sign(box) == 1
 
 
 @pytest.mark.parametrize("box", CERTIFICATE_BOXES, ids=str)
