@@ -11,18 +11,20 @@ Exit status: 0 for success and true verdicts, 1 when a computation
 reaches a failing verdict or a structured error (wall point, a request
 above a size limit), 2 for usage errors.
 
-Only the invoked subcommand's parser is built: argparse set-up for all
-thirteen commands took longer than a small flop certificate.  An
-unknown first argument (``--help``, none, a typo) builds them all, and
-help text and error messages are the same either way.
+A command followed by its value options, each spelled in full as
+``--name value`` or ``--name=value`` (an int in ASCII digits, a separate
+value non-empty and not starting with "-"), is parsed without argparse,
+whose set-up took longer than a small flop certificate.  Anything else
+(help, flags, abbreviations, errors) goes to argparse, the one source of
+help, usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from . import acceptance, bott, flopgeom, kgroup, main_component, weyl
@@ -33,7 +35,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args: argparse.Namespace, payload: dict, table_lines: Callable[[], list[str]]) -> None:
+def _emit(args, payload: dict, table_lines: Callable[[], list[str]]) -> None:
     """Print ``payload`` as JSON, or under --format table the lines ``table_lines()`` builds."""
     if args.fmt == "json":
         print(canonical_json(payload))
@@ -84,7 +86,7 @@ MAX_WEIGHT_TEXT = 600
 MAX_MATRIX_TEXT = 8000
 
 
-def _box(args: argparse.Namespace, flop: bool = False) -> BoxShape:
+def _box(args, flop: bool = False) -> BoxShape:
     if args.t is None or args.h is None:
         raise UsageError("--t and --h are required")
     if flop and 2 * args.t > args.h:
@@ -194,7 +196,7 @@ def _matrix_table(payload: dict) -> list[str]:
 # Subcommand implementations; each returns the exit status
 # ---------------------------------------------------------------------------
 
-def _cmd_kbasis(args: argparse.Namespace) -> int:
+def _cmd_kbasis(args) -> int:
     box = _box(args)
     basis = enumerate_box(box)
     payload = {
@@ -206,14 +208,14 @@ def _cmd_kbasis(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_flop_matrix(args: argparse.Namespace) -> int:
+def _cmd_flop_matrix(args) -> int:
     box = _box(args, flop=True)
     payload = _flop_payload(box)
     _emit(args, payload, lambda: _matrix_table(payload))
     return 0
 
 
-def _cmd_check_iso(args: argparse.Namespace) -> int:
+def _cmd_check_iso(args) -> int:
     box = _box(args, flop=True)
     det, _ = kgroup.flop_certificate(box)
     iso = det in (1, -1)
@@ -222,7 +224,7 @@ def _cmd_check_iso(args: argparse.Namespace) -> int:
     return 0 if iso else 1
 
 
-def _cmd_snf(args: argparse.Namespace) -> int:
+def _cmd_snf(args) -> int:
     if args.matrix is not None:
         if args.t is not None or args.h is not None:
             raise UsageError("give --matrix, or --t and --h, not both")
@@ -246,7 +248,7 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
+def _cmd_counterexample(args) -> int:
     matrix = main_component.main_component_matrix(args.basis)
     snf = kgroup.smith_normal_form(matrix)
     index = main_component.image_index(matrix)
@@ -280,7 +282,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bott(args: argparse.Namespace) -> int:
+def _cmd_bott(args) -> int:
     if args.weight is None:
         raise UsageError("--weight is required, e.g. \"-2,-2|0,0\"")
     _check_digits(args.weight, "an entry of the weight")
@@ -309,7 +311,7 @@ def _cmd_bott(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hodge(args: argparse.Namespace) -> int:
+def _cmd_hodge(args) -> int:
     box = _box(args)
     if box.dim > MAX_BOX.dim:
         raise SizeLimit(
@@ -346,7 +348,7 @@ def _reduce(x: int, field: Optional[int]) -> int:
     return x if field is None else x % field
 
 
-def _cmd_gamma(args: argparse.Namespace) -> int:
+def _cmd_gamma(args) -> int:
     if args.point is None:
         raise UsageError("--point a,x,y,z,w is required")
     try:
@@ -367,7 +369,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_quadric(args: argparse.Namespace) -> int:
+def _cmd_quadric(args) -> int:
     if args.point is None:
         raise UsageError("--point p12,p13,p14,p23,p24,p34 is required")
     try:
@@ -381,7 +383,7 @@ def _cmd_quadric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_springer_fiber(args: argparse.Namespace) -> int:
+def _cmd_springer_fiber(args) -> int:
     if args.t is None or args.h is None or args.i is None:
         raise UsageError("--t, --h and --i are required")
     try:
@@ -394,7 +396,7 @@ def _cmd_springer_fiber(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_weyl_word(args: argparse.Namespace) -> int:
+def _cmd_weyl_word(args) -> int:
     if args.h is None or args.h < 2:
         raise UsageError("--h >= 2 is required")
     if args.h > MAX_WEYL_H:
@@ -413,7 +415,7 @@ def _cmd_weyl_word(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chamber_sort(args: argparse.Namespace) -> int:
+def _cmd_chamber_sort(args) -> int:
     if args.vector is None:
         raise UsageError("--vector v1,v2,... is required")
     _check_digits(args.vector, "an entry of the vector")
@@ -436,7 +438,7 @@ def _cmd_chamber_sort(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> int:
+def _cmd_verify_all(args) -> int:
     results = acceptance.run_all(seed=args.seed)
     all_pass = all(r.passed for r in results)
     payload = {
@@ -459,8 +461,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-# name -> (handler, help text, option groups); _build_parser turns each
-# option group into its arguments.
+# name -> (handler, help text, option groups besides "format")
 _COMMANDS = {
     "kbasis": (_cmd_kbasis, "basis of the Grothendieck lattice", ("t", "h")),
     "flop-matrix": (_cmd_flop_matrix, "matrix of the flop correspondence", ("t", "h")),
@@ -481,9 +482,36 @@ _COMMANDS = {
     "verify-all": (_cmd_verify_all, "run the acceptance criteria", ("seed",)),
 }
 
+# option group -> its options as (flag, dest, kind, default, help), in the
+# order help lists them; kind is int, str (text), a tuple of choices, or a
+# flag's constant.  _build_parser and _fast_parse both read this table.
+_OPTIONS = {
+    "t": (("--t", "t", int, None, None),),
+    "h": (("--h", "h", int, None, None),),
+    "i": (("--i", "i", int, None, None),),
+    "weight": (("--weight", "weight", str, None, 'block weight, e.g. "-2,-2|0,0"'),),
+    "vector": (("--vector", "vector", str, None, "comma-separated rationals"),),
+    "point": (("--point", "point", str, None, "comma-separated integers"),
+              ("--field", "field", int, None, "prime order; omit for exact integers")),
+    "matrix": (("--matrix", "matrix", str, None, "JSON array of integer rows"),),
+    "basis": (
+        ("--line-basis", "basis", "line", "line",
+         "present in the ([O(1)], [O], [O(-1)]) basis (default)"),
+        ("--canonical-basis", "basis", "canonical", "line", "present in the Schur-power basis"),
+    ),
+    "format": (("--format", "fmt", ("json", "table"), "json", None),),
+    "seed": (("--seed", "seed", int, 0, None),),
+}
 
-def run(args: argparse.Namespace) -> int:
-    """Dispatch parsed arguments; returns the process exit status."""
+
+def _options(command: str) -> list[tuple]:
+    """The option rows of ``command``, in the order help lists them."""
+    groups = _COMMANDS[command][2] + ("format",)
+    return [row for group, rows in _OPTIONS.items() if group in groups for row in rows]
+
+
+def run(args) -> int:
+    """Dispatch a namespace of parsed options; returns the exit status."""
     try:
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
@@ -494,57 +522,58 @@ def run(args: argparse.Namespace) -> int:
         return 1
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
+def _build_parser():
+    """The argparse parser of every command: all help, usage and error text."""
+    import argparse
 
-    Both parse ``command``'s argv alike: the one-command parser still
-    lists every command in its usage line, which its errors print.
-    """
     parser = argparse.ArgumentParser(
         prog="flopk",
         description="Exact K-theory and Schubert calculus for Grassmannian flops.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        _, help_text, flags = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, groups) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if "t" in flags:
-            p.add_argument("--t", type=int)
-        if "h" in flags:
-            p.add_argument("--h", type=int)
-        if "i" in flags:
-            p.add_argument("--i", type=int)
-        if "weight" in flags:
-            p.add_argument("--weight", help='block weight, e.g. "-2,-2|0,0"')
-        if "vector" in flags:
-            p.add_argument("--vector", help="comma-separated rationals")
-        if "point" in flags:
-            p.add_argument("--point", help="comma-separated integers")
-            p.add_argument("--field", type=int, help="prime order; omit for exact integers")
-        if "matrix" in flags:
-            p.add_argument("--matrix", help="JSON array of integer rows")
-        if "basis" in flags:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument(
-                "--line-basis", dest="basis", action="store_const",
-                const="line", default="line",
-                help="present in the ([O(1)], [O], [O(-1)]) basis (default)",
-            )
-            group.add_argument(
-                "--canonical-basis", dest="basis", action="store_const",
-                const="canonical", help="present in the Schur-power basis",
-            )
-        p.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
-        if "seed" in flags:
-            p.add_argument("--seed", type=int, default=0)
+        flags = p.add_mutually_exclusive_group() if "basis" in groups else p
+        for flag, dest, kind, default, text in _options(name):
+            if isinstance(kind, str):
+                flags.add_argument(flag, dest=dest, action="store_const", const=kind,
+                                   default=default, help=text)
+            else:
+                p.add_argument(flag, dest=dest, type=int if kind is int else None,
+                               choices=kind if isinstance(kind, tuple) else None,
+                               default=default, help=text)
     return parser
+
+
+def _fast_parse(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What ``_build_parser().parse_args(argv)`` returns, or None to leave
+    ``argv`` to argparse (the rule is in the module docstring)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = _options(argv[0])
+    args = {"command": argv[0], **{dest: default for _, dest, _, default, _ in rows}}
+    kinds = {flag: (dest, kind) for flag, dest, kind, _, _ in rows}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq and (value := next(tokens, ""))[:1] in ("", "-"):
+            return None
+        dest, kind = kinds.get(flag, (None, None))
+        if kind is int and value.isascii() and value.isdigit():
+            try:
+                value = int(value)
+            except ValueError:  # over the interpreter's int digit limit
+                return None
+        # argparse turns a "--" value into an empty list
+        elif not (kind is str and value != "--" or isinstance(kind, tuple) and value in kind):
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    return run(_build_parser(command).parse_args(argv))
+    return run(_fast_parse(argv) or _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

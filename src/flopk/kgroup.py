@@ -238,17 +238,24 @@ def _exponent_index(box: BoxShape) -> dict[tuple[int, ...], int]:
     }
 
 
+def _binomial(n: int, k: int) -> int:
+    """C(n, k) for k >= 0 and any integer n: (-1)^k C(k - n - 1, k) for n < 0."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+
+
 @cache
 def _column(e: int, h: int) -> tuple[tuple[int, int], ...]:
-    """The (j, a) with x^e = sum a x^j, j < h, modulo (x - 1)^h: the
-    remainder sum_{k<h} C(e, k) (x - 1)^k expanded in powers of x, with
-    the generalized binomial C(e, k) = (-1)^k C(k - e - 1, k) for e < 0."""
+    """The (j, a) with x^e = sum a x^j, j < h, modulo (x - 1)^h.
+
+    The remainder is sum_{k<h} C(e, k) (x - 1)^k; its x^j coefficient is
+    C(e, j) sum_{m<h-j} (-1)^m C(e - j, m) = (-1)^(h-1-j) C(e, j)
+    C(e - j - 1, h - 1 - j), with generalized binomials for negative n.
+    """
     if 0 <= e < h:
         return ((e, 1),)
-    binomial = [comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k) for k in range(h)]
     column = []
     for j in range(h):
-        a = sum(binomial[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, h))
+        a = (-1) ** (h - 1 - j) * _binomial(e, j) * _binomial(e - j - 1, h - 1 - j)
         if a:
             column.append((j, a))
     return tuple(column)
@@ -585,8 +592,9 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     * lam_t >= 1: the single pair for lam - 1^t;
     * lam_t = 0: only the last column of the alternant, x^-1 =
-      sum_{k<h} (-1)^k C(h, k+1) x^k (a hockey-stick sum), leaves
-      {0, ..., h-1}, and exactly c + 1 values of k survive the wedge.
+      sum_{k<h} (-1)^k C(h, k+1) x^k (``_column``'s closed form at
+      e = -1), leaves {0, ..., h-1}, and exactly c + 1 values of k
+      survive the wedge.
 
     The only twist by O(1): the flop matrix and its certificate use it.
     """

@@ -163,6 +163,20 @@ def involution_certificate(matrix, box) -> tuple[int, tuple[int, ...]]:
     return (-1) ** minus_ones, (1,) * n
 
 
+def column_by_double_sum(e: int, h: int) -> tuple[tuple[int, int], ...]:
+    """``kgroup._column`` by expanding the remainder sum_{k<h} C(e, k)
+    (x - 1)^k term by term: about h^2 / 2 products of big integers."""
+    if 0 <= e < h:
+        return ((e, 1),)
+    binomial = [comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k) for k in range(h)]
+    column = []
+    for j in range(h):
+        a = sum(binomial[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, h))
+        if a:
+            column.append((j, a))
+    return tuple(column)
+
+
 @cache
 def _z_table(box) -> dict:
     """Structure constants of the s_mu(z): (i, j) -> [(k, c)] with

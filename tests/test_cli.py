@@ -1,9 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import time
 from math import comb
@@ -11,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from flopk import kgroup
+from flopk import cli, kgroup
 from flopk.cli import (
     _COMMANDS,
+    _OPTIONS,
     MAX_BOX,
     MAX_DIGITS,
     MAX_FLOP_RANK,
@@ -23,8 +26,11 @@ from flopk.cli import (
     MAX_WEYL_H,
     _box,
     _build_parser,
+    _fast_parse,
+    _options,
     canonical_json,
     main,
+    run,
 )
 from flopk.flopgeom import _MILLER_RABIN_BOUND
 from oracles import is_indeterminate
@@ -697,22 +703,32 @@ def test_verify_all_table(capsys):
 
 
 # ---------------------------------------------------------------------------
-# The one-command parser main builds for a known command
+# Command lines the fast path leaves to argparse
 # ---------------------------------------------------------------------------
 
-def parse_exit(capsys, parser, argv):
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
+def outcome(capsys, call):
+    """Exit status, stdout and stderr of ``call()``, which may exit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
+    return code, captured.out, captured.err
+
+
+def left_to_argparse(capsys, argv):
+    """main's outcome on ``argv``, checked to be the full parser's."""
+    assert _fast_parse(argv) is None
+    got = outcome(capsys, lambda: main(argv))
+    assert got == outcome(capsys, lambda: run(_build_parser().parse_args(argv)))
+    return got
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_one_command_parser_matches_full_parser(capsys, command):
-    lazy, full = _build_parser(command), _build_parser()
-    assert lazy.format_usage() == full.format_usage()
+    # main on one command's help or a bogus option prints what the full parser prints
     for argv in ([command, "--help"], [command, "--bogus"]):
-        assert parse_exit(capsys, lazy, argv) == parse_exit(capsys, full, argv)
+        assert left_to_argparse(capsys, argv)[0] == (0 if argv[1] == "--help" else 2)
 
 
 @pytest.mark.parametrize(
@@ -721,17 +737,25 @@ def test_one_command_parser_matches_full_parser(capsys, command):
         ("kbasis", "--t", "2", "--h", "4", "--bogus"),
         ("flop-matrix", "--t", "x", "--h", "3"),
         ("counterexample", "--line-basis", "--canonical-basis"),
+        pytest.param(("--help",), id="--help"),
+        pytest.param((), id="no-command"),
+        pytest.param(("check-iso", "--t=-1", "--h", "4"), id="check-iso --t=-1"),
+        pytest.param(("kbasis", "--t", "2", "--h", "4", "--form", "table"), id="kbasis --form"),
+        pytest.param(("counterexample", "--canonical-basis"), id="counterexample flag"),
+        pytest.param(("weyl-word", "--h", "5", "--h"), id="weyl-word odd token"),
+        pytest.param(("gamma", "--point", "-1,1,2,3,4"), id="gamma negative value"),
+        pytest.param(("hodge", "--t", "+2", "--h", "4"), id="hodge signed int"),
     ],
     ids=lambda a: a[0],
 )
 def test_one_command_parser_errors_match_full_parser(capsys, argv):
-    lazy = parse_exit(capsys, _build_parser(argv[0]), list(argv))
-    assert lazy == parse_exit(capsys, _build_parser(), list(argv))
-    assert lazy[0] == 2 and lazy[2].startswith("usage: flopk ")
+    code, out, err = left_to_argparse(capsys, list(argv))
+    # argparse prints help and results on stdout, usage errors on stderr
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
 
 
 def test_seed_is_a_verify_all_option_only(capsys):
-    assert _build_parser("verify-all").parse_args(["verify-all", "--seed", "1"]).seed == 1
+    assert _build_parser().parse_args(["verify-all", "--seed", "1"]).seed == 1
     with pytest.raises(SystemExit) as exc:
         main(["flop-matrix", "--t", "2", "--h", "4", "--seed", "1"])
     captured = capsys.readouterr()
@@ -769,3 +793,93 @@ def test_readme_command_runs_as_documented(capsys, line):
         assert json.loads(out)["diagonal"] == json.loads(f"[{match[1]}]")
     if match := re.search(r"word (\[[\d,]+\])", comment):
         assert json.loads(out)["word"] == json.loads(match[1])
+
+
+# ---------------------------------------------------------------------------
+# The fast path: argparse's answer on the command lines it accepts
+# ---------------------------------------------------------------------------
+
+def _fuzz_argv(rng, options):
+    """A command line drawn from the commands, options and values of every
+    command, with = forms, abbreviations, flags and malformed values."""
+    ints = ["0", "2", "4", "007", "9" * 4300, "-1", "+3", " 5", "1_0", "\u0663", "", "x",
+            "9" * 4301, "2.0"]
+    texts = ["-2,-2|0,0", "0,0|0", "1,3,2,4", "1,1,2,3,4", "[[2,0],[0,3]]", "a b", "", "-",
+             "--", "=", "1=2", "--t", "json"]
+    formats = ["json", "table", "xml", "JSON", ""]
+    junk = ["-h", "--help", "--form", "--fo", "--we", "--bogus", "--", "-t", "x", "--t=", "="]
+    command = rng.choice(list(_COMMANDS) * 6 + ["--help", "bogus", "", "kbasi"])
+    argv = [command]
+    for _ in range(rng.randint(0, 4)):
+        own = options.get(command, [])
+        flag, kind = rng.choice(own if own and rng.random() < 0.8 else options["*"])
+        good = (ints[:4] if kind is int else texts[:5] if kind is str
+                else formats[:2] if isinstance(kind, tuple) else [""])
+        value = rng.choice(good if rng.random() < 0.7 else ints + texts + formats)
+        form = rng.random()
+        if form < 0.45:
+            argv += [flag, value]
+        elif form < 0.9:
+            argv.append(f"{flag}={value}")
+        else:
+            argv.append(rng.choice(junk + [flag]))
+    return argv
+
+
+def test_fast_parse_agrees_with_argparse():
+    parser = _build_parser()
+    options = {name: [(row[0], row[2]) for row in _options(name)] for name in _COMMANDS}
+    options["*"] = sorted({option for rows in options.values() for option in rows}, key=str)
+    rng = random.Random(18)
+    accepted = 0
+    for _ in range(20000):
+        argv = _fuzz_argv(rng, options)
+        fast = _fast_parse(argv)
+        if fast is None:
+            continue
+        accepted += 1
+        try:
+            want = vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"fast path accepted what argparse refuses: {argv}")
+        assert vars(fast) == want, argv
+    assert accepted >= 3000
+
+
+def _benchmark_and_readme_commands():
+    # the flop ladder G(1,2) ... G(3,7), verify-all as the benchmark seeds
+    # it, and every README command line that sets no flag
+    flags = {row[0] for rows in _OPTIONS.values() for row in rows if isinstance(row[2], str)}
+    ladder = [
+        ("flop-matrix", "--t", str(t), "--h", str(h))
+        for h in range(2, 8) for t in range(1, h // 2 + 1)
+    ]
+    seeds = [("verify-all", "--seed", s) for s in ("0", "1", "999999")]
+    readme = [tuple(shlex.split(line.partition("#")[0])[1:]) for line in _readme_commands()]
+    return list(dict.fromkeys(ladder + seeds + [argv for argv in readme if not flags & set(argv)]))
+
+
+@pytest.mark.parametrize("argv", _benchmark_and_readme_commands(), ids=" ".join)
+def test_fast_path_answers_without_argparse(monkeypatch, capsys, argv):
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_fast_path_imports_no_argparse():
+    # neither argparse nor the locale lookup of its messages loads on the fast path
+    code = (
+        "import sys, flopk.cli\n"
+        "flopk.cli.main(['check-iso', '--t', '2', '--h', '4'])\n"
+        "sys.exit(sorted({'argparse', 'locale'} & set(sys.modules)) or 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"det":"1","isomorphism":true}\n', ""
+    )

@@ -29,6 +29,7 @@ from flopk.partitions import BoxShape, Partition, enumerate_box
 from oracles import (
     binomial_change,
     ch_expand,
+    column_by_double_sum,
     dense_flop_matrix,
     involution_certificate,
     pieri_twist,
@@ -143,6 +144,16 @@ def _clear_expansion_caches():
     for fn in (kgroup._atom_vector, kgroup._products, kgroup._straighten, kgroup._column,
                schur_twist):
         fn.cache_clear()
+
+
+def test_column_closed_form_matches_double_sum():
+    # every exponent a straightening or a twist meets on boxes with h <= 13
+    for h in range(1, 14):
+        for e in range(-30, 40):
+            assert kgroup._column(e, h) == column_by_double_sum(e, h), (e, h)
+    # x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k, as schur_twist's docstring states
+    h = 924
+    assert kgroup._column(-1, h) == tuple((k, (-1) ** k * comb(h, k + 1)) for k in range(h))
 
 
 def test_expansion_is_integer_only(monkeypatch):
