@@ -21,8 +21,6 @@ point anywhere:
   (``weyl``).
 
 Every name lives in its module, e.g. ``from flopk.kgroup import
-flop_matrix``.  Importing the package loads the integer modules below;
-``chow`` loads only when asked for.
+flop_matrix``.  Importing the package loads none of them: each caller
+imports the modules it uses, so a process loads only the code it runs.
 """
-
-from . import partitions, kgroup, main_component, bott, flopgeom, weyl

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from operator import ge, lt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bott, flopgeom, kgroup, main_component, weyl
 from .partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

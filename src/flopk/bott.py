@@ -26,16 +26,14 @@ the Gaussian binomial are oracles of the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from .partitions import BoxShape, partitions_of
+from .partitions import BoxShape, Record, partitions_of
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Highest weight of a homogeneous bundle, one block per factor.
 
     ``a`` has length t (subbundle-dual block), ``b`` length h-t
@@ -43,17 +41,18 @@ class Weight:
     each block.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not self.a or not self.b:
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not a or not b:
             raise ValueError("both blocks must be non-empty")
-        entries = self.a + self.b
+        entries = a + b
         if set(map(type, entries)) != {int}:
             bad = next(x for x in entries if type(x) is not int)
             raise TypeError(f"weight entries must be int, got {bad!r}")
-        for block in (self.a, self.b):
+        for block in (a, b):
             if list(block) != sorted(block, reverse=True):
                 raise ValueError(f"block {block} is not non-increasing")
 

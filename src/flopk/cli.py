@@ -17,6 +17,10 @@ value non-empty and not starting with "-"), is parsed without argparse,
 whose set-up took longer than a small flop certificate.  Anything else
 (help, flags, abbreviations, errors) goes to argparse, the one source of
 help, usage and error text.
+
+Imports follow the same rule: this module loads only ``kgroup`` and
+``partitions``, which the box and flop commands run; every other handler
+imports its own module in its first line.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from . import acceptance, bott, flopgeom, kgroup, main_component, weyl
+from . import kgroup
 from .partitions import BoxShape, enumerate_box
 
 
@@ -249,6 +253,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import main_component
     matrix = main_component.main_component_matrix(args.basis)
     snf = kgroup.smith_normal_form(matrix)
     index = main_component.image_index(matrix)
@@ -283,6 +288,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_bott(args) -> int:
+    from . import bott
     if args.weight is None:
         raise UsageError("--weight is required, e.g. \"-2,-2|0,0\"")
     _check_digits(args.weight, "an entry of the weight")
@@ -312,6 +318,7 @@ def _cmd_bott(args) -> int:
 
 
 def _cmd_hodge(args) -> int:
+    from . import bott
     box = _box(args)
     if box.dim > MAX_BOX.dim:
         raise SizeLimit(
@@ -332,6 +339,7 @@ def _cmd_hodge(args) -> int:
 
 def _parse_scalars(text: str, field: Optional[int], expect: int) -> list[int]:
     """The comma-separated integers of ``text``, reduced mod ``field`` if given."""
+    from . import flopgeom
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != expect:
         raise UsageError(f"expected {expect} comma-separated values, got {len(parts)}")
@@ -349,6 +357,7 @@ def _reduce(x: int, field: Optional[int]) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from . import flopgeom
     if args.point is None:
         raise UsageError("--point a,x,y,z,w is required")
     try:
@@ -370,6 +379,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_quadric(args) -> int:
+    from . import flopgeom
     if args.point is None:
         raise UsageError("--point p12,p13,p14,p23,p24,p34 is required")
     try:
@@ -384,6 +394,7 @@ def _cmd_quadric(args) -> int:
 
 
 def _cmd_springer_fiber(args) -> int:
+    from . import flopgeom
     if args.t is None or args.h is None or args.i is None:
         raise UsageError("--t, --h and --i are required")
     try:
@@ -397,6 +408,7 @@ def _cmd_springer_fiber(args) -> int:
 
 
 def _cmd_weyl_word(args) -> int:
+    from . import weyl
     if args.h is None or args.h < 2:
         raise UsageError("--h >= 2 is required")
     if args.h > MAX_WEYL_H:
@@ -416,6 +428,7 @@ def _cmd_weyl_word(args) -> int:
 
 
 def _cmd_chamber_sort(args) -> int:
+    from . import weyl
     if args.vector is None:
         raise UsageError("--vector v1,v2,... is required")
     _check_digits(args.vector, "an entry of the vector")
@@ -430,7 +443,11 @@ def _cmd_chamber_sort(args) -> int:
         vec = tuple(Fraction(s.strip()) for s in entries)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --vector: {exc}")
-    sigma, word = weyl.chamber_sort(vec)
+    try:
+        sigma, word = weyl.chamber_sort(vec)
+    except weyl.RegularityViolation as exc:
+        print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        return 1
     payload = {"sigma": list(sigma), "word": word, "length": len(word)}
     _emit(args, payload, lambda: [
         f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
@@ -439,6 +456,7 @@ def _cmd_chamber_sort(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import acceptance
     results = acceptance.run_all(seed=args.seed)
     all_pass = all(r.passed for r in results)
     payload = {
@@ -517,7 +535,7 @@ def run(args) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (weyl.RegularityViolation, SizeLimit) as exc:
+    except SizeLimit as exc:
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
 
@@ -573,7 +591,12 @@ def _fast_parse(argv: list[str]) -> Optional[SimpleNamespace]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    return run(_fast_parse(argv) or _build_parser().parse_args(argv))
+    args = _fast_parse(argv) or _build_parser().parse_args(argv)
+    for flag, dest, *_ in _options(args.command):
+        if getattr(args, dest) == []:  # argparse before 3.13 stores "--name=--" as []
+            print(f'error: {flag} needs a value other than "--"', file=sys.stderr)
+            return 2
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -66,31 +66,27 @@ a modeling identity, not an operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
 
-from .partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
+from .partitions import BoxShape, Partition, Record, enumerate_box, lr_coefficients, partitions_of
 
 
 # ---------------------------------------------------------------------------
 # K-vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(Record):
     """Integer coordinates in the Schur-power basis, canonical box order."""
 
-    box: BoxShape
-    coords: tuple[int, ...]
+    __slots__ = ("box", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.box.rank:
-            raise ValueError(
-                f"expected {self.box.rank} coordinates for {self.box}, "
-                f"got {len(self.coords)}"
-            )
-        for x in self.coords:
+    def __init__(self, box: BoxShape, coords: tuple[int, ...]):
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "coords", coords)
+        if len(coords) != box.rank:
+            raise ValueError(f"expected {box.rank} coordinates for {box}, got {len(coords)}")
+        for x in coords:
             if type(x) is not int:
                 raise TypeError(f"coordinates must be int, got {x!r}")
 

@@ -21,7 +21,6 @@ written with respect to this order, so outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Iterator, Optional
@@ -90,8 +89,38 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
-@dataclass(frozen=True)
-class BoxShape:
+class Record:
+    """An immutable value whose fields a subclass names in ``__slots__`` and
+    sets in ``__init__`` by ``object.__setattr__``: it equals only its own
+    class, hashes as its fields' tuple and prints as ``Name(field=value)``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class BoxShape(Record):
     """A t x (h-t) rectangle bounding the partitions under consideration.
 
     ``rows`` is the rank t of the tautological subbundle and ``cols`` the
@@ -99,13 +128,14 @@ class BoxShape:
     rows*cols and its K-group has rank C(rows+cols, rows).
     """
 
-    rows: int
-    cols: int
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        if type(self.rows) is not int or type(self.cols) is not int:
+    def __init__(self, rows: int, cols: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        if type(rows) is not int or type(cols) is not int:
             raise TypeError(f"box sides must be int, got {self}")
-        if self.rows < 1 or self.cols < 1:
+        if rows < 1 or cols < 1:
             raise ValueError(f"box must have positive sides, got {self}")
 
     @classmethod

@@ -869,6 +869,15 @@ def test_fast_path_answers_without_argparse(monkeypatch, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def _fresh(*args):
+    """Exit status, stdout and stderr of a fresh interpreter run on ``args``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_fast_path_imports_no_argparse():
     # neither argparse nor the locale lookup of its messages loads on the fast path
     code = (
@@ -876,10 +885,55 @@ def test_fast_path_imports_no_argparse():
         "flopk.cli.main(['check-iso', '--t', '2', '--h', '4'])\n"
         "sys.exit(sorted({'argparse', 'locale'} & set(sys.modules)) or 0)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    assert _fresh("-c", code) == (0, '{"det":"1","isomorphism":true}\n', "")
+
+
+def test_flop_command_loads_only_what_it_runs():
+    # the package root loads no submodule, and a flop command loads only
+    # cli, kgroup and partitions: no other flopk module, no dataclasses
+    # (whose import pulls in inspect) and no argparse
+    unused = {"flopk.acceptance", "flopk.bott", "flopk.main_component", "flopk.flopgeom",
+              "flopk.weyl", "flopk.chow", "dataclasses", "inspect", "argparse"}
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"  # what the interpreter's site set-up loaded
+        "import flopk\n"
+        "bare = [m for m in sys.modules if m.startswith('flopk.')]\n"
+        "import flopk.cli\n"
+        "flopk.cli.main(['flop-matrix', '--t', '2', '--h', '4'])\n"
+        f"loaded = bare + sorted(set({sorted(unused)!r}) & (sys.modules.keys() - before))\n"
+        "sys.exit(str(loaded) if loaded else 0)\n"
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, '{"det":"1","isomorphism":true}\n', ""
-    )
+    code, out, err = _fresh("-c", script)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["det"] == "1"
+
+
+def _untimed(out):
+    # verify-all's table prints each criterion's measured time
+    return re.sub(r"\[\d+\.\d+s\]", "[time]", out)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_fresh_interpreter_matches_in_process_call(capsys, command):
+    # each handler imports its own module, so a fresh process that runs
+    # one command answers as main does in this process
+    line = next(line for line in _readme_commands() if line.split()[1] == command)
+    argv = shlex.split(line.partition("#")[0])[1:]
+    code, out, err = outcome(capsys, lambda: main(argv))
+    fresh_code, fresh_out, fresh_err = _fresh("-m", "flopk.cli", *argv)
+    assert (fresh_code, _untimed(fresh_out), fresh_err) == (code, _untimed(out), err)
+
+
+@pytest.mark.parametrize("argv", [
+    "bott --weight=--", "chamber-sort --vector=--", "gamma --point=--", "quadric --point=--",
+    "snf --matrix=--", "springer-fiber --t=-- --h 4 --i 1", "verify-all --seed=--",
+    "kbasis --t 2 --h 4 --format=--",
+])
+def test_double_dash_value_is_usage_error(argv):
+    # argparse before 3.13 stores "--name=--" as an empty list, which no
+    # handler can read
+    code, out, err = _fresh("-m", "flopk.cli", *argv.split())
+    assert (code, out) == (2, "")
+    assert "error: " in err.splitlines()[-1]
+    assert "Traceback" not in err

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flopk.bott import Weight
 from flopk.chow import centralizer_order, sn_character
+from flopk.kgroup import KVector
 from flopk.partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
 
 
@@ -143,6 +147,52 @@ def test_box_rejects_non_int_sides(sides):
 def test_grassmannian_rejects_non_int_rank():
     with pytest.raises(TypeError):
         BoxShape.for_grassmannian(2.5, 5)
+
+
+# ---------------------------------------------------------------------------
+# Immutable values on partitions.Record
+# ---------------------------------------------------------------------------
+
+# each value, its fields, and the repr the frozen dataclasses these replace printed
+VALUES = [
+    (BoxShape(2, 3), (2, 3), "BoxShape(rows=2, cols=3)"),
+    (
+        KVector(BoxShape(1, 2), (1, -2, 0)),
+        (BoxShape(1, 2), (1, -2, 0)),
+        "KVector(box=BoxShape(rows=1, cols=2), coords=(1, -2, 0))",
+    ),
+    (Weight((0, -1), (3,)), ((0, -1), (3,)), "Weight(a=(0, -1), b=(3,))"),
+]
+VALUE_IDS = [type(value).__name__ for value, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+def test_record_repr_equality_and_hash(value, fields, text):
+    assert repr(value) == text
+    assert value == type(value)(*fields)
+    # hashed as its fields, yet a separate key from them in a cache
+    assert value != fields and fields != value
+    assert hash(value) == hash(fields) and len({value: 0, fields: 1}) == 2
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+def test_record_fields_are_read_only(value, fields, text):
+    name = type(value).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, fields[1])
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+def test_record_copies_and_pickles(value, fields, text):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == text
 
 
 # ---------------------------------------------------------------------------

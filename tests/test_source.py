@@ -26,6 +26,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_source_imports_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize; the package's
+    # values are partitions.Record and NamedTuple instead
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
 def test_import_does_not_load_the_chow_ring():
     # the rational Chow ring is only the tests' oracle: importing the
     # package and its command line must load neither it nor fractions,
