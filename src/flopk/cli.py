@@ -50,8 +50,10 @@ def _emit(args, payload: dict, table_lines: Callable[[], list[str]]) -> None:
 
 # Largest K-rank C(h,t) a flop command accepts, that of G(6,12).  check-iso
 # and snf check that G = U . Pi is an involution, about n (c+1)^2 products;
-# flop-matrix also builds F = U^c . Pi and prints its n^2 entries.  Cold,
-# G(6,12) takes 0.1 s and 0.5 s, but G(1,h) has c = h - 1 and costs more.
+# flop-matrix also builds F = U^c . Pi, in c C(h-1,t-1) twists, and prints
+# its n^2 entries.  Cold, G(6,12) takes 0.1 s and 0.7 s.  The printed size,
+# not the computation, bounds flop-matrix: G(1,924) prints 475 MB in 12 s
+# with a 1.7 GB peak, of which F takes 2.8 s.
 MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
@@ -72,8 +74,10 @@ MAX_VECTOR = 700
 # Most decimal digits in one number a command reads or prints: CPython's
 # default int-to-string limit.  gamma and quadric are quadratic maps, so
 # coordinates of up to 2150 digits always print; without --field, longer
-# ones may not.
+# ones may not.  2**14284 < 10**4300, so an int of at most _SHORT_BITS bits
+# is never compared with 10**MAX_DIGITS, which takes 50 us to form.
 MAX_DIGITS = 4300
+_SHORT_BITS = 14284
 
 # Most characters bott accepts in --weight.  The sweep multiplies up to
 # h(h-1)/2 differences of the shifted weight, so its cost grows with both
@@ -103,11 +107,10 @@ def _box(args, flop: bool = False) -> BoxShape:
     # C(h, k), k = min(t, h - t), one factor at a time: the partial values
     # C(h, i) grow for i <= h/2, so once one is too long to print, so is
     # the rank, and no such rank is ever built in full
-    bound = 10**MAX_DIGITS
     rank = 1
     for i in range(1, min(box.rows, box.cols) + 1):
         rank = rank * (box.h - i + 1) // i
-        if rank >= bound:
+        if _too_long(rank):
             raise SizeLimit(
                 f"G({args.t},{args.h}) has a K-rank of more than {MAX_DIGITS} digits, "
                 f"above the limit {limit}"
@@ -164,11 +167,15 @@ def _check_exponent(entry: str, what: str) -> None:
         raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
 
 
+def _too_long(x: int) -> bool:
+    """Whether |x| has more than MAX_DIGITS decimal digits."""
+    return x.bit_length() > _SHORT_BITS and abs(x) >= 10**MAX_DIGITS
+
+
 def _decimal(values: Sequence[int], what: str) -> list[str]:
     """The decimal strings of ``values``, refused with SizeLimit before any
     is printed if one has more than MAX_DIGITS digits."""
-    bound = 10**MAX_DIGITS
-    if any(abs(x) >= bound for x in values):
+    if any(map(_too_long, values)):
         raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
     return [str(x) for x in values]
 

@@ -586,37 +586,39 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
     lowers every exponent of the alternant by one, so the entry is
     s_{lam - 1^t} straightened.  With lam padded to t parts:
 
-    * lam_t >= 1: the single pair for lam - 1^t;
+    * lam_t >= 1: the single pair (index of lam - 1^t, 1), written directly;
     * lam_t = 0: only the last column of the alternant, x^-1 =
       sum_{k<h} (-1)^k C(h, k+1) x^k (``_column``'s closed form at
       e = -1), leaves {0, ..., h-1}, and exactly c + 1 values of k
-      survive the wedge.
+      survive the wedge; only these C(h-1, t-1) columns are straightened.
 
     The only twist by O(1): the flop matrix and its certificate use it.
     """
     t = box.rows
+    index = _exponent_index(box)
     return tuple(
-        _straighten(tuple(x - 1 for x in _padded(lam, t)), box) for lam in enumerate_box(box)
+        ((index[tuple(e - 1 for e in exps)], 1),) if exps[-1]
+        else _straighten(tuple(x - 1 for x in _padded(lam, t)), box)
+        for lam, exps in zip(enumerate_box(box), index)
     )
 
 
-def _twist_power(v: dict[int, int], twist, times: int) -> dict[int, int]:
-    """U^times applied to a sparse vector {index: coefficient}, with U given
-    by its sparse columns (``schur_twist``)."""
-    for _ in range(times):
-        out: dict[int, int] = {}
-        for j, x in v.items():
-            for i, u in twist[j]:
-                out[i] = out.get(i, 0) + u * x
-        v = {i: x for i, x in out.items() if x}
-    return v
+def _apply_twist(v: dict[int, int], twist) -> dict[int, int]:
+    """U applied to a sparse vector {index: coefficient}, with U given by
+    its sparse columns (``schur_twist``)."""
+    out: dict[int, int] = {}
+    for j, x in v.items():
+        for i, u in twist[j]:
+            out[i] = out.get(i, 0) + u * x
+    return {i: x for i, x in out.items() if x}
 
 
-def _complement_indices(box: BoxShape) -> list[int]:
-    """Basis index of the rotated box complement of each basis partition."""
-    basis = enumerate_box(box)
-    index = {p: i for i, p in enumerate(basis)}
-    return [index[box.complement(alpha)] for alpha in basis]
+@cache
+def _complement_indices(box: BoxShape) -> tuple[int, ...]:
+    """Basis index of the rotated box complement of each basis partition:
+    the exponents lam + delta, reversed and each taken from h - 1."""
+    index = _exponent_index(box)
+    return tuple(index[tuple(box.h - 1 - e for e in reversed(exps))] for exps in index)
 
 
 @cache
@@ -631,18 +633,32 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     Computed in integers as F = U^c . Pi from the identity
     Sigma^alpha sub* = Sigma^beta sub (x) O(c), with beta the rotated box
     complement of alpha and c = h - t: Pi sends alpha to beta and U is the
-    twist by O(1) in the Schur-power basis (``schur_twist``), applied c
-    times to each column as a sparse vector.  In the integral Chow
+    twist by O(1) in the Schur-power basis (``schur_twist``).  U shifts
+    beta = mu + m 1^t, mu_t = 0, to mu in m steps, so column alpha is
+    U^(c-m) e_mu: the orbit e_mu, ..., U^c e_mu of each of the C(h-1, t-1)
+    such mu is walked once, one vector at a time.  In the integral Chow
     presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule for the
     K-theory of Grassmannians") U is the conjugate D^-1 . T . D of the
     Pieri twist T, so F = D^-1 . T^c . D . Pi.
     """
-    n = box.rank
+    n, c = box.rank, box.cols
     twist = schur_twist(box)
+    complement = _complement_indices(box)
+    up = {column[0][0]: j for j, column in enumerate(twist) if len(column) == 1}
     rows = [[0] * n for _ in range(n)]
-    for j, beta in enumerate(_complement_indices(box)):
-        for i, x in _twist_power({beta: 1}, twist, box.cols).items():
-            rows[i][j] = x
+    for mu in (j for j, column in enumerate(twist) if len(column) > 1):
+        chain = [mu]  # mu + m 1^t at m, while it fits the box
+        while chain[-1] in up:
+            chain.append(up[chain[-1]])
+        v = {mu: 1}
+        for m in range(c, -1, -1):  # v = U^(c-m) e_mu
+            if m < len(chain):
+                for i, x in v.items():
+                    rows[i][complement[chain[m]]] = x
+            if m:
+                v = _apply_twist(v, twist)
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)  # each list is freed as its tuple is made
     return IntegerMatrix(rows)
 
 
@@ -662,7 +678,7 @@ def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
     trace = 0
     for j, beta in enumerate(complement):
         trace += dict(twist[beta]).get(j, 0)
-        if _twist_power({complement[i]: x for i, x in twist[beta]}, twist, 1) != {j: 1}:
+        if _apply_twist({complement[i]: x for i, x in twist[beta]}, twist) != {j: 1}:
             raise ArithmeticError(
                 f"flop matrix of {box} is not an involution at column "
                 f"{enumerate_box(box)[j].text()}"

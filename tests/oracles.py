@@ -12,7 +12,7 @@ from flopk.kgroup import (
     KVector,
     _complement_indices,
     _skew_count,
-    _twist_power,
+    _apply_twist,
     schur_twist,
 )
 from flopk.partitions import Partition, enumerate_box, lr_coefficients, partitions_of
@@ -144,16 +144,19 @@ def involution_certificate(matrix, box) -> tuple[int, tuple[int, ...]]:
     F . F = I.
 
     U^c . Pi (``schur_twist`` and the box complement) is applied to every
-    column of F, and each must come back as the unit vector; otherwise
-    ArithmeticError.  An integer involution has determinant +-1, hence
-    Smith form (1, ..., 1), and its eigenvalues are +-1, so det F =
-    (-1)^((n - tr F) / 2).
+    column of F in c passes of U, not along the twist orbits that
+    ``flop_matrix`` walks, and each must come back as the unit vector;
+    otherwise ArithmeticError.  An integer involution has determinant
+    +-1, hence Smith form (1, ..., 1), and its eigenvalues are +-1, so
+    det F = (-1)^((n - tr F) / 2).
     """
     twist = schur_twist(box)
     complement = _complement_indices(box)
     for j, column in enumerate(zip(*matrix.entries)):
         v = {complement[i]: x for i, x in enumerate(column) if x}
-        if _twist_power(v, twist, box.cols) != {j: 1}:
+        for _ in range(box.cols):
+            v = _apply_twist(v, twist)
+        if v != {j: 1}:
             raise ArithmeticError(
                 f"flop matrix of {box} is not an involution at column "
                 f"{enumerate_box(box)[j].text()}"

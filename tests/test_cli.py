@@ -141,14 +141,16 @@ def test_check_iso_beyond_bareiss_range(capsys):
 
 
 # sha256 of `flopk flop-matrix` stdout as printed by the dense
-# D^-1 . T^c . D . Pi route with Bareiss det and Smith form
+# D^-1 . T^c . D . Pi route with Bareiss det and Smith form, and for
+# G(1,400), c = 399, by U^c . Pi applied column by column
 @pytest.mark.parametrize(
     "t, h, digest",
     [
         (4, 8, "2f2f36626c75788cacae549bc536483cfbdf53fcab98105272027027f59356d8"),
         (5, 10, "2c234616e109349b8ae73c041156e70cd3b3b529238cb3b13334ca74266606ba"),
+        (1, 400, "329edb1bc21fd309eec5f7717a7811abe9ddbd01d30eeecd473242f526b9baf7"),
     ],
-    ids=["G(4,8)", "G(5,10)"],
+    ids=["G(4,8)", "G(5,10)", "G(1,400)"],
 )
 def test_flop_matrix_stdout_is_byte_identical(capsys, t, h, digest):
     code, out = run_cli(capsys, "flop-matrix", "--t", str(t), "--h", str(h))
@@ -352,6 +354,24 @@ def test_largest_integer_output_is_accepted(capsys, fmt):
     )
     assert code == 0
     assert str(nines**2) in out
+
+
+def test_short_ints_skip_the_power_of_ten():
+    # an int of at most _SHORT_BITS bits is below 10**MAX_DIGITS, and the
+    # next bit can reach it: the bit test is exact
+    assert 2**cli._SHORT_BITS < 10**MAX_DIGITS < 2 ** (cli._SHORT_BITS + 1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_decimal_limit_is_exact(sign):
+    # the longest printable values, those at the bit threshold, and the
+    # shortest refused ones
+    for x in (10**MAX_DIGITS - 1, 2**cli._SHORT_BITS, 2**cli._SHORT_BITS - 1):
+        assert cli._decimal([sign * x], "a value") == [str(sign * x)]
+    for x in (10**MAX_DIGITS, 2 ** (cli._SHORT_BITS + 1)):
+        with pytest.raises(cli.SizeLimit) as exc:
+            cli._decimal([0, sign * x], "a value")
+        assert str(exc.value) == f"a value has more than {MAX_DIGITS} digits"
 
 
 @pytest.mark.parametrize("field", [None, "7"])

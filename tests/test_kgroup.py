@@ -397,6 +397,51 @@ def test_flop_matrix_matches_dense_route(box):
     assert flop_matrix(box) == dense_flop_matrix(box)
 
 
+@pytest.mark.parametrize("h", [*range(2, 41), 120])
+def test_flop_matrix_on_projective_space(h):
+    # on G(1,h), c = h - 1 and column b of F is [Sigma^b sub*] = x^-b
+    # reduced modulo (x - 1)^h, here by the double-sum oracle
+    m = flop_matrix(BoxShape.for_grassmannian(1, h))
+    for b in range(h):
+        assert tuple((i, x) for i, x in enumerate(m.column(b)) if x) == column_by_double_sum(-b, h)
+
+
+# every flop box with h <= 9
+SMALL_FLOP_BOXES = [b for b in FLOP_BOXES if b.h <= 9]
+
+
+def _orbit_count(box: BoxShape) -> int:
+    # the partitions with lam_t = 0: those with at most t - 1 rows
+    return comb(box.h - 1, box.rows - 1)
+
+
+@pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
+def test_schur_twist_straightens_only_columns_with_empty_last_row(box):
+    # a column with lam_t >= 1 is the shift to lam - 1^t, written directly
+    schur_twist.cache_clear()
+    kgroup._straighten.cache_clear()
+    schur_twist(box)
+    assert kgroup._straighten.cache_info().misses == _orbit_count(box)
+
+
+@pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
+def test_flop_matrix_walks_each_twist_orbit_once(box, monkeypatch):
+    # U^k e_mu for mu_t = 0 and k <= c, each formed once: at most c
+    # applications of U per orbit, where column by column took up to n c
+    calls = []
+    apply_twist = kgroup._apply_twist
+
+    def counted(v, twist):
+        calls.append(1)
+        return apply_twist(v, twist)
+
+    monkeypatch.setattr(kgroup, "_apply_twist", counted)
+    for fn in (flop_matrix, schur_twist, kgroup._straighten, kgroup._complement_indices):
+        fn.cache_clear()
+    flop_matrix(box)
+    assert len(calls) <= box.cols * _orbit_count(box)
+
+
 def _complement_sign(box: BoxShape) -> int:
     # the box complement is an involution: one transposition per 2-cycle
     basis = enumerate_box(box)
