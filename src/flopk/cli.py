@@ -5,7 +5,8 @@ human layout).  JSON is canonical: keys sorted, no spaces, so parsing
 and re-serializing a report is byte-identical.  Matrix and coordinate
 entries are serialized as decimal strings since they are arbitrary-
 precision integers; small structural numbers (box sides, degrees,
-indices) stay plain.
+indices) stay plain.  ``flop-matrix`` builds F and certifies it before it
+prints anything, then writes F row by row, never the whole text at once.
 
 Exit status: 0 for success and true verdicts, 1 when a computation
 reaches a failing verdict or a structured error (wall point, a request
@@ -51,9 +52,9 @@ def _emit(args, payload: dict, table_lines: Callable[[], list[str]]) -> None:
 # Largest K-rank C(h,t) a flop command accepts, that of G(6,12).  check-iso
 # and snf check that G = U . Pi is an involution, about n (c+1)^2 products;
 # flop-matrix also builds F = U^c . Pi, in c C(h-1,t-1) twists, and prints
-# its n^2 entries.  Cold, G(6,12) takes 0.1 s and 0.7 s.  The printed size,
-# not the computation, bounds flop-matrix: G(1,924) prints 475 MB in 12 s
-# with a 1.7 GB peak, of which F takes 2.8 s.
+# its n^2 entries.  Cold, G(6,12) takes 0.1 s and 0.5 s.  The printed size,
+# not the computation, bounds flop-matrix: G(1,924) prints 475 MB in 8 s
+# with a 252 MB peak, almost all of it F, built in 2.1 s.
 MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
@@ -180,27 +181,12 @@ def _decimal(values: Sequence[int], what: str) -> list[str]:
     return [str(x) for x in values]
 
 
-def _flop_payload(box: BoxShape) -> dict:
-    matrix = kgroup.flop_matrix(box)
-    det, snf = kgroup.flop_certificate(box)
-    return {
-        "box": [box.rows, box.cols],
-        "basis": [p.text() for p in enumerate_box(box)],
-        "matrix": [[str(x) for x in row] for row in matrix.entries],
-        "det": str(det),
-        "snf": [str(d) for d in snf],
-    }
-
-
-def _matrix_table(payload: dict) -> list[str]:
-    lines = [f"box: {payload['box'][0]} x {payload['box'][1]}"]
-    lines.append("basis: " + " ".join(payload["basis"]))
-    width = max(len(e) for row in payload["matrix"] for e in row)
-    for row in payload["matrix"]:
-        lines.append(" ".join(e.rjust(width) for e in row))
-    lines.append(f"det: {payload['det']}")
-    lines.append("snf: " + " ".join(payload["snf"]))
-    return lines
+def _basis_labels(box: BoxShape) -> list[str]:
+    """``p.text()`` of each basis partition p from its exponents e = p + delta:
+    part i is e_i - (t - 1 - i), and zero parts are dropped."""
+    t = box.rows
+    return [",".join([str(e - t + 1 + i) for i, e in enumerate(exps) if e > t - 1 - i]) or "-"
+            for exps in kgroup._exponent_index(box)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +206,28 @@ def _cmd_kbasis(args) -> int:
 
 
 def _cmd_flop_matrix(args) -> int:
+    """F and its certificate, then F one row at a time: the JSON is
+    ``canonical_json`` of {basis, box, det, matrix, snf}, and the table
+    right-aligns entries to the longest, the largest's or the least's."""
     box = _box(args, flop=True)
-    payload = _flop_payload(box)
-    _emit(args, payload, lambda: _matrix_table(payload))
+    matrix = kgroup.flop_matrix(box).entries
+    det, snf = kgroup.flop_certificate(box)
+    basis, snf = _basis_labels(box), [str(d) for d in snf]
+    if args.fmt == "json":
+        head = (f'{{"basis":{canonical_json(basis)},"box":[{box.rows},{box.cols}],'
+                f'"det":"{det}","matrix":[')
+        rows = ('["' + '","'.join(map(str, row)) + '"]' for row in matrix)
+        sep, tail = ",", '],"snf":' + canonical_json(snf) + "}\n"
+    else:
+        width = max(len(str(max(map(max, matrix)))), len(str(min(map(min, matrix)))))
+        head = f"box: {box.rows} x {box.cols}\nbasis: " + " ".join(basis) + "\n"
+        rows = (" ".join([str(x).rjust(width) for x in row]) for row in matrix)
+        sep, tail = "\n", f"\ndet: {det}\nsnf: " + " ".join(snf) + "\n"
+    write = sys.stdout.write
+    write(head + next(rows))
+    for row in rows:
+        write(sep + row)
+    write(tail)
     return 0
 
 

@@ -41,8 +41,8 @@ s_mu, mu the sorted J minus delta, a partition in the box
   is straightened; these products are formed pair by pair on first use.
 * The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
   complement and U multiplication by O(1) = (x_1 ... x_t)^-1
-  (``schur_twist``): column lam is s_{lam - 1^t} straightened, at most
-  c + 1 terms, and no Littlewood-Richardson coefficient enters.
+  (``schur_twist``): column lam is s_{lam - 1^t} in closed form, at most
+  c + 1 terms, with no straightening and no Littlewood-Richardson sum.
   ``flop_certificate`` never forms F: it checks that G = U . Pi is an
   involution and reads det F off tr G and the 2-cycles of Pi.
 
@@ -67,6 +67,7 @@ a modeling identity, not an operation.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 from math import comb, gcd
 
 from .partitions import BoxShape, Partition, Record, enumerate_box, lr_coefficients, partitions_of
@@ -226,12 +227,11 @@ def _padded(alpha: Partition, t: int) -> tuple[int, ...]:
 
 @cache
 def _exponent_index(box: BoxShape) -> dict[tuple[int, ...], int]:
-    """Basis index of each partition, keyed by its exponents lam + delta."""
-    t = box.rows
-    return {
-        tuple(p + t - 1 - i for i, p in enumerate(_padded(lam, t))): j
-        for j, lam in enumerate(enumerate_box(box))
-    }
+    """Basis index of each partition lam, keyed by its exponents lam + delta:
+    the decreasing t-subsets of {0, ..., h-1}, lex descending, stably sorted
+    by their sum |lam| + |delta|, is the canonical order, with no Partition."""
+    subsets = combinations(range(box.h - 1, -1, -1), box.rows)
+    return {e: j for j, e in enumerate(sorted(subsets, key=sum))}
 
 
 def _binomial(n: int, k: int) -> int:
@@ -582,25 +582,36 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Multiplication by O(1) in the Schur-power basis, as sparse columns.
 
     Entry j lists the (i, u) with [Sigma^lam_j sub (x) O(1)] =
-    sum u [Sigma^lam_i sub], nonzero u only.  O(1) = (x_1 ... x_t)^-1
-    lowers every exponent of the alternant by one, so the entry is
-    s_{lam - 1^t} straightened.  With lam padded to t parts:
+    sum u [Sigma^lam_i sub], nonzero u only, i increasing.  O(1) =
+    (x_1 ... x_t)^-1 lowers every exponent e = lam + delta of the
+    alternant by one, so the entry is s_{lam - 1^t}, in closed form:
 
-    * lam_t >= 1: the single pair (index of lam - 1^t, 1), written directly;
-    * lam_t = 0: only the last column of the alternant, x^-1 =
-      sum_{k<h} (-1)^k C(h, k+1) x^k (``_column``'s closed form at
-      e = -1), leaves {0, ..., h-1}, and exactly c + 1 values of k
-      survive the wedge; only these C(h-1, t-1) columns are straightened.
+    * e_t >= 1: the single pair (index of e - 1, 1);
+    * e_t = 0: only the last column, x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k
+      (``_column`` at e = -1), leaves {0, ..., h-1}.  Each k not among
+      rest = (e_1 - 1, ..., e_{t-1} - 1) goes after the p entries above
+      it, passing t - 1 - p: the term (-1)^k C(h, k+1) (-1)^(t-1-p), in
+      basis order as k rises.  The tests' oracle is ``_straighten``.
 
     The only twist by O(1): the flop matrix and its certificate use it.
     """
     t = box.rows
     index = _exponent_index(box)
-    return tuple(
-        ((index[tuple(e - 1 for e in exps)], 1),) if exps[-1]
-        else _straighten(tuple(x - 1 for x in _padded(lam, t)), box)
-        for lam, exps in zip(enumerate_box(box), index)
-    )
+    inverse = _column(-1, box.h)
+    columns = []
+    for exps in index:
+        rest = tuple(e - 1 for e in exps)
+        if exps[-1]:
+            columns.append(((index[rest], 1),))
+            continue
+        rest, p, column = rest[:-1], t - 1, []  # p: the entries of rest above k
+        for k, a in inverse:
+            while p and rest[p - 1] < k:
+                p -= 1
+            if not p or rest[p - 1] != k:
+                column.append((index[rest[:p] + (k,) + rest[p:]], -a if (t - 1 - p) % 2 else a))
+        columns.append(tuple(column))
+    return tuple(columns)
 
 
 def _apply_twist(v: dict[int, int], twist) -> dict[int, int]:

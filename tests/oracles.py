@@ -11,8 +11,13 @@ from flopk.kgroup import (
     IntegerMatrix,
     KVector,
     _complement_indices,
+    _exponent_index,
+    _padded,
     _skew_count,
+    _straighten,
     _apply_twist,
+    flop_certificate,
+    flop_matrix,
     schur_twist,
 )
 from flopk.partitions import Partition, enumerate_box, lr_coefficients, partitions_of
@@ -178,6 +183,44 @@ def column_by_double_sum(e: int, h: int) -> tuple[tuple[int, int], ...]:
         if a:
             column.append((j, a))
     return tuple(column)
+
+
+def straightened_twist(box) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``kgroup.schur_twist`` with every column of lam_t = 0 straightened:
+    s_{lam - 1^t} by ``_straighten``, in place of the closed form."""
+    t = box.rows
+    index = _exponent_index(box)
+    return tuple(
+        ((index[tuple(e - 1 for e in exps)], 1),) if exps[-1]
+        else _straighten(tuple(x - 1 for x in _padded(lam, t)), box)
+        for lam, exps in zip(enumerate_box(box), index)
+    )
+
+
+def flop_payload(box) -> dict:
+    """The ``flopk flop-matrix`` report as one dict, every entry a decimal
+    string: its stdout is ``canonical_json`` of this plus a newline."""
+    matrix = flop_matrix(box)
+    det, snf = flop_certificate(box)
+    return {
+        "box": [box.rows, box.cols],
+        "basis": [p.text() for p in enumerate_box(box)],
+        "matrix": [[str(x) for x in row] for row in matrix.entries],
+        "det": str(det),
+        "snf": [str(d) for d in snf],
+    }
+
+
+def matrix_table(payload: dict) -> list[str]:
+    """The lines of ``flopk flop-matrix --format table`` for a ``flop_payload``."""
+    lines = [f"box: {payload['box'][0]} x {payload['box'][1]}"]
+    lines.append("basis: " + " ".join(payload["basis"]))
+    width = max(len(e) for row in payload["matrix"] for e in row)
+    for row in payload["matrix"]:
+        lines.append(" ".join(e.rjust(width) for e in row))
+    lines.append(f"det: {payload['det']}")
+    lines.append("snf: " + " ".join(payload["snf"]))
+    return lines
 
 
 @cache

@@ -8,12 +8,13 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from flopk import cli, kgroup
+from flopk import cli, kgroup, partitions
 from flopk.cli import (
     _COMMANDS,
     _OPTIONS,
@@ -33,7 +34,8 @@ from flopk.cli import (
     run,
 )
 from flopk.flopgeom import _MILLER_RABIN_BOUND
-from oracles import is_indeterminate
+from flopk.partitions import BoxShape, enumerate_box
+from oracles import flop_payload, is_indeterminate, matrix_table
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +158,89 @@ def test_flop_matrix_stdout_is_byte_identical(capsys, t, h, digest):
     code, out = run_cli(capsys, "flop-matrix", "--t", str(t), "--h", str(h))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every flop box G(t,h), t <= h/2, with h <= 9, and the largest accepted one
+WRITER_BOXES = [(t, h) for h in range(2, 10) for t in range(1, h // 2 + 1)] + [(6, 12)]
+
+
+@pytest.mark.parametrize("t, h", WRITER_BOXES, ids=[f"G({t},{h})" for t, h in WRITER_BOXES])
+def test_flop_matrix_writer_matches_payload_oracle(capsys, t, h):
+    # the row-by-row writer against the whole report built and dumped at once
+    payload = flop_payload(BoxShape.for_grassmannian(t, h))
+    argv = ["flop-matrix", "--t", str(t), "--h", str(h)]
+    assert run_cli(capsys, *argv) == (0, canonical_json(payload) + "\n")
+    table = "\n".join(matrix_table(payload)) + "\n"
+    assert run_cli(capsys, *argv, "--format", "table") == (0, table)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [BoxShape.for_grassmannian(t, h) for h in range(2, 13) for t in range(1, h)]
+    + [BoxShape.for_grassmannian(9, 18)],
+    ids=str,
+)
+def test_basis_labels_are_partition_texts(box):
+    assert cli._basis_labels(box) == [p.text() for p in enumerate_box(box)]
+
+
+def _clear_flop_caches():
+    for fn in (kgroup.flop_matrix, kgroup.schur_twist, kgroup._exponent_index,
+               kgroup._complement_indices):
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["flop-matrix", "check-iso", "snf"])
+@pytest.mark.parametrize("t, h", [(2, 5), (3, 6)], ids=["G(2,5)", "G(3,6)"])
+def test_flop_commands_build_no_partition(monkeypatch, capsys, command, t, h):
+    # the flop path reads the basis off exponent tuples alone
+    argv = [command, "--t", str(t), "--h", str(h)]
+    want = [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")]
+
+    def forbidden(*args):
+        raise AssertionError("partition built")
+
+    _clear_flop_caches()
+    for module in (kgroup, cli):
+        monkeypatch.setattr(module, "enumerate_box", forbidden)
+    for module in (kgroup, partitions):
+        monkeypatch.setattr(module, "Partition", forbidden)
+    assert [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")] == want
+
+
+def test_failed_flop_certificate_prints_nothing(monkeypatch, capsys):
+    def fails(box):
+        raise ArithmeticError("not an involution")
+
+    monkeypatch.setattr(kgroup, "flop_certificate", fails)
+    for fmt in ("json", "table"):
+        with pytest.raises(ArithmeticError):
+            main(["flop-matrix", "--t", "3", "--h", "6", "--format", fmt])
+        assert capsys.readouterr().out == ""
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_flop_matrix_output_is_streamed(monkeypatch, fmt):
+    # cold G(6,12) under tracemalloc (CPython 3.11): F alone peaks at about
+    # 11 MB; holding every entry's string and the whole text, as the report
+    # built at once did, peaked at 71 MB (json) and 76 MB (table)
+    _clear_flop_caches()
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert main(["flop-matrix", "--t", "6", "--h", "12", "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_console_script_reads_sys_argv(capsys, monkeypatch):

@@ -34,6 +34,7 @@ from oracles import (
     involution_certificate,
     pieri_twist,
     rational_det,
+    straightened_twist,
 )
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
@@ -416,12 +417,41 @@ def _orbit_count(box: BoxShape) -> int:
 
 
 @pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
-def test_schur_twist_straightens_only_columns_with_empty_last_row(box):
-    # a column with lam_t >= 1 is the shift to lam - 1^t, written directly
-    schur_twist.cache_clear()
-    kgroup._straighten.cache_clear()
-    schur_twist(box)
-    assert kgroup._straighten.cache_info().misses == _orbit_count(box)
+def test_schur_twist_never_straightens(box, monkeypatch):
+    # every column is in closed form: a shift to lam - 1^t when lam_t >= 1,
+    # else the c + 1 terms of x^-1 wedged into the other exponents
+    def forbidden(*args):
+        raise AssertionError("column straightened")
+
+    for fn in (schur_twist, kgroup._exponent_index, kgroup._column):
+        fn.cache_clear()
+    monkeypatch.setattr(kgroup, "_straighten", forbidden)
+    assert len(schur_twist(box)) == box.rank
+
+
+@pytest.mark.parametrize(
+    "box",
+    SMALL_FLOP_BOXES
+    + [BoxShape.for_grassmannian(t, h) for t, h in ((6, 12), (8, 16), (3, 60), (1, 2000))],
+    ids=str,
+)
+def test_schur_twist_matches_straightened_columns(box):
+    assert schur_twist(box) == straightened_twist(box)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [BoxShape.for_grassmannian(t, h) for h in range(2, 13) for t in range(1, h)]
+    + [BoxShape.for_grassmannian(9, 18)],
+    ids=str,
+)
+def test_exponent_index_is_canonical_order(box):
+    # the keys are lam + delta over enumerate_box, in its order
+    t = box.rows
+    assert list(kgroup._exponent_index(box)) == [
+        tuple(p + t - 1 - i for i, p in enumerate(kgroup._padded(lam, t)))
+        for lam in enumerate_box(box)
+    ]
 
 
 @pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
