@@ -1,17 +1,19 @@
 """The package's acceptance suite: ten numbered criteria, each exact.
 
-Every criterion returns a CriterionResult with a pass flag and a short
-human-readable detail; ``run_all`` evaluates all of them (deterministic
-for a fixed seed) and is what both the test suite and the command-line
-``verify-all`` execute.  Where a criterion carries a time budget the
-elapsed time is checked as well.
+Each criterion body returns a pass flag and a short human-readable
+detail; ``@_criterion`` registers it under its number, times it and
+returns a CriterionResult.  Where a criterion carries a time budget, the
+runner, not the criterion, fails it once its elapsed time reaches that
+budget.  ``run_all`` evaluates every criterion in number order
+(deterministic for a fixed seed) and is what both the test suite and the
+command-line ``verify-all`` execute.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from functools import cache
+from functools import cache, wraps
 from math import comb
 from operator import ge, lt
 from typing import Callable, NamedTuple
@@ -28,17 +30,36 @@ class CriterionResult(NamedTuple):
     elapsed: float
 
 
-def _result(number, name, passed, detail, started, budget=None):
-    elapsed = time.monotonic() - started
-    if budget is not None and elapsed >= budget:
-        passed = False
-        detail += f"; exceeded {budget}s budget ({elapsed:.2f}s)"
-    return CriterionResult(number, name, passed, detail, elapsed)
+# every criterion with whether it takes the seed, in definition (= number) order
+_CRITERIA: list[tuple[Callable[..., CriterionResult], bool]] = []
 
 
-def criterion_1_basis_ranks() -> CriterionResult:
+def _criterion(number: int, name: str, budget: float | None = None, seeded: bool = False):
+    """Register a check returning (passed, detail) as criterion ``number``.
+
+    The registered function times the check and returns its
+    CriterionResult; a check that reaches ``budget`` seconds fails.
+    """
+    def register(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @wraps(check)
+        def timed(*args, **kwargs) -> CriterionResult:
+            started = time.monotonic()
+            passed, detail = check(*args, **kwargs)
+            elapsed = time.monotonic() - started
+            if budget is not None and elapsed >= budget:
+                passed = False
+                detail += f"; exceeded {budget}s budget ({elapsed:.2f}s)"
+            return CriterionResult(number, name, passed, detail, elapsed)
+
+        _CRITERIA.append((timed, seeded))
+        return timed
+
+    return register
+
+
+@_criterion(1, "basis ranks", budget=1.0)
+def criterion_1_basis_ranks() -> tuple[bool, str]:
     """Basis count equals C(h,t) for every h <= 8, t <= h/2."""
-    started = time.monotonic()
     bad = []
     for h in range(2, 9):
         for t in range(1, h // 2 + 1):
@@ -46,67 +67,53 @@ def criterion_1_basis_ranks() -> CriterionResult:
             n = len(enumerate_box(box))
             if n != comb(h, t):
                 bad.append((t, h, n))
-    return _result(
-        1, "basis ranks", not bad,
-        "C(h,t) matched for all (t,h), h<=8" if not bad else f"mismatches: {bad}",
-        started, budget=1.0,
-    )
+    return not bad, "C(h,t) matched for all (t,h), h<=8" if not bad else f"mismatches: {bad}"
 
 
 _FLOP_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 6)]
 
 
-def criterion_2_flop_unimodular() -> CriterionResult:
+@_criterion(2, "flop isomorphism certificates", budget=30.0)
+def criterion_2_flop_unimodular() -> tuple[bool, str]:
     """det = +-1 for the flop matrix on the listed Grassmannians."""
-    started = time.monotonic()
     dets = {}
     for t, h in _FLOP_CASES:
         box = BoxShape.for_grassmannian(t, h)
         dets[(t, h)] = kgroup.flop_matrix(box).det()
     bad = {k: d for k, d in dets.items() if d not in (1, -1)}
-    return _result(
-        2, "flop isomorphism certificates", not bad,
-        f"dets {dets}" if not bad else f"non-unit dets: {bad}",
-        started, budget=30.0,
-    )
+    return not bad, f"dets {dets}" if not bad else f"non-unit dets: {bad}"
 
 
-def criterion_3_involution() -> CriterionResult:
+@_criterion(3, "flop involution")
+def criterion_3_involution() -> tuple[bool, str]:
     """The flop matrix squares to the identity on the same set."""
-    started = time.monotonic()
     bad = []
     for t, h in _FLOP_CASES:
         box = BoxShape.for_grassmannian(t, h)
         m = kgroup.flop_matrix(box)
         if (m @ m) != kgroup.IntegerMatrix.identity(box.rank):
             bad.append((t, h))
-    return _result(
-        3, "flop involution", not bad,
-        "matrix squared is the identity on all cases" if not bad else f"failures: {bad}",
-        started,
+    return not bad, (
+        "matrix squared is the identity on all cases" if not bad else f"failures: {bad}"
     )
 
 
-def criterion_4_main_component() -> CriterionResult:
+@_criterion(4, "main-component index 2", budget=1.0)
+def criterion_4_main_component() -> tuple[bool, str]:
     """Image vectors, Smith form (1,1,2) and index 2 of the main component;
     the index comes from the determinant, not from the Smith form."""
-    started = time.monotonic()
     m = main_component.main_component_matrix("line")
     cols = [m.column(j) for j in range(3)]
     ok_cols = cols == [(1, 0, 0), (0, 1, 0), (-3, 6, -2)]
     snf = kgroup.smith_normal_form(m)
     idx = main_component.image_index(m)
     ok = ok_cols and snf == (1, 1, 2) and idx == 2
-    return _result(
-        4, "main-component index 2", ok,
-        f"columns {cols}, snf {snf}, index {idx}",
-        started, budget=1.0,
-    )
+    return ok, f"columns {cols}, snf {snf}, index {idx}"
 
 
-def criterion_5_koszul_intermediates() -> CriterionResult:
+@_criterion(5, "Koszul intermediate classes")
+def criterion_5_koszul_intermediates() -> tuple[bool, str]:
     """The two intermediate Koszul classes in the line-bundle basis."""
-    started = time.monotonic()
     box = BoxShape.for_grassmannian(1, 3)
     v1 = kgroup.expand_in_basis(
         kgroup.wedge_tangent(1) * kgroup.line_bundle(-1), box
@@ -117,17 +124,15 @@ def criterion_5_koszul_intermediates() -> CriterionResult:
     got1 = main_component.to_line_basis(v1)
     got2 = main_component.to_line_basis(v2)
     ok = got1 == (0, 3, -1) and got2 == (3, -3, 1)
-    return _result(
-        5, "Koszul intermediate classes", ok,
+    return ok, (
         f"[Tangent(-1)] -> {got1} (want (0,3,-1)); "
-        f"[wedge2 Tangent(-1)] -> {got2} (want (3,-3,1))",
-        started,
+        f"[wedge2 Tangent(-1)] -> {got2} (want (3,-3,1))"
     )
 
 
-def criterion_6_bott_anchors() -> CriterionResult:
+@_criterion(6, "cohomology anchors", budget=5.0)
+def criterion_6_bott_anchors() -> tuple[bool, str]:
     """Cohomology anchors: O(-2) on G(2,4) vanishes, Hodge diagonal, twists."""
-    started = time.monotonic()
     g24 = BoxShape.for_grassmannian(2, 4)
     p2 = BoxShape.for_grassmannian(1, 3)
     problems = []
@@ -144,18 +149,14 @@ def criterion_6_bott_anchors() -> CriterionResult:
         want = (d + 1) * (d + 2) // 2
         if res != bott.BottResult(0, want):
             problems.append(f"sections of O({d}) on the plane: {res}")
-    return _result(
-        6, "cohomology anchors", not problems,
-        "all anchors hold" if not problems else "; ".join(problems),
-        started, budget=5.0,
-    )
+    return not problems, "all anchors hold" if not problems else "; ".join(problems)
 
 
-def criterion_7_quadric_identity(seed: int = 0) -> CriterionResult:
+@_criterion(7, "Pluecker quadric identity", budget=1.0, seeded=True)
+def criterion_7_quadric_identity(seed: int = 0) -> tuple[bool, str]:
     """The limit map lands on the Pluecker quadric, symbolically and at
     1000 random points over the 32003-element field: integer points with
     coordinates in [0, 32003), the quadric value reduced mod 32003."""
-    started = time.monotonic()
     problems = []
     if not flopgeom.quadric_vanishes_identically():
         problems.append("symbolic expansion is nonzero")
@@ -165,18 +166,16 @@ def criterion_7_quadric_identity(seed: int = 0) -> CriterionResult:
         if flopgeom.quadric_value(flopgeom.pluecker_limit_map(pt)) % 32003 != 0:
             problems.append(f"quadric nonzero at {pt}")
             break
-    return _result(
-        7, "Pluecker quadric identity", not problems,
+    return not problems, (
         "zero polynomial and zero at 1000 random points"
-        if not problems else "; ".join(problems),
-        started, budget=1.0,
+        if not problems else "; ".join(problems)
     )
 
 
-def criterion_8_weyl_words(seed: int = 0) -> CriterionResult:
+@_criterion(8, "duality words and chamber sorting", budget=1.0, seeded=True)
+def criterion_8_weyl_words(seed: int = 0) -> tuple[bool, str]:
     """Palindromic duality words for h = 2..8 and chamber sorting on 500
     seeded random regular vectors."""
-    started = time.monotonic()
     problems = []
     for h in range(2, 9):
         word = weyl.duality_word(h)
@@ -196,10 +195,8 @@ def criterion_8_weyl_words(seed: int = 0) -> CriterionResult:
         if len(word) != sigma.inversions():
             problems.append(f"word not reduced for {vec}")
             break
-    return _result(
-        8, "duality words and chamber sorting", not problems,
-        "words and 500 chamber sorts verified" if not problems else "; ".join(problems),
-        started, budget=1.0,
+    return not problems, (
+        "words and 500 chamber sorts verified" if not problems else "; ".join(problems)
     )
 
 
@@ -254,14 +251,14 @@ def _count_fillings(constraints: list[list[int]], words: tuple[tuple[int, ...], 
     return count
 
 
-def criterion_9_oracles() -> CriterionResult:
+@_criterion(9, "oracle equivalences")
+def criterion_9_oracles() -> tuple[bool, str]:
     """LR agreement with a brute-force count that shares no code with the
     package's LR rule, basis round trips, and absence of non-integral
     expansions.  Each skew shape's constraints are derived once
     (``_skew_constraints``), for all mu of its size, and every lattice word
     of content mu (``_lattice_words``) is still tested against all of them
     (``_count_fillings``)."""
-    started = time.monotonic()
     problems = []
     pairs = checked = 0
     by_size = [list(partitions_of(n)) for n in range(9)]
@@ -293,19 +290,17 @@ def criterion_9_oracles() -> CriterionResult:
     for alpha in enumerate_box(box):
         kgroup.dual_class(alpha, box)
         expansions += 1
-    return _result(
-        9, "oracle equivalences", not problems,
+    return not problems, (
         f"{checked} LR values over {pairs} products match brute force; "
         f"basis round trips hold and {expansions} expansions were integral"
-        if not problems else "; ".join(problems[:5]),
-        started,
+        if not problems else "; ".join(problems[:5])
     )
 
 
-def criterion_10_serre_duality(seed: int = 0) -> CriterionResult:
+@_criterion(10, "Serre duality", seeded=True)
+def criterion_10_serre_duality(seed: int = 0) -> tuple[bool, str]:
     """Matching dimensions in complementary degrees for 100 random weights
     on G(2,4)."""
-    started = time.monotonic()
     rng = random.Random(seed)
     box = BoxShape.for_grassmannian(2, 4)
     problems = []
@@ -320,32 +315,11 @@ def criterion_10_serre_duality(seed: int = 0) -> CriterionResult:
                 problems.append(f"{w}")
         elif second != bott.BottResult(box.dim - first.degree, first.dim):
             problems.append(f"{w}")
-    return _result(
-        10, "Serre duality", not problems,
-        "100 weights dualize correctly" if not problems else f"failures: {problems[:5]}",
-        started,
+    return not problems, (
+        "100 weights dualize correctly" if not problems else f"failures: {problems[:5]}"
     )
-
-
-_CRITERIA: list[Callable[..., CriterionResult]] = [
-    criterion_1_basis_ranks,
-    criterion_2_flop_unimodular,
-    criterion_3_involution,
-    criterion_4_main_component,
-    criterion_5_koszul_intermediates,
-    criterion_6_bott_anchors,
-    criterion_7_quadric_identity,
-    criterion_8_weyl_words,
-    criterion_9_oracles,
-    criterion_10_serre_duality,
-]
-
-_SEEDED = {criterion_7_quadric_identity, criterion_8_weyl_words, criterion_10_serre_duality}
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
     """Run every acceptance criterion; deterministic for a fixed seed."""
-    results = []
-    for fn in _CRITERIA:
-        results.append(fn(seed) if fn in _SEEDED else fn())
-    return sorted(results, key=lambda r: r.number)
+    return [fn(seed) if seeded else fn() for fn, seeded in _CRITERIA]

@@ -458,8 +458,7 @@ def _cmd_chamber_sort(args) -> int:
     try:
         sigma, word = weyl.chamber_sort(vec)
     except weyl.RegularityViolation as exc:
-        print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
+        return _error_exit(exc)
     payload = {"sigma": list(sigma), "word": word, "length": len(word)}
     _emit(args, payload, lambda: [
         f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
@@ -540,16 +539,24 @@ def _options(command: str) -> list[tuple]:
     return [row for group, rows in _OPTIONS.items() if group in groups for row in rows]
 
 
+def _error_exit(exc: Exception) -> int:
+    """Print ``exc`` as the structured error object on stdout; exit status 1."""
+    print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+    return 1
+
+
 def run(args) -> int:
     """Dispatch a namespace of parsed options; returns the exit status."""
     try:
+        for flag, dest, *_ in _options(args.command):
+            if getattr(args, dest) == []:  # argparse before 3.13 stores "--name=--" as []
+                raise UsageError(f'{flag} needs a value other than "--"')
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimit as exc:
-        print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
+        return _error_exit(exc)
 
 
 def _build_parser():
@@ -603,12 +610,7 @@ def _fast_parse(argv: list[str]) -> Optional[SimpleNamespace]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _fast_parse(argv) or _build_parser().parse_args(argv)
-    for flag, dest, *_ in _options(args.command):
-        if getattr(args, dest) == []:  # argparse before 3.13 stores "--name=--" as []
-            print(f'error: {flag} needs a value other than "--"', file=sys.stderr)
-            return 2
-    return run(args)
+    return run(_fast_parse(argv) or _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -234,9 +234,13 @@ def _exponent_index(box: BoxShape) -> dict[tuple[int, ...], int]:
     return {e: j for j, e in enumerate(sorted(subsets, key=sum))}
 
 
-def _binomial(n: int, k: int) -> int:
-    """C(n, k) for k >= 0 and any integer n: (-1)^k C(k - n - 1, k) for n < 0."""
-    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+def _binomials(n: int, count: int) -> list[int]:
+    """C(n, k) for k < count and any integer n, each from the one before by
+    the exact step C(n, k + 1) = C(n, k) (n - k) / (k + 1)."""
+    row = [1]
+    for k in range(count - 1):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
 
 
 @cache
@@ -245,16 +249,13 @@ def _column(e: int, h: int) -> tuple[tuple[int, int], ...]:
 
     The remainder is sum_{k<h} C(e, k) (x - 1)^k; its x^j coefficient is
     C(e, j) sum_{m<h-j} (-1)^m C(e - j, m) = (-1)^(h-1-j) C(e, j)
-    C(e - j - 1, h - 1 - j), with generalized binomials for negative n.
+    C(e - j - 1, h - 1 - j) = C(e, j) C(h - e - 1, h - 1 - j), with
+    generalized binomials; for e outside [0, h) none of them is zero.
     """
     if 0 <= e < h:
         return ((e, 1),)
-    column = []
-    for j in range(h):
-        a = (-1) ** (h - 1 - j) * _binomial(e, j) * _binomial(e - j - 1, h - 1 - j)
-        if a:
-            column.append((j, a))
-    return tuple(column)
+    low, high = _binomials(e, h), _binomials(h - e - 1, h)
+    return tuple((j, low[j] * high[h - 1 - j]) for j in range(h))
 
 
 @cache

@@ -5,8 +5,12 @@ this module reads as the acceptance report; the same checks back the
 command line's ``verify-all``.
 """
 
+import itertools
+import re
+
 import pytest
 
+from flopk import acceptance
 from flopk.acceptance import run_all
 
 _BUDGETS = {1: 1.0, 2: 30.0, 4: 1.0, 6: 5.0, 7: 1.0, 8: 1.0}
@@ -30,7 +34,29 @@ def test_criterion(results, number):
 
 
 def test_all_criteria_present(results):
-    assert sorted(results) == list(range(1, 11))
+    # the dict keeps run_all's order, which is the number order unsorted
+    assert list(results) == list(range(1, 11))
+
+
+def test_each_criterion_reports_its_own_number():
+    numbered = {int(m[1]): getattr(acceptance, name) for name in dir(acceptance)
+                if (m := re.fullmatch(r"criterion_(\d+)_\w+", name))}
+    assert sorted(numbered) == list(range(1, 11))
+    for number, fn in numbered.items():
+        assert fn().number == number
+
+
+def test_runner_fails_a_criterion_at_its_budget(monkeypatch):
+    # every reading of the fake clock is 2.5 s after the one before
+    ticks = itertools.count(0.0, 2.5)
+    monkeypatch.setattr(acceptance.time, "monotonic", lambda: next(ticks))
+    budgeted = acceptance.criterion_1_basis_ranks()
+    assert (budgeted.passed, budgeted.elapsed) == (False, 2.5)
+    assert budgeted.detail == ("C(h,t) matched for all (t,h), h<=8"
+                               "; exceeded 1.0s budget (2.50s)")
+    unbudgeted = acceptance.criterion_3_involution()
+    assert (unbudgeted.passed, unbudgeted.elapsed) == (True, 2.5)
+    assert unbudgeted.detail == "matrix squared is the identity on all cases"
 
 
 def test_criterion_9_range(results):
