@@ -284,11 +284,11 @@ def criterion_9_oracles() -> tuple[bool, str]:
         if v != kgroup.KVector.basis_vector(box, alpha):
             problems.append(f"round trip failed at {alpha}")
     for k in range(-4, 5):
-        kgroup.line_bundle_class(k, box)
-        kgroup.line_bundle_class(k, BoxShape(1, 2))
+        kgroup.expand_in_basis(kgroup.line_bundle(k), box)
+        kgroup.expand_in_basis(kgroup.line_bundle(k), BoxShape(1, 2))
         expansions += 2
     for alpha in enumerate_box(box):
-        kgroup.dual_class(alpha, box)
+        kgroup.expand_in_basis(kgroup.schur_sub_dual(alpha), box)
         expansions += 1
     return not problems, (
         f"{checked} LR values over {pairs} products match brute force; "

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from . import kgroup
-from .partitions import BoxShape, enumerate_box
+from .partitions import BoxShape, box_labels
 
 
 def canonical_json(obj) -> str:
@@ -75,10 +75,9 @@ MAX_VECTOR = 700
 # Most decimal digits in one number a command reads or prints: CPython's
 # default int-to-string limit.  gamma and quadric are quadratic maps, so
 # coordinates of up to 2150 digits always print; without --field, longer
-# ones may not.  2**14284 < 10**4300, so an int of at most _SHORT_BITS bits
-# is never compared with 10**MAX_DIGITS, which takes 50 us to form.
+# ones may not.
 MAX_DIGITS = 4300
-_SHORT_BITS = 14284
+_TOO_LONG = 10**MAX_DIGITS  # the least magnitude with more digits
 
 # Most characters bott accepts in --weight.  The sweep multiplies up to
 # h(h-1)/2 differences of the shifted weight, so its cost grows with both
@@ -170,7 +169,7 @@ def _check_exponent(entry: str, what: str) -> None:
 
 def _too_long(x: int) -> bool:
     """Whether |x| has more than MAX_DIGITS decimal digits."""
-    return x.bit_length() > _SHORT_BITS and abs(x) >= 10**MAX_DIGITS
+    return abs(x) >= _TOO_LONG
 
 
 def _decimal(values: Sequence[int], what: str) -> list[str]:
@@ -181,27 +180,15 @@ def _decimal(values: Sequence[int], what: str) -> list[str]:
     return [str(x) for x in values]
 
 
-def _basis_labels(box: BoxShape) -> list[str]:
-    """``p.text()`` of each basis partition p from its exponents e = p + delta:
-    part i is e_i - (t - 1 - i), and zero parts are dropped."""
-    t = box.rows
-    return [",".join([str(e - t + 1 + i) for i, e in enumerate(exps) if e > t - 1 - i]) or "-"
-            for exps in kgroup._exponent_index(box)]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations; each returns the exit status
 # ---------------------------------------------------------------------------
 
 def _cmd_kbasis(args) -> int:
     box = _box(args)
-    basis = enumerate_box(box)
-    payload = {
-        "box": [box.rows, box.cols],
-        "rank": len(basis),
-        "basis": [p.text() for p in basis],
-    }
-    _emit(args, payload, lambda: [f"rank: {len(basis)}", "basis: " + " ".join(payload["basis"])])
+    basis = box_labels(box)
+    payload = {"box": [box.rows, box.cols], "rank": len(basis), "basis": basis}
+    _emit(args, payload, lambda: [f"rank: {len(basis)}", "basis: " + " ".join(basis)])
     return 0
 
 
@@ -212,7 +199,7 @@ def _cmd_flop_matrix(args) -> int:
     box = _box(args, flop=True)
     matrix = kgroup.flop_matrix(box).entries
     det, snf = kgroup.flop_certificate(box)
-    basis, snf = _basis_labels(box), [str(d) for d in snf]
+    basis, snf = box_labels(box), [str(d) for d in snf]
     if args.fmt == "json":
         head = (f'{{"basis":{canonical_json(basis)},"box":[{box.rows},{box.cols}],'
                 f'"det":"{det}","matrix":[')
@@ -275,8 +262,8 @@ def _cmd_counterexample(args) -> int:
         target = ["O(1)", "O", "O(-1)"]
         domain = ["O+(-1)", "O+", "O+(1)"]
     else:
-        target = [f"S^{p.text()}" for p in enumerate_box(box)]
-        domain = [f"S^{p.text()}+" for p in enumerate_box(box)]
+        target = [f"S^{p}" for p in box_labels(box)]
+        domain = [f"S^{p}+" for p in box_labels(box)]
     payload = {
         "basis": args.basis,
         "target_basis": target,

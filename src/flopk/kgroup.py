@@ -67,10 +67,10 @@ a modeling identity, not an operation.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from math import comb, gcd
 
-from .partitions import BoxShape, Partition, Record, enumerate_box, lr_coefficients, partitions_of
+from .partitions import (BoxShape, Partition, Record, box_index, box_labels, enumerate_box,
+                         lr_coefficients, partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +93,11 @@ class KVector(Record):
 
     @classmethod
     def basis_vector(cls, box: BoxShape, alpha) -> "KVector":
-        alpha = Partition(alpha)
-        idx = enumerate_box(box).index(alpha)
+        idx = _basis_position(alpha, box)
         return cls(box, tuple(int(i == idx) for i in range(box.rank)))
 
     def coefficient(self, alpha) -> int:
-        return self.coords[enumerate_box(self.box).index(Partition(alpha))]
+        return self.coords[_basis_position(alpha, self.box)]
 
     def as_dict(self) -> dict[Partition, int]:
         basis = enumerate_box(self.box)
@@ -225,13 +224,14 @@ def _padded(alpha: Partition, t: int) -> tuple[int, ...]:
     return tuple(alpha) + (0,) * (t - len(alpha))
 
 
-@cache
-def _exponent_index(box: BoxShape) -> dict[tuple[int, ...], int]:
-    """Basis index of each partition lam, keyed by its exponents lam + delta:
-    the decreasing t-subsets of {0, ..., h-1}, lex descending, stably sorted
-    by their sum |lam| + |delta|, is the canonical order, with no Partition."""
-    subsets = combinations(range(box.h - 1, -1, -1), box.rows)
-    return {e: j for j, e in enumerate(sorted(subsets, key=sum))}
+def _basis_position(alpha, box: BoxShape) -> int:
+    """Basis index of the partition alpha, looked up by its exponents
+    alpha + delta; ValueError if alpha does not fit in the box."""
+    alpha = Partition(alpha)
+    if not alpha.fits(box):
+        raise ValueError(f"{alpha} does not fit in {box}")
+    t = box.rows
+    return box_index(box)[tuple(p + t - 1 - i for i, p in enumerate(_padded(alpha, t)))]
 
 
 def _binomials(n: int, count: int) -> list[int]:
@@ -281,7 +281,7 @@ def _straighten(weight: tuple[int, ...], box: BoxShape) -> tuple[tuple[int, int]
                 key = exps[:p] + (j,) + exps[p:]
                 out[key] = out.get(key, 0) + (-a * c if (len(exps) - p) % 2 else a * c)
         wedge = out
-    index = _exponent_index(box)
+    index = box_index(box)
     return tuple(sorted((index[exps], c) for exps, c in wedge.items() if c))
 
 
@@ -410,16 +410,6 @@ def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
         for k, x in term:
             total[k] += coeff * x
     return KVector(box, tuple(total))
-
-
-def line_bundle_class(k: int, box: BoxShape) -> KVector:
-    """[O(k)] in the Schur-power basis."""
-    return expand_in_basis(line_bundle(k), box)
-
-
-def dual_class(alpha, box: BoxShape) -> KVector:
-    """[Sigma^alpha of the dual subbundle] in the basis of plain Schur powers."""
-    return expand_in_basis(schur_sub_dual(alpha), box)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +587,7 @@ def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
     The only twist by O(1): the flop matrix and its certificate use it.
     """
     t = box.rows
-    index = _exponent_index(box)
+    index = box_index(box)
     inverse = _column(-1, box.h)
     columns = []
     for exps in index:
@@ -629,7 +619,7 @@ def _apply_twist(v: dict[int, int], twist) -> dict[int, int]:
 def _complement_indices(box: BoxShape) -> tuple[int, ...]:
     """Basis index of the rotated box complement of each basis partition:
     the exponents lam + delta, reversed and each taken from h - 1."""
-    index = _exponent_index(box)
+    index = box_index(box)
     return tuple(index[tuple(box.h - 1 - e for e in reversed(exps))] for exps in index)
 
 
@@ -692,8 +682,7 @@ def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
         trace += dict(twist[beta]).get(j, 0)
         if _apply_twist({complement[i]: x for i, x in twist[beta]}, twist) != {j: 1}:
             raise ArithmeticError(
-                f"flop matrix of {box} is not an involution at column "
-                f"{enumerate_box(box)[j].text()}"
+                f"flop matrix of {box} is not an involution at column {box_labels(box)[j]}"
             )
     det_pi = (-1) ** (sum(i != beta for i, beta in enumerate(complement)) // 2)
     det_g = (-1) ** ((box.rank - trace) // 2)

@@ -28,7 +28,6 @@ from .kgroup import (
     KVector,
     expand_in_basis,
     line_bundle,
-    line_bundle_class,
     schur_sub,
     wedge_tangent,
 )
@@ -62,7 +61,7 @@ def line_basis_matrix(box: BoxShape) -> IntegerMatrix:
     """
     if box.rows != 1:
         raise ValueError("line-bundle bases only exist for projective spaces")
-    cols = [line_bundle_class(k, box).coords for k in range(1, 1 - box.rank, -1)]
+    cols = [expand_in_basis(line_bundle(k), box).coords for k in range(1, 1 - box.rank, -1)]
     mat = IntegerMatrix.from_columns(cols)
     if mat.det() not in (1, -1):
         raise AssertionError(f"line-bundle basis on {box} is not unimodular")
@@ -96,8 +95,8 @@ def main_component_matrix(basis: str = "line") -> IntegerMatrix:
     """
     box = BoxShape.for_grassmannian(1, 3)
     images = [
-        line_bundle_class(1, box),
-        line_bundle_class(0, box),
+        expand_in_basis(line_bundle(1), box),
+        expand_in_basis(line_bundle(0), box),
         koszul_ideal_class(3),
     ]
     if basis == "line":

@@ -17,11 +17,16 @@ the shape grows, so no tableau is built that is not counted.
 Canonical box order: partitions are graded by size, and within a grade
 sorted lexicographically descending.  Every matrix in the package is
 written with respect to this order, so outputs are deterministic.
+``box_index`` is the one generator of the order: it ranks the exponent
+tuples lam + delta, delta = (t-1, ..., 0), with no Partition built, and
+``enumerate_box`` and ``box_labels`` read their partitions and labels off
+its keys.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 from math import comb
 from typing import Iterator, Optional
 
@@ -196,18 +201,34 @@ def partitions_of(
 
 
 @cache
+def box_index(box: BoxShape) -> dict[tuple[int, ...], int]:
+    """Basis index of each partition lam, keyed by its exponents lam + delta:
+    the decreasing t-subsets of {0, ..., h-1}, lex descending, stably sorted
+    by their sum |lam| + |delta|, is the canonical order, with no Partition."""
+    subsets = combinations(range(box.h - 1, -1, -1), box.rows)
+    return {e: j for j, e in enumerate(sorted(subsets, key=sum))}
+
+
+@cache
 def enumerate_box(box: BoxShape) -> tuple[Partition, ...]:
-    """All partitions fitting in the box, graded by size then lex descending.
+    """All partitions fitting in the box, graded by size then lex descending:
+    part i of the partition with exponents e is e_i - (t - 1 - i).
 
     The length is always C(rows+cols, rows).
 
     >>> [p.text() for p in enumerate_box(BoxShape(2, 2))]
     ['-', '1', '2', '1,1', '2,1', '2,2']
     """
-    out = []
-    for n in range(box.dim + 1):
-        out.extend(partitions_of(n, box.rows, box.cols))
-    return tuple(out)
+    t = box.rows
+    return tuple(Partition([e - t + 1 + i for i, e in enumerate(exps)]) for exps in box_index(box))
+
+
+def box_labels(box: BoxShape) -> list[str]:
+    """``p.text()`` of each partition p of ``enumerate_box``, read off its
+    exponents with no Partition built: zero parts are dropped."""
+    t = box.rows
+    return [",".join([str(e - t + 1 + i) for i, e in enumerate(exps) if e > t - 1 - i]) or "-"
+            for exps in box_index(box)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from flopk.kgroup import (
     IntegerMatrix,
     KVector,
     _complement_indices,
-    _exponent_index,
     _padded,
     _skew_count,
     _straighten,
@@ -20,7 +19,7 @@ from flopk.kgroup import (
     flop_matrix,
     schur_twist,
 )
-from flopk.partitions import Partition, enumerate_box, lr_coefficients, partitions_of
+from flopk.partitions import Partition, box_index, enumerate_box, lr_coefficients, partitions_of
 
 
 def rational_det(matrix) -> Fraction:
@@ -189,7 +188,7 @@ def straightened_twist(box) -> tuple[tuple[tuple[int, int], ...], ...]:
     """``kgroup.schur_twist`` with every column of lam_t = 0 straightened:
     s_{lam - 1^t} by ``_straighten``, in place of the closed form."""
     t = box.rows
-    index = _exponent_index(box)
+    index = box_index(box)
     return tuple(
         ((index[tuple(e - 1 for e in exps)], 1),) if exps[-1]
         else _straighten(tuple(x - 1 for x in _padded(lam, t)), box)

@@ -181,19 +181,19 @@ def test_flop_matrix_writer_matches_payload_oracle(capsys, t, h):
     ids=str,
 )
 def test_basis_labels_are_partition_texts(box):
-    assert cli._basis_labels(box) == [p.text() for p in enumerate_box(box)]
+    assert partitions.box_labels(box) == [p.text() for p in enumerate_box(box)]
 
 
 def _clear_flop_caches():
-    for fn in (kgroup.flop_matrix, kgroup.schur_twist, kgroup._exponent_index,
-               kgroup._complement_indices):
+    for fn in (kgroup.flop_matrix, kgroup.schur_twist, partitions.box_index,
+               partitions.enumerate_box, kgroup._complement_indices):
         fn.cache_clear()
 
 
-@pytest.mark.parametrize("command", ["flop-matrix", "check-iso", "snf"])
+@pytest.mark.parametrize("command", ["flop-matrix", "check-iso", "snf", "kbasis"])
 @pytest.mark.parametrize("t, h", [(2, 5), (3, 6)], ids=["G(2,5)", "G(3,6)"])
 def test_flop_commands_build_no_partition(monkeypatch, capsys, command, t, h):
-    # the flop path reads the basis off exponent tuples alone
+    # the flop path and kbasis read the basis off exponent tuples alone
     argv = [command, "--t", str(t), "--h", str(h)]
     want = [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")]
 
@@ -201,9 +201,8 @@ def test_flop_commands_build_no_partition(monkeypatch, capsys, command, t, h):
         raise AssertionError("partition built")
 
     _clear_flop_caches()
-    for module in (kgroup, cli):
-        monkeypatch.setattr(module, "enumerate_box", forbidden)
     for module in (kgroup, partitions):
+        monkeypatch.setattr(module, "enumerate_box", forbidden)
         monkeypatch.setattr(module, "Partition", forbidden)
     assert [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")] == want
 
@@ -441,19 +440,12 @@ def test_largest_integer_output_is_accepted(capsys, fmt):
     assert str(nines**2) in out
 
 
-def test_short_ints_skip_the_power_of_ten():
-    # an int of at most _SHORT_BITS bits is below 10**MAX_DIGITS, and the
-    # next bit can reach it: the bit test is exact
-    assert 2**cli._SHORT_BITS < 10**MAX_DIGITS < 2 ** (cli._SHORT_BITS + 1)
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 def test_decimal_limit_is_exact(sign):
-    # the longest printable values, those at the bit threshold, and the
-    # shortest refused ones
-    for x in (10**MAX_DIGITS - 1, 2**cli._SHORT_BITS, 2**cli._SHORT_BITS - 1):
+    # the longest printable values and the shortest refused ones
+    for x in (10**MAX_DIGITS - 1, 10 ** (MAX_DIGITS - 1)):
         assert cli._decimal([sign * x], "a value") == [str(sign * x)]
-    for x in (10**MAX_DIGITS, 2 ** (cli._SHORT_BITS + 1)):
+    for x in (10**MAX_DIGITS, 10**MAX_DIGITS + 1):
         with pytest.raises(cli.SizeLimit) as exc:
             cli._decimal([0, sign * x], "a value")
         assert str(exc.value) == f"a value has more than {MAX_DIGITS} digits"

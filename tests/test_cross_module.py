@@ -13,7 +13,6 @@ from flopk.bott import BottResult, Weight, bott_cohomology
 from flopk.chow import SchubertVector, chern_character, dual_chern_character
 from flopk.kgroup import (
     IntegerMatrix,
-    dual_class,
     expand_in_basis,
     flop_matrix,
     line_bundle,
@@ -77,7 +76,7 @@ def test_dual_class_chern_character_consistency(shape):
     box = BoxShape(*shape)
     basis = enumerate_box(box)
     for alpha in basis:
-        v = dual_class(alpha, box)
+        v = expand_in_basis(schur_sub_dual(alpha), box)
         recomposed = SchubertVector.zero(box)
         for coeff, beta in zip(v.coords, basis):
             recomposed = recomposed + coeff * chern_character(beta, box)

@@ -11,12 +11,10 @@ from flopk.kgroup import (
     IntegerMatrix,
     KVector,
     TautClass,
-    dual_class,
     expand_in_basis,
     flop_certificate,
     flop_matrix,
     line_bundle,
-    line_bundle_class,
     schur_quot,
     schur_sub,
     schur_sub_dual,
@@ -24,7 +22,7 @@ from flopk.kgroup import (
     smith_normal_form,
     wedge_tangent,
 )
-from flopk.partitions import BoxShape, Partition, enumerate_box
+from flopk.partitions import BoxShape, Partition, box_index, enumerate_box, partitions_of
 
 from oracles import (
     binomial_change,
@@ -62,39 +60,39 @@ def test_structure_sheaf_is_unit_vector():
 
 def test_twist_on_plane():
     # on the plane the cube of (1 - [O(-1)]) vanishes, forcing this expansion
-    assert line_bundle_class(1, P2).coords == (3, -3, 1)
+    assert expand_in_basis(line_bundle(1), P2).coords == (3, -3, 1)
 
 
 def test_twisted_tangent_class_on_plane():
     v = expand_in_basis(wedge_tangent(1) * line_bundle(-1), P2)
-    assert v == 3 * line_bundle_class(0, P2) - line_bundle_class(-1, P2)
+    assert v == 3 * expand_in_basis(line_bundle(0), P2) - expand_in_basis(line_bundle(-1), P2)
 
 
 def test_line_bundle_small_cases():
-    assert line_bundle_class(0, P1) == KVector.basis_vector(P1, ())
+    assert expand_in_basis(line_bundle(0), P1) == KVector.basis_vector(P1, ())
     # O(-1) is the subbundle itself on any projective space
-    assert line_bundle_class(-1, P1) == KVector.basis_vector(P1, (1,))
-    assert line_bundle_class(-1, P2) == KVector.basis_vector(P2, (1,))
+    assert expand_in_basis(line_bundle(-1), P1) == KVector.basis_vector(P1, (1,))
+    assert expand_in_basis(line_bundle(-1), P2) == KVector.basis_vector(P2, (1,))
     # (1 - [O(-1)])^2 = 0 on the line
-    assert line_bundle_class(1, P1).coords == (2, -1)
+    assert expand_in_basis(line_bundle(1), P1).coords == (2, -1)
 
 
 def test_line_bundle_tensor_relation():
     # [O(1)] (x) [O(-1)] = [O]
     expr = line_bundle(1) * line_bundle(-1)
-    assert expand_in_basis(expr, P2) == line_bundle_class(0, P2)
+    assert expand_in_basis(expr, P2) == expand_in_basis(line_bundle(0), P2)
 
 
 def test_dual_class_examples():
-    assert dual_class((), P2) == line_bundle_class(0, P2)
-    assert dual_class((1,), P1).coords == (2, -1)
-    assert dual_class((1,), P2).coords == (3, -3, 1)
-    assert dual_class((2,), P2).coords == (6, -8, 3)
+    assert expand_in_basis(schur_sub_dual(()), P2) == expand_in_basis(line_bundle(0), P2)
+    assert expand_in_basis(schur_sub_dual((1,)), P1).coords == (2, -1)
+    assert expand_in_basis(schur_sub_dual((1,)), P2).coords == (3, -3, 1)
+    assert expand_in_basis(schur_sub_dual((2,)), P2).coords == (6, -8, 3)
 
 
 def test_wedge_atoms_against_schur():
     # wedge^2 quot = Schur (1,1) of the quotient = det(quot) = O(1) on G(2,4)
-    assert expand_in_basis(schur_quot((1, 1)), G24) == line_bundle_class(1, G24)
+    assert expand_in_basis(schur_quot((1, 1)), G24) == expand_in_basis(line_bundle(1), G24)
 
 
 def test_negative_tangent_wedge_is_zero():
@@ -110,6 +108,18 @@ def test_round_trip_box_2_3():
     box = BoxShape(2, 3)
     for alpha in enumerate_box(box):
         assert expand_in_basis(schur_sub(alpha), box) == KVector.basis_vector(box, alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha, text", [((3,), "Partition((3,))"), ((1, 1, 1), "Partition((1, 1, 1))")], ids=str
+)
+def test_basis_lookups_refuse_partitions_outside_the_box(alpha, text):
+    # the message of the sub atom, not tuple.index's
+    for lookup in (lambda: KVector.basis_vector(G24, alpha),
+                   lambda: KVector(G24, (0,) * 6).coefficient(alpha)):
+        with pytest.raises(ValueError) as exc:
+            lookup()
+        assert str(exc.value) == f"{text} does not fit in BoxShape(rows=2, cols=2)"
 
 
 def test_non_integral_expansion_guard():
@@ -182,7 +192,7 @@ def test_expansion_is_integer_only(monkeypatch):
 def test_kvector_validation_and_algebra():
     with pytest.raises(ValueError):
         KVector(P2, (1, 0))
-    v = line_bundle_class(1, P2)
+    v = expand_in_basis(line_bundle(1), P2)
     assert (v - v).coords == (0, 0, 0)
     assert (2 * v).coords == (6, -6, 2)
     assert v.coefficient(()) == 3
@@ -200,14 +210,14 @@ def test_dual_twist_uniform(shape):
     box = BoxShape(*shape)
     for alpha in enumerate_box(box):
         twisted = schur_sub(box.complement(alpha)) * line_bundle(box.cols)
-        assert dual_class(alpha, box) == expand_in_basis(twisted, box)
+        assert expand_in_basis(schur_sub_dual(alpha), box) == expand_in_basis(twisted, box)
 
 
 def test_dual_twist_is_bijection():
     # the twist relation permutes the basis: the dual classes, as a set,
     # are the twisted basis classes
     box = BoxShape(2, 2)
-    duals = {dual_class(alpha, box) for alpha in enumerate_box(box)}
+    duals = {expand_in_basis(schur_sub_dual(alpha), box) for alpha in enumerate_box(box)}
     twisted = {
         expand_in_basis(schur_sub(beta) * line_bundle(box.cols), box)
         for beta in enumerate_box(box)
@@ -260,7 +270,7 @@ def test_kvector_rejects_non_int_coordinates(bad):
 
 def test_scaling_rejects_non_int_factors():
     with pytest.raises(TypeError):
-        2.5 * line_bundle_class(1, P2)
+        2.5 * expand_in_basis(line_bundle(1), P2)
     with pytest.raises(TypeError):
         schur_sub((1,)) * 2.5
     with pytest.raises(TypeError):
@@ -377,7 +387,7 @@ def test_line_bundle_twists_build_no_product_table(monkeypatch):
     # Pieri twist T: D^-1 T^3 e_0 is [O(3)], and T^3 D sends [O(-3)] back
     # to e_0
     _forbid_lr(monkeypatch)
-    plus, minus = line_bundle_class(3, G48), line_bundle_class(-3, G48)
+    plus, minus = expand_in_basis(line_bundle(3), G48), expand_in_basis(line_bundle(-3), G48)
     d, d_inv = binomial_change(G48)
     t = pieri_twist(G48)
     cube = t @ t @ t
@@ -390,7 +400,8 @@ def test_dual_class_builds_no_product_table(monkeypatch):
     _forbid_lr(monkeypatch)
     alpha = Partition((2, 1))
     column = enumerate_box(G48).index(alpha)
-    assert dual_class(alpha, G48).coords == dense_flop_matrix(G48).column(column)
+    dual = expand_in_basis(schur_sub_dual(alpha), G48)
+    assert dual.coords == dense_flop_matrix(G48).column(column)
 
 
 @pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)
@@ -423,7 +434,7 @@ def test_schur_twist_never_straightens(box, monkeypatch):
     def forbidden(*args):
         raise AssertionError("column straightened")
 
-    for fn in (schur_twist, kgroup._exponent_index, kgroup._column):
+    for fn in (schur_twist, box_index, kgroup._column):
         fn.cache_clear()
     monkeypatch.setattr(kgroup, "_straighten", forbidden)
     assert len(schur_twist(box)) == box.rank
@@ -446,12 +457,14 @@ def test_schur_twist_matches_straightened_columns(box):
     ids=str,
 )
 def test_exponent_index_is_canonical_order(box):
-    # the keys are lam + delta over enumerate_box, in its order
+    # the order by size, then lex descending, as partitions_of grades it
     t = box.rows
-    assert list(kgroup._exponent_index(box)) == [
-        tuple(p + t - 1 - i for i, p in enumerate(kgroup._padded(lam, t)))
-        for lam in enumerate_box(box)
+    graded = [lam for n in range(box.dim + 1) for lam in partitions_of(n, t, box.cols)]
+    assert list(enumerate_box(box)) == graded
+    assert list(box_index(box)) == [
+        tuple(p + t - 1 - i for i, p in enumerate(kgroup._padded(lam, t))) for lam in graded
     ]
+    assert list(box_index(box).values()) == list(range(box.rank))
 
 
 @pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
@@ -503,8 +516,11 @@ def test_certificate_rejects_perturbed_twist(monkeypatch):
     flop_matrix(box)
     twist = schur_twist(box)
     monkeypatch.setattr(kgroup, "schur_twist", lambda b: _perturbed(twist))
-    with pytest.raises(ArithmeticError, match="not an involution"):
+    with pytest.raises(ArithmeticError) as exc:
         flop_certificate(box)
+    assert str(exc.value) == (
+        "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column 3"
+    )
 
 
 def test_certificate_rejects_perturbed_matrix():

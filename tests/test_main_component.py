@@ -3,7 +3,14 @@ from math import prod
 
 import pytest
 
-from flopk.kgroup import IntegerMatrix, KVector, flop_matrix, line_bundle_class, smith_normal_form
+from flopk.kgroup import (
+    IntegerMatrix,
+    KVector,
+    expand_in_basis,
+    flop_matrix,
+    line_bundle,
+    smith_normal_form,
+)
 from flopk.main_component import (
     image_index,
     koszul_ideal_class,
@@ -21,9 +28,9 @@ def test_koszul_class_on_plane():
     v = koszul_ideal_class(3)
     assert to_line_basis(v) == (-3, 6, -2)
     expected = (
-        -2 * line_bundle_class(-1, P2)
-        + 6 * line_bundle_class(0, P2)
-        - 3 * line_bundle_class(1, P2)
+        -2 * expand_in_basis(line_bundle(-1), P2)
+        + 6 * expand_in_basis(line_bundle(0), P2)
+        - 3 * expand_in_basis(line_bundle(1), P2)
     )
     assert v == expected
 
@@ -31,7 +38,7 @@ def test_koszul_class_on_plane():
 def test_koszul_class_on_line():
     # one-step Koszul on the line: the twisted ideal class is [O(1)]
     box = BoxShape.for_grassmannian(1, 2)
-    assert koszul_ideal_class(2) == line_bundle_class(1, box)
+    assert koszul_ideal_class(2) == expand_in_basis(line_bundle(1), box)
 
 
 def test_koszul_rejects_h_below_2():
@@ -52,7 +59,7 @@ def test_koszul_against_euler_sequence_oracle(h):
     for i in range(1, h):
         for j in range(0, i + 1):
             coeff = (-1) ** (i + 1) * (-1) ** (i - j) * comb(h, j)
-            expected = expected + coeff * line_bundle_class(j - 1, box)
+            expected = expected + coeff * expand_in_basis(line_bundle(j - 1), box)
     assert koszul_ideal_class(h) == expected
 
 
@@ -105,8 +112,8 @@ def test_canonical_matrix_linearity():
     # the canonical matrix must act correctly on the canonical basis:
     # [O+] -> [O], [O+(-1)] = [sub+] -> [O(1)]
     m = main_component_matrix("canonical")
-    assert m.apply((1, 0, 0)) == line_bundle_class(0, P2).coords
-    assert m.apply((0, 1, 0)) == line_bundle_class(1, P2).coords
+    assert m.apply((1, 0, 0)) == expand_in_basis(line_bundle(0), P2).coords
+    assert m.apply((0, 1, 0)) == expand_in_basis(line_bundle(1), P2).coords
 
 
 def test_image_index_edge_cases():
