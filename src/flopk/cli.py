@@ -5,7 +5,7 @@ human layout).  JSON is canonical: keys sorted, no spaces, so parsing
 and re-serializing a report is byte-identical.  Matrix and coordinate
 entries are serialized as decimal strings since they are arbitrary-
 precision integers; small structural numbers (box sides, degrees,
-indices) stay plain.  ``flop-matrix`` builds F and certifies it before it
+indices) stay plain.  ``flop-matrix`` certifies F and builds it before it
 prints anything, then writes F row by row, never the whole text at once.
 
 Exit status: 0 for success and true verdicts, 1 when a computation
@@ -52,9 +52,9 @@ def _emit(args, payload: dict, table_lines: Callable[[], list[str]]) -> None:
 # Largest K-rank C(h,t) a flop command accepts, that of G(6,12).  check-iso
 # and snf check that G = U . Pi is an involution, about n (c+1)^2 products;
 # flop-matrix also builds F = U^c . Pi, in c C(h-1,t-1) twists, and prints
-# its n^2 entries.  Cold, G(6,12) takes 0.1 s and 0.5 s.  The printed size,
+# its n^2 entries.  Cold, G(6,12) takes 0.1 s and 0.4 s.  The printed size,
 # not the computation, bounds flop-matrix: G(1,924) prints 475 MB in 8 s
-# with a 252 MB peak, almost all of it F, built in 2.1 s.
+# with a 252 MB peak, almost all of it F, built in 1.5 s.
 MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
@@ -193,27 +193,32 @@ def _cmd_kbasis(args) -> int:
 
 
 def _cmd_flop_matrix(args) -> int:
-    """F and its certificate, then F one row at a time: the JSON is
+    """The certificate, then F one row at a time: the JSON is
     ``canonical_json`` of {basis, box, det, matrix, snf}, and the table
-    right-aligns entries to the longest, the largest's or the least's."""
+    right-aligns entries to the longest, the largest's or the least's.
+    Labels and decimal strings need no escaping, so the writer joins them
+    itself, and each row's text is written as it is joined, never copied;
+    ``repr`` of an int is its ``str``, by a cheaper call."""
     box = _box(args, flop=True)
-    matrix = kgroup.flop_matrix(box).entries
     det, snf = kgroup.flop_certificate(box)
+    matrix = kgroup._flop_rows(box)
     basis, snf = box_labels(box), [str(d) for d in snf]
     if args.fmt == "json":
-        head = (f'{{"basis":{canonical_json(basis)},"box":[{box.rows},{box.cols}],'
-                f'"det":"{det}","matrix":[')
-        rows = ('["' + '","'.join(map(str, row)) + '"]' for row in matrix)
-        sep, tail = ",", '],"snf":' + canonical_json(snf) + "}\n"
+        head = ('{"basis":["' + '","'.join(basis) + f'"],"box":[{box.rows},{box.cols}],'
+                f'"det":"{det}","matrix":[["')
+        rows = ('","'.join(map(repr, row)) for row in matrix)
+        sep, tail = '"],["', '"]],"snf":["' + '","'.join(snf) + '"]}\n'
     else:
         width = max(len(str(max(map(max, matrix)))), len(str(min(map(min, matrix)))))
         head = f"box: {box.rows} x {box.cols}\nbasis: " + " ".join(basis) + "\n"
-        rows = (" ".join([str(x).rjust(width) for x in row]) for row in matrix)
+        rows = (" ".join([repr(x).rjust(width) for x in row]) for row in matrix)
         sep, tail = "\n", f"\ndet: {det}\nsnf: " + " ".join(snf) + "\n"
     write = sys.stdout.write
-    write(head + next(rows))
+    write(head)
+    write(next(rows))
     for row in rows:
-        write(sep + row)
+        write(sep)
+        write(row)
     write(tail)
     return 0
 

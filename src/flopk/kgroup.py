@@ -67,7 +67,9 @@ a modeling identity, not an operation.
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 from math import comb, gcd
+from operator import itemgetter
 
 from .partitions import (BoxShape, Partition, Record, box_index, box_labels, enumerate_box,
                          lr_coefficients, partitions_of)
@@ -437,8 +439,8 @@ class IntegerMatrix:
 
     @classmethod
     def from_columns(cls, columns) -> "IntegerMatrix":
-        cols = [list(c) for c in columns]
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        cols = cls(columns).entries  # the constructor's checks, on the transpose
+        return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
 
     @property
     def rows(self) -> int:
@@ -623,6 +625,55 @@ def _complement_indices(box: BoxShape) -> tuple[int, ...]:
     return tuple(index[tuple(box.h - 1 - e for e in reversed(exps))] for exps in index)
 
 
+def _apply_dense_twist(v: list[int], gather, wide: list[int], twist) -> list[int]:
+    """U applied to the dense vector v, whose last slot n holds a 0:
+    ``gather`` reads slot i of the result at the j with U e_j = e_i, or at
+    that 0 where there is none, and the wide columns at the nonzero
+    entries of v are added term by term."""
+    out = list(gather(v))
+    for j in filter(v.__getitem__, wide):
+        x = v[j]
+        for i, u in twist[j]:
+            out[i] += u * x
+    return out
+
+
+def _flop_rows(box: BoxShape) -> list[list[int]]:
+    """The rows of F = U^c . Pi, walked in dense columns (see
+    ``flop_matrix``)."""
+    n, c = box.rank, box.cols
+    twist = schur_twist(box)
+    complement = _complement_indices(box)
+    back, wide = [n] * (n + 1), []
+    for j, column in enumerate(twist):
+        if len(column) == 1:  # (index of lam - 1^t, 1): lam_t >= 1
+            back[column[0][0]] = j
+        else:
+            wide.append(j)
+    gather = itemgetter(*back)  # n + 1 >= 2 slots, so it returns a tuple
+    rows = [[0] * n for _ in range(n)]
+    for mu in wide:
+        chain = [mu]  # mu + m 1^t at m, while it fits the box
+        while back[chain[-1]] != n:
+            chain.append(back[chain[-1]])
+        # U^k e_mu for k < mu_1 is no column of F; while such a vector has
+        # under n/16 nonzeros, a sparse step costs less than a dense pass
+        v, k = {mu: 1}, 0
+        while k < c + 1 - len(chain) and 16 * len(v) < n:
+            v, k = _apply_twist(v, twist), k + 1
+        column = [0] * (n + 1)
+        for i, x in v.items():
+            column[i] = x
+        for m in range(c - k, -1, -1):  # column = U^(c-m) e_mu
+            if m < len(chain):
+                j = complement[chain[m]]
+                for i, x in zip(compress(range(n), column), filter(None, column)):
+                    rows[i][j] = x
+            if m:
+                column = _apply_dense_twist(column, gather, wide, twist)
+    return rows
+
+
 @cache
 def flop_matrix(box: BoxShape) -> IntegerMatrix:
     """Matrix of the flop correspondence on the Grothendieck lattice.
@@ -638,27 +689,20 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     twist by O(1) in the Schur-power basis (``schur_twist``).  U shifts
     beta = mu + m 1^t, mu_t = 0, to mu in m steps, so column alpha is
     U^(c-m) e_mu: the orbit e_mu, ..., U^c e_mu of each of the C(h-1, t-1)
-    such mu is walked once, one vector at a time.  In the integral Chow
-    presentation of K(G) (Buch 2002, "A Littlewood-Richardson rule for the
-    K-theory of Grassmannians") U is the conjugate D^-1 . T . D of the
-    Pieri twist T, so F = D^-1 . T^c . D . Pi.
+    such mu is walked once, c applications of U.  The first steps reach no
+    column of F and stay sparse while the vector is; from there on it is
+    a dense list, written into F's rows at its nonzero entries once it is
+    a column of F, and U is read as two parts: its single-term columns,
+    one gather over the vector, and its C(h-1, t-1) wide columns, added at
+    the nonzero entries alone.  In the integral Chow presentation of K(G)
+    (Buch 2002, "A Littlewood-Richardson rule for the K-theory of
+    Grassmannians") U is the conjugate D^-1 . T . D of the Pieri twist T,
+    so F = D^-1 . T^c . D . Pi.
+
+    The command line writes the rows of ``_flop_rows`` as they are and
+    never builds this checked matrix.
     """
-    n, c = box.rank, box.cols
-    twist = schur_twist(box)
-    complement = _complement_indices(box)
-    up = {column[0][0]: j for j, column in enumerate(twist) if len(column) == 1}
-    rows = [[0] * n for _ in range(n)]
-    for mu in (j for j, column in enumerate(twist) if len(column) > 1):
-        chain = [mu]  # mu + m 1^t at m, while it fits the box
-        while chain[-1] in up:
-            chain.append(up[chain[-1]])
-        v = {mu: 1}
-        for m in range(c, -1, -1):  # v = U^(c-m) e_mu
-            if m < len(chain):
-                for i, x in v.items():
-                    rows[i][complement[chain[m]]] = x
-            if m:
-                v = _apply_twist(v, twist)
+    rows = _flop_rows(box)
     for i, row in enumerate(rows):
         rows[i] = tuple(row)  # each list is freed as its tuple is made
     return IntegerMatrix(rows)
@@ -669,18 +713,28 @@ def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
 
     G = U . Pi (column j is U's column at Pi(j)) must have G . G e_j = e_j
     for every j, else ArithmeticError; then Pi . U . Pi = U^-1, so F . F =
-    U^c . (Pi . U . Pi)^c = I.  An integer involution A has det A =
-    (-1)^((n - tr A) / 2), and det Pi is -1 to the number of 2-cycles, so
-    det U = det G . det Pi is computed, not assumed, and det F = (det G .
-    det Pi)^c . det Pi = +-1: Smith form (1, ..., 1).  Bareiss
+    U^c . (Pi . U . Pi)^c = I.  A single-term column u e_i of G passes
+    exactly when u = +-1 and G's column i is u e_j, read off U at Pi(i)
+    with no vector formed; only the C(h-1, t-1) wide columns are applied.
+    An integer involution A has det A = (-1)^((n - tr A) / 2), and det Pi
+    is -1 to the number of 2-cycles, so det U = det G . det Pi is
+    computed, not assumed, and det F = (det G . det Pi)^c . det Pi = +-1:
+    Smith form (1, ..., 1).  F is never formed; Bareiss
     ``IntegerMatrix.det`` and ``smith_normal_form`` are independent routes.
     """
     twist = schur_twist(box)
     complement = _complement_indices(box)
     trace = 0
     for j, beta in enumerate(complement):
-        trace += dict(twist[beta]).get(j, 0)
-        if _apply_twist({complement[i]: x for i, x in twist[beta]}, twist) != {j: 1}:
+        column = twist[beta]
+        if len(column) == 1:
+            (i, u), = column
+            trace += u if i == j else 0
+            involution = u in (1, -1) and twist[complement[i]] == ((j, u),)
+        else:
+            trace += dict(column).get(j, 0)
+            involution = _apply_twist({complement[i]: x for i, x in column}, twist) == {j: 1}
+        if not involution:
             raise ArithmeticError(
                 f"flop matrix of {box} is not an involution at column {box_labels(box)[j]}"
             )

@@ -84,6 +84,7 @@ def test_certificate_commands_never_build_the_flop_matrix(monkeypatch, capsys, a
         raise AssertionError("flop matrix built")
 
     monkeypatch.setattr(kgroup, "flop_matrix", forbidden)
+    monkeypatch.setattr(kgroup, "_flop_rows", forbidden)
     assert run_cli(capsys, *argv.split()) == (0, json_out + "\n")
     assert run_cli(capsys, *argv.split(), "--format", "table") == (0, table_out + "\n")
 
@@ -204,6 +205,20 @@ def test_flop_commands_build_no_partition(monkeypatch, capsys, command, t, h):
     for module in (kgroup, partitions):
         monkeypatch.setattr(module, "enumerate_box", forbidden)
         monkeypatch.setattr(module, "Partition", forbidden)
+    assert [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")] == want
+
+
+def test_flop_matrix_command_builds_no_checked_matrix(monkeypatch, capsys):
+    # the writer reads the rows of F that the walk built from ints; the
+    # validated IntegerMatrix is for library callers
+    argv = ["flop-matrix", "--t", "3", "--h", "6"]
+    want = [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")]
+
+    def forbidden(*args):
+        raise AssertionError("checked matrix built")
+
+    monkeypatch.setattr(kgroup, "flop_matrix", forbidden)
+    monkeypatch.setattr(kgroup, "IntegerMatrix", forbidden)
     assert [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")] == want
 
 

@@ -22,7 +22,8 @@ from flopk.kgroup import (
     smith_normal_form,
     wedge_tangent,
 )
-from flopk.partitions import BoxShape, Partition, box_index, enumerate_box, partitions_of
+from flopk.partitions import (BoxShape, Partition, box_index, box_labels, enumerate_box,
+                              partitions_of)
 
 from oracles import (
     binomial_change,
@@ -469,20 +470,23 @@ def test_exponent_index_is_canonical_order(box):
 
 @pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
 def test_flop_matrix_walks_each_twist_orbit_once(box, monkeypatch):
-    # U^k e_mu for mu_t = 0 and k <= c, each formed once: at most c
-    # applications of U per orbit, where column by column took up to n c
+    # U^k e_mu for mu_t = 0 and k <= c, each formed once, sparse before
+    # the first column of F and dense from there: at most c applications
+    # of U per orbit, where column by column took up to n c
     calls = []
-    apply_twist = kgroup._apply_twist
 
-    def counted(v, twist):
-        calls.append(1)
-        return apply_twist(v, twist)
+    def counted(apply):
+        def wrapper(*args):
+            calls.append(1)
+            return apply(*args)
+        return wrapper
 
-    monkeypatch.setattr(kgroup, "_apply_twist", counted)
+    for name in ("_apply_twist", "_apply_dense_twist"):
+        monkeypatch.setattr(kgroup, name, counted(getattr(kgroup, name)))
     for fn in (flop_matrix, schur_twist, kgroup._straighten, kgroup._complement_indices):
         fn.cache_clear()
     flop_matrix(box)
-    assert len(calls) <= box.cols * _orbit_count(box)
+    assert 0 < len(calls) <= box.cols * _orbit_count(box)
 
 
 def _complement_sign(box: BoxShape) -> int:
@@ -504,23 +508,44 @@ def test_flop_determinant_routes_agree(box):
         assert flop_matrix(box).det() == det
 
 
-def _perturbed(columns):
-    columns = list(columns)
-    (i, u), *rest = columns[0]
-    columns[0] = ((i, u + 1), *rest)
-    return tuple(columns)
+def _rejected_at(box, column, replacement) -> str:
+    # the certificate's refusal once U's column at the given basis label
+    # is replaced
+    twist = list(schur_twist(box))
+    twist[box_labels(box).index(column)] = replacement
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kgroup, "schur_twist", lambda b: tuple(twist))
+        with pytest.raises(ArithmeticError) as exc:
+            flop_certificate(box)
+    return str(exc.value)
 
 
-def test_certificate_rejects_perturbed_twist(monkeypatch):
+def test_certificate_rejects_perturbed_twist():
+    # U's columns at - and at 2 are wide (lam_t = 0, c + 1 terms), the only
+    # kind the certificate applies U to; Pi sends 3,3 and 3,1 there
     box = BoxShape(2, 3)
-    flop_matrix(box)
-    twist = schur_twist(box)
-    monkeypatch.setattr(kgroup, "schur_twist", lambda b: _perturbed(twist))
-    with pytest.raises(ArithmeticError) as exc:
-        flop_certificate(box)
-    assert str(exc.value) == (
-        "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column 3"
-    )
+    twist, position = schur_twist(box), box_labels(box).index
+    refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column "
+    for column, delta, at in (("-", 1, "3"), ("2", -1, "3,1")):
+        (i, u), *rest = twist[position(column)]
+        assert len(rest) == box.cols
+        assert _rejected_at(box, column, ((i, u + delta), *rest)) == refused + at
+
+
+def test_certificate_rejects_perturbed_single_term_columns():
+    # G = U . Pi.  Pi sends - to 3,3, whose U column is e_2,2, and G's
+    # column at 2,2 is e_-: G's first column, e_2,2, is checked against
+    # its partner, so a wrong target or a sign the partner does not share
+    # fails there.  G's column at 1,1 is U's at 2,2, e_1,1 itself: a
+    # fixed point, where only the coefficient +-1 is checked.
+    box = BoxShape(2, 3)
+    twist, position = schur_twist(box), box_labels(box).index
+    assert twist[position("3,3")] == ((position("2,2"), 1),)
+    assert twist[position("2,2")] == ((position("1,1"), 1),)
+    refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column "
+    for column, target, u, at in (("3,3", "2,1", 1, "-"), ("3,3", "2,2", 2, "-"),
+                                  ("3,3", "2,2", -1, "-"), ("2,2", "1,1", 2, "1,1")):
+        assert _rejected_at(box, column, ((position(target), u),)) == refused + at
 
 
 def test_certificate_rejects_perturbed_matrix():
@@ -574,6 +599,21 @@ def test_flop_matrix_certificates(box):
 def test_integer_matrix_rejects_non_int_entries(bad):
     with pytest.raises(TypeError):
         IntegerMatrix([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        IntegerMatrix.from_columns([[1, bad], [0, 1]])
+
+
+@pytest.mark.parametrize("columns", [[], [[]], [[1, 2], [3]], [[1], [2, 3]]], ids=str)
+def test_from_columns_rejects_non_rectangular_input(columns):
+    # the constructor's message, not an IndexError, and no truncation
+    with pytest.raises(ValueError, match="^entries must be a non-empty rectangular array$"):
+        IntegerMatrix.from_columns(columns)
+
+
+def test_from_columns_transposes():
+    assert IntegerMatrix.from_columns([[1, 2, 3], [4, 5, 6]]) == IntegerMatrix(
+        [[1, 4], [2, 5], [3, 6]]
+    )
 
 
 def test_is_unimodular_examples():
