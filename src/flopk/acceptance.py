@@ -75,13 +75,19 @@ _FLOP_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 6)]
 
 @_criterion(2, "flop isomorphism certificates", budget=30.0)
 def criterion_2_flop_unimodular() -> tuple[bool, str]:
-    """det = +-1 for the flop matrix on the listed Grassmannians."""
-    dets = {}
+    """det = +-1 for the flop matrix on the listed Grassmannians, by
+    Bareiss, and the certificate the command line prints agrees."""
+    dets, certified = {}, {}
     for t, h in _FLOP_CASES:
         box = BoxShape.for_grassmannian(t, h)
         dets[(t, h)] = kgroup.flop_matrix(box).det()
+        certified[(t, h)] = kgroup.flop_certificate(box)[0]
     bad = {k: d for k, d in dets.items() if d not in (1, -1)}
-    return not bad, f"dets {dets}" if not bad else f"non-unit dets: {bad}"
+    if bad:
+        return False, f"non-unit dets: {bad}"
+    if certified != dets:
+        return False, f"certificate dets {certified} against Bareiss {dets}"
+    return True, f"dets {dets}"
 
 
 @_criterion(3, "flop involution")

@@ -10,7 +10,7 @@ prints anything, then writes F row by row, never the whole text at once.
 
 Exit status: 0 for success and true verdicts, 1 when a computation
 reaches a failing verdict or a structured error (wall point, a request
-above a size limit), 2 for usage errors.
+above a size limit, a refused flop certificate), 2 for usage errors.
 
 A command followed by its value options, each spelled in full as
 ``--name value`` or ``--name=value`` (an int in ASCII digits, a separate
@@ -547,7 +547,7 @@ def run(args) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SizeLimit as exc:
+    except (SizeLimit, kgroup.CertificateError) as exc:
         return _error_exit(exc)
 
 

@@ -157,9 +157,6 @@ class TautClass:
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-1) * other
 
-    def __neg__(self) -> "TautClass":
-        return (-1) * self
-
     def __rmul__(self, n: int) -> "TautClass":
         if not isinstance(n, int):
             return NotImplemented
@@ -167,8 +164,6 @@ class TautClass:
 
     def __mul__(self, other) -> "TautClass":
         """Tensor product, extended bilinearly."""
-        if isinstance(other, int):
-            return other * self
         if not isinstance(other, TautClass):
             return NotImplemented
         out: dict[tuple[_Atom, ...], int] = {}
@@ -354,10 +349,7 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
     kind, arg = atom
     t = box.rows
     if kind == "sub":
-        alpha = Partition(arg)
-        if not alpha.fits(box):
-            raise ValueError(f"{alpha} does not fit in {box}")
-        return _straighten(_padded(alpha, t), box)
+        return ((_basis_position(arg, box), 1),)
     if kind == "sub*":
         # the dual has the roots x_i^-1: s_alpha(x^-1) = s_(-alpha_t, ..., -alpha_1)(x)
         alpha = Partition(arg)
@@ -466,11 +458,6 @@ class IntegerMatrix:
             out.append(acc)
         return IntegerMatrix(out)
 
-    def apply(self, vector) -> tuple[int, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(r * v for r, v in zip(row, vector)) for row in self.entries)
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -509,7 +496,9 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
 
     The cokernel of the column lattice is the direct sum of Z/d_i over the
     nonzero invariants plus one copy of Z per zero.  Reduction pivots on
-    the least absolute value to keep entries small.
+    the least absolute value to keep entries small.  A pivot is nonzero
+    until the remaining block is all zero, so the zeros of the diagonal
+    only trail.
     """
     m = [list(row) for row in matrix.entries]
     nrows, ncols = len(m), len(m[0])
@@ -557,17 +546,15 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
             if clear:
                 break
     diag = [abs(m[i][i]) for i in range(min(nrows, ncols))]
-    # enforce the divisibility chain d_i | d_{i+1}
+    # enforce the divisibility chain d_i | d_{i+1}; after the pass d_i
+    # divides every later d_j, so the invariants come out sorted
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            if diag[i] == 0 and diag[j] != 0:
-                diag[i], diag[j] = diag[j], diag[i]
             a, b = diag[i], diag[j]
             if a and b and b % a:
                 g = gcd(a, b)
                 diag[i], diag[j] = g, a * b // g
-    nonzero = sorted(d for d in diag if d)
-    return tuple(nonzero) + (0,) * (len(diag) - len(nonzero))
+    return tuple(diag)
 
 
 @cache
@@ -708,19 +695,27 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     return IntegerMatrix(rows)
 
 
+class CertificateError(ArithmeticError):
+    """``flop_certificate`` refused: G = U . Pi is not the involution that
+    F is built from."""
+
+
 def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
     """Determinant and Smith form of F = U^c . Pi from U and Pi alone.
 
     G = U . Pi (column j is U's column at Pi(j)) must have G . G e_j = e_j
-    for every j, else ArithmeticError; then Pi . U . Pi = U^-1, so F . F =
+    for every j, else CertificateError; then Pi . U . Pi = U^-1, so F . F =
     U^c . (Pi . U . Pi)^c = I.  A single-term column u e_i of G passes
-    exactly when u = +-1 and G's column i is u e_j, read off U at Pi(i)
-    with no vector formed; only the C(h-1, t-1) wide columns are applied.
-    An integer involution A has det A = (-1)^((n - tr A) / 2), and det Pi
-    is -1 to the number of 2-cycles, so det U = det G . det Pi is
-    computed, not assumed, and det F = (det G . det Pi)^c . det Pi = +-1:
-    Smith form (1, ..., 1).  F is never formed; Bareiss
-    ``IntegerMatrix.det`` and ``smith_normal_form`` are independent routes.
+    exactly when u = 1 and G's column i is e_j, read off U at Pi(i) with
+    no vector formed; only the C(h-1, t-1) wide columns are applied.  The
+    walk (``_flop_rows``) gathers U's single-term columns unscaled, so +1
+    is what it assumes: -U . Pi is an involution too, and accepting -1
+    would certify a det that the F it builds does not have.  An integer
+    involution A has det A = (-1)^((n - tr A) / 2), and det Pi is -1 to
+    the number of 2-cycles, so det U = det G . det Pi is computed, not
+    assumed, and det F = (det G . det Pi)^c . det Pi = +-1: Smith form
+    (1, ..., 1).  F is never formed; Bareiss ``IntegerMatrix.det`` and
+    ``smith_normal_form`` are independent routes.
     """
     twist = schur_twist(box)
     complement = _complement_indices(box)
@@ -729,13 +724,13 @@ def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
         column = twist[beta]
         if len(column) == 1:
             (i, u), = column
-            trace += u if i == j else 0
-            involution = u in (1, -1) and twist[complement[i]] == ((j, u),)
+            trace += i == j
+            involution = u == 1 and twist[complement[i]] == ((j, 1),)
         else:
             trace += dict(column).get(j, 0)
             involution = _apply_twist({complement[i]: x for i, x in column}, twist) == {j: 1}
         if not involution:
-            raise ArithmeticError(
+            raise CertificateError(
                 f"flop matrix of {box} is not an involution at column {box_labels(box)[j]}"
             )
     det_pi = (-1) ** (sum(i != beta for i, beta in enumerate(complement)) // 2)

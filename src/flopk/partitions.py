@@ -163,13 +163,6 @@ class BoxShape(Record):
     def h(self) -> int:
         return self.rows + self.cols
 
-    def complement(self, alpha: Partition) -> Partition:
-        """The 180-degree rotated complement of alpha inside the box."""
-        if not alpha.fits(self):
-            raise ValueError(f"{alpha} does not fit in {self}")
-        padded = tuple(alpha) + (0,) * (self.rows - len(alpha))
-        return Partition(self.cols - p for p in reversed(padded))
-
 
 def partitions_of(
     n: int, max_rows: Optional[int] = None, max_part: Optional[int] = None

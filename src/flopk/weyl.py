@@ -43,19 +43,6 @@ class Permutation(tuple):
     def identity(cls, h: int) -> "Permutation":
         return cls(range(1, h + 1))
 
-    @classmethod
-    def adjacent(cls, h: int, i: int) -> "Permutation":
-        """The transposition swapping i and i+1."""
-        if not 1 <= i <= h - 1:
-            raise ValueError(f"need 1 <= i <= {h - 1}, got {i}")
-        images = list(range(1, h + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(images)
-
-    @property
-    def h(self) -> int:
-        return len(self)
-
     def __call__(self, i: int) -> int:
         return self[i - 1]
 
@@ -110,11 +97,15 @@ def apply_word(word: Sequence[int], seq: Sequence) -> tuple:
 
 
 def word_permutation(word: Sequence[int], h: int) -> Permutation:
-    """The permutation realized by a word under left-to-right application."""
-    cur = Permutation.identity(h)
-    for i in word:
-        cur = Permutation.adjacent(h, i) * cur
-    return cur
+    """The permutation realized by a word under left-to-right application.
+
+    Read off the action: ``apply_word`` moves the entry at position j to
+    position sigma(j), so it turns 1, ..., h into sigma^-1.
+
+    >>> word_permutation([1, 2], 3)
+    Permutation((3, 1, 2))
+    """
+    return Permutation(apply_word(word, range(1, h + 1))).inverse()
 
 
 def adjacent_word(sigma: Permutation) -> list[int]:

@@ -20,6 +20,37 @@ from flopk.kgroup import (
     schur_twist,
 )
 from flopk.partitions import Partition, box_index, enumerate_box, lr_coefficients, partitions_of
+from flopk.weyl import Permutation
+
+
+def apply(matrix, vector) -> tuple[int, ...]:
+    """The integer matrix applied to a vector, entry by entry."""
+    if len(vector) != matrix.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(sum(r * v for r, v in zip(row, vector)) for row in matrix.entries)
+
+
+def box_complement(box, alpha) -> Partition:
+    """The 180-degree rotated complement of alpha inside the box, by its
+    parts; ``kgroup._complement_indices`` reads it off the exponents."""
+    if not alpha.fits(box):
+        raise ValueError(f"{alpha} does not fit in {box}")
+    padded = tuple(alpha) + (0,) * (box.rows - len(alpha))
+    return Partition(box.cols - p for p in reversed(padded))
+
+
+def transposition_product(word, h) -> Permutation:
+    """s_{i_k} * ... * s_{i_1} for the word [i_1, ..., i_k], multiplied out
+    as adjacent transpositions; ``weyl.word_permutation`` reads the
+    permutation off the word's action instead."""
+    product = Permutation.identity(h)
+    for i in word:
+        if not 1 <= i <= h - 1:
+            raise ValueError(f"need 1 <= i <= {h - 1}, got {i}")
+        images = list(range(1, h + 1))
+        images[i - 1], images[i] = images[i], images[i - 1]
+        product = Permutation(images) * product
+    return product
 
 
 def rational_det(matrix) -> Fraction:
@@ -135,7 +166,7 @@ def dense_flop_matrix(box) -> IntegerMatrix:
     index = {p: i for i, p in enumerate(basis)}
     d, d_inv = binomial_change(box)
     m = IntegerMatrix.from_columns(
-        [d.column(index[box.complement(alpha)]) for alpha in basis]
+        [d.column(index[box_complement(box, alpha)]) for alpha in basis]
     )
     twist = pieri_twist(box)
     for _ in range(box.cols):
@@ -253,7 +284,7 @@ def _pieri_power(v, box, times: int) -> tuple[int, ...]:
     """T^times applied to z-coordinates: the product with O(times)."""
     twist = pieri_twist(box)
     for _ in range(times):
-        v = twist.apply(v)
+        v = apply(twist, v)
     return v
 
 
@@ -280,7 +311,7 @@ def _z_atom(atom, box) -> tuple[int, ...]:
             coords.append(
                 (-1) ** nu.size * _skew_count(alpha, nu, box.h) if alpha.contains(nu) else 0
             )
-        return binomial_change(box)[0].apply(coords)
+        return apply(binomial_change(box)[0], coords)
     if kind == "line":
         # O(k) = T^k [O], and O(-k) = (det sub)^k = s_(k^t)(1 + z)
         if arg >= 0:
@@ -307,7 +338,7 @@ def z_expand(expr, box) -> KVector:
         for atom in atoms:
             term = z_product(term, _z_atom(atom, box), box)
         total = [x + coeff * y for x, y in zip(total, term)]
-    return KVector(box, binomial_change(box)[1].apply(total))
+    return KVector(box, apply(binomial_change(box)[1], total))
 
 
 def ch_expand(expr, box) -> KVector:

@@ -61,3 +61,20 @@ def test_runner_fails_a_criterion_at_its_budget(monkeypatch):
 
 def test_criterion_9_range(results):
     assert results[9].detail.startswith("3112 LR values over 434 products match brute force")
+
+
+def test_criterion_2_fails_when_the_certificate_disagrees(monkeypatch):
+    # the certificate that check-iso, snf and flop-matrix print must give
+    # Bareiss's det on every case; a flipped sign on G(1,2) fails it
+    certificate = acceptance.kgroup.flop_certificate
+
+    def flipped(box):
+        det, snf = certificate(box)
+        return (-det if box.rank == 2 else det), snf
+
+    assert acceptance.criterion_2_flop_unimodular().passed
+    monkeypatch.setattr(acceptance.kgroup, "flop_certificate", flipped)
+    r = acceptance.criterion_2_flop_unimodular()
+    assert not r.passed
+    assert r.detail.startswith("certificate dets {(1, 2): 1, ")
+    assert "against Bareiss {(1, 2): -1, " in r.detail

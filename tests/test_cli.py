@@ -223,14 +223,29 @@ def test_flop_matrix_command_builds_no_checked_matrix(monkeypatch, capsys):
 
 
 def test_failed_flop_certificate_prints_nothing(monkeypatch, capsys):
+    # -U . Pi is an involution too, but the walk builds F from +U: the
+    # certificate refuses -U, and the command prints the structured error
+    # object and no row of F
+    negated = tuple(tuple((i, -u) for i, u in column)
+                    for column in kgroup.schur_twist(BoxShape(3, 3)))
+    monkeypatch.setattr(kgroup, "schur_twist", lambda box: negated)
+    error = ('{"error":{"message":"flop matrix of BoxShape(rows=3, cols=3) is not an '
+             'involution at column -","type":"CertificateError"}}\n')
+    for command in ("flop-matrix", "check-iso", "snf"):
+        for fmt in ("json", "table"):
+            assert main([command, "--t", "3", "--h", "6", "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (error, "")
+
+
+def test_only_the_certificate_refusal_is_a_structured_error(monkeypatch):
+    # any other ArithmeticError is a fault of the program, not a verdict
     def fails(box):
-        raise ArithmeticError("not an involution")
+        raise ZeroDivisionError("division by zero")
 
     monkeypatch.setattr(kgroup, "flop_certificate", fails)
-    for fmt in ("json", "table"):
-        with pytest.raises(ArithmeticError):
-            main(["flop-matrix", "--t", "3", "--h", "6", "--format", fmt])
-        assert capsys.readouterr().out == ""
+    with pytest.raises(ZeroDivisionError):
+        main(["check-iso", "--t", "3", "--h", "6"])
 
 
 class _Discard:
@@ -732,6 +747,30 @@ def test_bott_box_needs_both_sides(capsys, box):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: give --t and --h together, or neither\n"
+
+
+_USAGE_ERRORS = [
+    (["bott"], '--weight is required, e.g. "-2,-2|0,0"'),
+    (["gamma"], "--point a,x,y,z,w is required"),
+    (["quadric"], "--point p12,p13,p14,p23,p24,p34 is required"),
+    (["springer-fiber", "--t", "2", "--h", "4"], "--t, --h and --i are required"),
+    (["weyl-word"], "--h >= 2 is required"),
+    (["chamber-sort"], "--vector v1,v2,... is required"),
+    (["gamma", "--point", "1,2,3"], "expected 5 comma-separated values, got 3"),
+    (["gamma", "--point", "1,x,3,4,5"], "invalid literal for int() with base 10: 'x'"),
+    (["bott", "--t", "2", "--h", "4", "--weight", "1,0|0"],
+     "weight blocks 1,0|0 do not match t=2, h=4"),
+    (["springer-fiber", "--t", "2", "--h", "4", "--i", "3"],
+     "need 0 <= i <= t and 2t <= h, got t=2, h=4, i=3"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in _USAGE_ERRORS])
+def test_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_zero_denominator_vector_is_usage_error(capsys):

@@ -23,7 +23,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, enumerate_box
 
-from oracles import ch_expand, weyl_dimension
+from oracles import box_complement, ch_expand, weyl_dimension
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3)])
@@ -62,7 +62,7 @@ def test_flop_matrix_from_twist_route(shape):
     box = BoxShape(*shape)
     columns = []
     for alpha in enumerate_box(box):
-        beta = box.complement(alpha)
+        beta = box_complement(box, alpha)
         columns.append(
             ch_expand(schur_sub(beta) * line_bundle(box.cols), box).coords
         )

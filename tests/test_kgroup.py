@@ -26,7 +26,9 @@ from flopk.partitions import (BoxShape, Partition, box_index, box_labels, enumer
                               partitions_of)
 
 from oracles import (
+    apply,
     binomial_change,
+    box_complement,
     ch_expand,
     column_by_double_sum,
     dense_flop_matrix,
@@ -210,7 +212,7 @@ def test_dual_twist_uniform(shape):
     # complement and c the box width, with one twist for every alpha
     box = BoxShape(*shape)
     for alpha in enumerate_box(box):
-        twisted = schur_sub(box.complement(alpha)) * line_bundle(box.cols)
+        twisted = schur_sub(box_complement(box, alpha)) * line_bundle(box.cols)
         assert expand_in_basis(schur_sub_dual(alpha), box) == expand_in_basis(twisted, box)
 
 
@@ -298,7 +300,7 @@ def test_pieri_twist_is_line_bundle(shape):
     box = BoxShape(*shape)
     d, d_inv = binomial_change(box)
     o = KVector.basis_vector(box, ())
-    assert (d_inv @ pieri_twist(box) @ d).apply(o.coords) == ch_expand(line_bundle(1), box).coords
+    assert apply(d_inv @ pieri_twist(box) @ d, o.coords) == ch_expand(line_bundle(1), box).coords
 
 
 def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
@@ -393,8 +395,8 @@ def test_line_bundle_twists_build_no_product_table(monkeypatch):
     t = pieri_twist(G48)
     cube = t @ t @ t
     unit = KVector.basis_vector(G48, ()).coords
-    assert plus.coords == (d_inv @ cube).apply(unit)
-    assert (cube @ d).apply(minus.coords) == unit
+    assert plus.coords == apply(d_inv @ cube, unit)
+    assert apply(cube @ d, minus.coords) == unit
 
 
 def test_dual_class_builds_no_product_table(monkeypatch):
@@ -492,7 +494,7 @@ def test_flop_matrix_walks_each_twist_orbit_once(box, monkeypatch):
 def _complement_sign(box: BoxShape) -> int:
     # the box complement is an involution: one transposition per 2-cycle
     basis = enumerate_box(box)
-    moved = sum(1 for alpha in basis if box.complement(alpha) != alpha)
+    moved = sum(1 for alpha in basis if box_complement(box, alpha) != alpha)
     return (-1) ** (moved // 2)
 
 
@@ -546,6 +548,32 @@ def test_certificate_rejects_perturbed_single_term_columns():
     for column, target, u, at in (("3,3", "2,1", 1, "-"), ("3,3", "2,2", 2, "-"),
                                   ("3,3", "2,2", -1, "-"), ("2,2", "1,1", 2, "1,1")):
         assert _rejected_at(box, column, ((position(target), u),)) == refused + at
+
+
+@pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)
+def test_certificate_refuses_negated_twist(monkeypatch, box):
+    # -U . Pi is an involution as well, but the walk gathers U's
+    # single-term columns unscaled, so the F it builds from -U is not the
+    # one the certificate would vouch for: on G(1,4) that F has det -1
+    # and does not square to I
+    negated = tuple(tuple((i, -u) for i, u in column) for column in schur_twist(box))
+    monkeypatch.setattr(kgroup, "schur_twist", lambda b: negated)
+    with pytest.raises(kgroup.CertificateError, match="not an involution at column -$"):
+        flop_certificate(box)
+    if box == BoxShape(1, 3):
+        walked = IntegerMatrix(kgroup._flop_rows(box))
+        assert walked.det() == -1
+        assert walked @ walked != IntegerMatrix.identity(box.rank)
+
+
+def test_complement_indices_match_box_complement():
+    # the runtime complements exponent tuples; the oracle rotates parts
+    for box in FLOP_BOXES:
+        basis = enumerate_box(box)
+        index = {p: i for i, p in enumerate(basis)}
+        assert kgroup._complement_indices(box) == tuple(
+            index[box_complement(box, alpha)] for alpha in basis
+        )
 
 
 def test_certificate_rejects_perturbed_matrix():

@@ -98,3 +98,21 @@ def test_test_only_oracles_stay_out_of_the_package():
     ]
     assert back == []
     assert "__str__" not in vars(kgroup.KVector)
+
+
+def test_second_routes_stay_out_of_the_package():
+    # word -> permutation is read off apply_word, the complement off the
+    # exponents (kgroup._complement_indices); the transposition product,
+    # the part-wise complement and the matrix-vector product live in
+    # tests/oracles.py
+    from flopk import kgroup, partitions, weyl
+
+    gone = {
+        weyl.Permutation: ("adjacent", "h"),
+        partitions.BoxShape: ("complement",),
+        kgroup.IntegerMatrix: ("apply",),
+        kgroup.TautClass: ("__neg__",),
+    }
+    back = [f"{cls.__name__}.{name}" for cls, names in gone.items() for name in names
+            if name in vars(cls)]
+    assert back == []

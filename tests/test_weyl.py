@@ -16,6 +16,8 @@ from flopk.weyl import (
     word_permutation,
 )
 
+from oracles import transposition_product
+
 
 # ---------------------------------------------------------------------------
 # Permutation basics
@@ -60,6 +62,7 @@ def test_word_application_matches_word_permutation():
         word = [rng.randint(1, h - 1) for _ in range(rng.randint(0, 8))]
         v = tuple(rng.randint(-9, 9) for _ in range(h))
         assert apply_word(word, v) == word_permutation(word, h).apply(v)
+        assert word_permutation(word, h) == transposition_product(word, h)
 
 
 # ---------------------------------------------------------------------------
