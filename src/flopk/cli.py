@@ -58,9 +58,9 @@ def _emit(args, payload: dict, table_lines: Callable[[], list[str]]) -> None:
 MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
-# partitions, and hodge runs one Bott computation per partition, each a
-# product of about h^2/2 big integers, so hodge also caps the dimension
-# t(h-t): G(1,h) has K-rank only h.
+# partitions, and hodge runs one Bott computation per partition.  hodge
+# also refuses a dimension t(h-t) above bott.MAX_HODGE_DIM, that of this
+# box, since G(1,h) has K-rank only h.
 MAX_BOX = BoxShape(9, 9)
 
 # Largest h weyl-word accepts: it prints a permutation of h entries and a
@@ -324,9 +324,9 @@ def _cmd_bott(args) -> int:
 def _cmd_hodge(args) -> int:
     from . import bott
     box = _box(args)
-    if box.dim > MAX_BOX.dim:
+    if box.dim > bott.MAX_HODGE_DIM:
         raise SizeLimit(
-            f"G({args.t},{args.h}) has dimension {box.dim}, above the limit {MAX_BOX.dim}"
+            f"G({args.t},{args.h}) has dimension {box.dim}, above the limit {bott.MAX_HODGE_DIM}"
         )
     table = bott.hodge_numbers(box)
     diag = [table[p][p] for p in range(box.dim + 1)]

@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import Iterator, Optional
 
 
@@ -95,22 +96,28 @@ class Partition(tuple):
 
 
 class Record:
-    """An immutable value whose fields a subclass names in ``__slots__`` and
-    sets in ``__init__`` by ``object.__setattr__``: it equals only its own
-    class, hashes as its fields' tuple and prints as ``Name(field=value)``."""
+    """An immutable value whose two or more fields a subclass names in
+    ``__slots__`` and sets in ``__init__`` by ``object.__setattr__``: it
+    equals only its own class, hashes as its fields' tuple and prints as
+    ``Name(field=value)``."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        # attrgetter of two or more names returns the fields' tuple; of
+        # one name it would return the bare value, so one field is refused
+        super().__init_subclass__(**kwargs)
+        if len(cls.__slots__) < 2:
+            raise TypeError(f"a Record needs two or more fields, got {cls.__slots__}")
+        cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -122,7 +129,7 @@ class Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
 
 class BoxShape(Record):

@@ -5,7 +5,7 @@ from functools import cache
 from math import comb
 
 from flopk.acceptance import _count_fillings, _lattice_words, _skew_constraints
-from flopk.bott import BottResult
+from flopk.bott import BottResult, Weight
 from flopk.chow import ch_matrix_inverse
 from flopk.kgroup import (
     IntegerMatrix,
@@ -377,6 +377,26 @@ def sort_bott_cohomology(w):
     degree = sum(1 for i in range(h) for j in range(i + 1, h) if v[i] < v[j])
     lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
     return BottResult(degree, weyl_dimension(lam))
+
+
+def exterior_cotangent_decomposition(p: int, box) -> list:
+    """Weights of the irreducible summands of the p-th exterior power of
+    the cotangent bundle.
+
+    Cauchy: wedge^p(sub (x) quot*) splits over partitions mu of p inside
+    the box as Sigma^mu(sub) (x) Sigma^(mu')(quot*); as a Weight the sub
+    factor contributes the negated reversal of mu.
+    """
+    if not 0 <= p <= box.dim:
+        raise ValueError(f"need 0 <= p <= {box.dim}, got {p}")
+    out = []
+    for mu in partitions_of(p, box.rows, box.cols):
+        padded = tuple(mu) + (0,) * (box.rows - len(mu))
+        a = tuple(-x for x in reversed(padded))
+        conj = mu.conjugate()
+        b = tuple(conj) + (0,) * (box.cols - len(conj))
+        out.append(Weight(a, b))
+    return out
 
 
 def weyl_dimension(lam) -> int:

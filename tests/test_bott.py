@@ -1,8 +1,10 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb, factorial, prod
 from pathlib import Path
@@ -15,13 +17,18 @@ from flopk.bott import (
     BottResult,
     Weight,
     bott_cohomology,
-    exterior_cotangent_decomposition,
     hodge_numbers,
     line_bundle_weight,
     serre_dual_weight,
 )
+from flopk.cli import MAX_BOX
 from flopk.partitions import BoxShape
-from oracles import gaussian_binomial, sort_bott_cohomology, weyl_dimension
+from oracles import (
+    exterior_cotangent_decomposition,
+    gaussian_binomial,
+    sort_bott_cohomology,
+    weyl_dimension,
+)
 
 P1 = BoxShape.for_grassmannian(1, 2)
 P2 = BoxShape.for_grassmannian(1, 3)
@@ -148,6 +155,42 @@ def test_hodge_diagonal_is_gaussian_binomial(box, diagonal):
     assert sum(diag) == box.rank
 
 
+def _cauchy_hodge(box):
+    """The Hodge table summed over the oracle's Cauchy summands, p by p."""
+    table = [[0] * (box.dim + 1) for _ in range(box.dim + 1)]
+    for p in range(box.dim + 1):
+        for w in exterior_cotangent_decomposition(p, box):
+            res = bott_cohomology(w)
+            if res is not None:
+                table[p][res.degree] += res.dim
+    return table
+
+
+BOXES_TO_12 = [BoxShape.for_grassmannian(t, h) for h in range(2, 13) for t in range(1, h)]
+
+
+@pytest.mark.parametrize("box", BOXES_TO_12 + [BoxShape.for_grassmannian(1, 82)], ids=str)
+def test_hodge_matches_cauchy_summands(box):
+    table = hodge_numbers(box)
+    assert table == _cauchy_hodge(box)
+    assert [table[p][p] for p in range(box.dim + 1)] == gaussian_binomial(box.h, box.rows)
+
+
+@pytest.mark.parametrize("t, h", [(1, 83), (1, 150), (10, 20), (1000, 2000)])
+def test_hodge_refuses_dimension_above_cap(t, h):
+    box = BoxShape.for_grassmannian(t, h)
+    started = time.perf_counter()
+    message = f"G({t},{h}) has dimension {box.dim}, above the limit {bott.MAX_HODGE_DIM}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hodge_numbers(box)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_hodge_cap_is_the_dimension_of_the_largest_box():
+    # the command line's hodge refuses by this constant, and kbasis by MAX_BOX
+    assert bott.MAX_HODGE_DIM == MAX_BOX.dim == 81
+
+
 def test_gaussian_binomial_small():
     assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
     assert gaussian_binomial(2, 1) == [1, 1]
@@ -177,6 +220,44 @@ def test_serre_duality_seeded_weights():
             assert second is None
         else:
             assert second == BottResult(G24.dim - first.degree, first.dim)
+
+
+def _check_unchecked_duals():
+    """The dual built without Weight's checks passes them: 5000 seeded
+    weights for each h <= 9 with entries in [-20, 20], and extreme ones."""
+    rng = random.Random(27)
+    weights = []
+    for h in range(2, 10):
+        for _ in range(5000):
+            t = rng.randint(1, h - 1)
+            a = tuple(sorted((rng.randint(-20, 20) for _ in range(t)), reverse=True))
+            b = tuple(sorted((rng.randint(-20, 20) for _ in range(h - t)), reverse=True))
+            weights.append(Weight(a, b))
+    big = 10**60
+    weights += [
+        Weight((big, -big), (big,)),
+        Weight((0,), (-big, -big - 1)),
+        Weight((2**63, 2**63), (-(2**63), -(2**64))),
+        Weight((7,), (7,)),
+    ]
+    for w in weights:
+        dual = serre_dual_weight(w)
+        assert type(dual) is Weight and type(dual.a) is tuple and type(dual.b) is tuple
+        assert dual == Weight(dual.a, dual.b), w
+        assert (len(dual.a), len(dual.b)) == (len(w.a), len(w.b))
+    return len(weights)
+
+
+def test_unchecked_dual_is_a_valid_weight():
+    assert _check_unchecked_duals() == 8 * 5000 + 4
+
+
+def test_unchecked_dual_is_a_valid_weight_under_optimize():
+    tests = Path(__file__).parent
+    code = "import test_bott\ntest_bott._check_unchecked_duals()\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests), str(Path(flopk.__file__).parent.parent)]))
+    subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True, timeout=120)
 
 
 def test_serre_dual_weight_involution():

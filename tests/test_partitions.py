@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from flopk.bott import Weight
 from flopk.chow import centralizer_order, sn_character
 from flopk.kgroup import KVector
-from flopk.partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
+from flopk.partitions import (
+    BoxShape,
+    Partition,
+    Record,
+    enumerate_box,
+    lr_coefficients,
+    partitions_of,
+)
 
 from oracles import box_complement
 
@@ -195,6 +202,14 @@ def test_record_copies_and_pickles(value, fields, text):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == text
+
+
+def test_record_refuses_fewer_than_two_fields():
+    # its fields' tuple is read by one attrgetter, which returns a bare
+    # value for a single name
+    for slots in [(), ("x",)]:
+        with pytest.raises(TypeError, match="a Record needs two or more fields"):
+            type("One", (Record,), {"__slots__": slots})
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_test_only_oracles_stay_out_of_the_package():
     from flopk import acceptance, bott, flopgeom, kgroup
 
     moved = {
-        bott: ("weyl_dimension", "gaussian_binomial"),
+        bott: ("weyl_dimension", "gaussian_binomial", "exterior_cotangent_decomposition"),
         flopgeom: ("is_indeterminate", "determinantal_membership"),
         acceptance: ("_brute_force_lr",),
     }
