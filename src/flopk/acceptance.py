@@ -138,7 +138,8 @@ def criterion_5_koszul_intermediates() -> tuple[bool, str]:
 
 @_criterion(6, "cohomology anchors", budget=5.0)
 def criterion_6_bott_anchors() -> tuple[bool, str]:
-    """Cohomology anchors: O(-2) on G(2,4) vanishes, Hodge diagonal, twists."""
+    """Cohomology anchors: O(-2) on G(2,4) vanishes, its middle Hodge
+    numbers by Bott, the Hodge diagonal, twists."""
     g24 = BoxShape.for_grassmannian(2, 4)
     p2 = BoxShape.for_grassmannian(1, 3)
     problems = []
@@ -148,7 +149,14 @@ def criterion_6_bott_anchors() -> tuple[bool, str]:
     diag = [table[p][p] for p in range(5)]
     if diag != [1, 1, 2, 1, 1]:
         problems.append(f"Hodge diagonal {diag}")
-    if table[2][2] != 2 or table[3][3] != 1:
+    # the Cauchy summands (-reversed mu | mu') of the second and third
+    # exterior cotangent powers, for mu = (2), (1,1) and (2,1)
+    middle = {}
+    for p, a, b in ((2, (0, -2), (1, 1)), (2, (-1, -1), (2, 0)), (3, (-1, -2), (2, 1))):
+        res = bott.bott_cohomology(bott.Weight(a, b))
+        if res is not None:
+            middle[p, res.degree] = middle.get((p, res.degree), 0) + res.dim
+    if middle != {(2, 2): 2, (3, 3): 1}:
         problems.append("middle Hodge numbers wrong")
     for d in range(6):
         res = bott.bott_cohomology(bott.line_bundle_weight(d, p2))

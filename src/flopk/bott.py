@@ -10,9 +10,9 @@ The convention (which block comes first, and the sign) is pinned by
 anchor facts rather than chosen a priori: sections of O(1) on the
 projective plane are 3-dimensional, O(-2) on the line has a single class
 in degree one, O(-2) on G(2,4) has no cohomology at all, and the middle
-Hodge numbers of G(2,4) are (2, 1) in degrees (2, 3).  All four hold for
-the recipe below and fail for the block-swapped or sign-flipped
-variants.
+Hodge numbers of G(2,4), summed over the Cauchy summands below, are
+(2, 1) in degrees (2, 3).  All four hold for the recipe below and fail
+for the block-swapped or sign-flipped variants.
 
 Algorithm: append the two blocks and subtract (0, 1, ..., h-1) to get v,
 the weight plus rho = (h-1, ..., 1, 0) less the constant h-1, which
@@ -25,11 +25,11 @@ Weyl dimension of the sorted v minus rho, which is the product of the
 |v_i - v_j| divided by the Weyl denominator prod_{k<h} k!.  The Serre
 dual negates and reverses each block, which keeps it a non-increasing
 int block, so it is built without ``Weight``'s checks.  The Hodge table
-walks the exponent subsets of the box (``partitions.box_index``'s keys,
-unsorted) and sends each summand's entries through the same sweep, with
-no Partition and no Weight built.  The Weyl dimension formula, the
-Gaussian binomial and the Cauchy decomposition by partitions are oracles
-of the tests (``tests/oracles.py``).
+needs no sweep: each Cauchy summand has a single class, of dimension 1,
+so ``hodge_numbers`` counts the partitions of the box (the Schubert
+cells) by size.  The Weyl dimension formula, the Gaussian binomial and
+the Cauchy decomposition by partitions are oracles of the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from itertools import combinations
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from .partitions import BoxShape, Record
+from .partitions import BoxShape, Record, box_index
 
 # Largest dimension t(h-t) of a Grassmannian that hodge_numbers accepts,
-# that of G(9,18), the largest box, and of G(1,82).  The table sweeps
-# C(h,t) summands of about h^2/2 pairs each, whose products grow with h:
-# G(9,18) takes about 1.5 s cold, and G(1,150) about 3 s.
+# that of G(9,18), the largest box, and of G(1,82).  It bounds the
+# printed table, (d+1)^2 entries for dimension d: 6724 at the cap.
 MAX_HODGE_DIM = 81
 
 
@@ -105,9 +104,10 @@ def _weyl_denominator(n: int) -> int:
     return prod(map(factorial, range(n)))
 
 
-def _sweep(entries: tuple[int, ...], t: int) -> Optional[BottResult]:
-    """Bott's answer for the weight (entries[:t] | entries[t:]), whose
-    blocks the caller guarantees are non-increasing ints."""
+def bott_cohomology(w: Weight) -> Optional[BottResult]:
+    """Cohomology of the irreducible bundle with weight w; None if it all
+    vanishes (the dotted weight hits a wall)."""
+    entries = w.a + w.b
     degree = 0
     num = 1
     for x, y in combinations([x - i for i, x in enumerate(entries)], 2):
@@ -121,15 +121,8 @@ def _sweep(entries: tuple[int, ...], t: int) -> Optional[BottResult]:
     den = _weyl_denominator(len(entries))
     dim, rem = divmod(num, den)
     if rem:
-        w = Weight(entries[:t], entries[t:])
         raise AssertionError(f"non-integral Weyl dimension {num}/{den} for {w}")
     return BottResult(degree, dim)
-
-
-def bott_cohomology(w: Weight) -> Optional[BottResult]:
-    """Cohomology of the irreducible bundle with weight w; None if it all
-    vanishes (the dotted weight hits a wall)."""
-    return _sweep(w.a + w.b, len(w.a))
 
 
 def serre_dual_weight(w: Weight) -> Weight:
@@ -151,9 +144,12 @@ def hodge_numbers(box: BoxShape) -> list[list[int]]:
 
     Cauchy: the p-th power splits over the partitions mu of p in the box
     as Sigma^mu(sub) (x) Sigma^(mu')(quot*), the weight (-reversed mu |
-    mu').  Each mu is read off its exponents mu + (t-1, ..., 0), a
-    t-subset of {h-1, ..., 0}.  Off-diagonal entries vanish and the
-    diagonal lists the coefficients of the Gaussian binomial [h choose t]_q.
+    mu').  Its shifted entries are minus the exponents mu + (t-1, ..., 0)
+    followed by minus their complement in {0, ..., h-1}, off every wall,
+    so each summand has one class of dimension 1, in degree |mu|.  Hence
+    h^{p,p} counts the partitions of p in the box, the coefficients of the
+    Gaussian binomial [h choose t]_q, and the rest vanish.  Each mu is a
+    key of ``box_index``, its exponents, whose sum is |mu| + t(t-1)/2.
     Boxes of dimension above MAX_HODGE_DIM raise ValueError.
     """
     d = box.dim
@@ -161,12 +157,9 @@ def hodge_numbers(box: BoxShape) -> list[list[int]]:
         raise ValueError(
             f"G({box.rows},{box.h}) has dimension {d}, above the limit {MAX_HODGE_DIM}"
         )
-    t, cols = box.rows, box.cols
+    shift = box.rows * (box.rows - 1) // 2
     table = [[0] * (d + 1) for _ in range(d + 1)]
-    for exps in combinations(range(box.h - 1, -1, -1), t):
-        mu = [e - t + 1 + i for i, e in enumerate(exps)]
-        conj = [sum(1 for m in mu if m > j) for j in range(cols)]
-        res = _sweep(tuple([-m for m in reversed(mu)] + conj), t)
-        if res is not None:
-            table[sum(mu)][res.degree] += res.dim
+    for exps in box_index(box):
+        p = sum(exps) - shift
+        table[p][p] += 1
     return table

@@ -58,9 +58,9 @@ def _emit(args, payload: dict, table_lines: Callable[[], list[str]]) -> None:
 MAX_FLOP_RANK = 924
 
 # Largest box the other box commands accept, G(9,18): kbasis lists C(h,t)
-# partitions, and hodge runs one Bott computation per partition.  hodge
-# also refuses a dimension t(h-t) above bott.MAX_HODGE_DIM, that of this
-# box, since G(1,h) has K-rank only h.
+# partitions, and hodge counts them by size.  hodge also refuses a
+# dimension t(h-t) above bott.MAX_HODGE_DIM, that of this box, since
+# G(1,h) has K-rank only h.
 MAX_BOX = BoxShape(9, 9)
 
 # Largest h weyl-word accepts: it prints a permutation of h entries and a
@@ -324,11 +324,10 @@ def _cmd_bott(args) -> int:
 def _cmd_hodge(args) -> int:
     from . import bott
     box = _box(args)
-    if box.dim > bott.MAX_HODGE_DIM:
-        raise SizeLimit(
-            f"G({args.t},{args.h}) has dimension {box.dim}, above the limit {bott.MAX_HODGE_DIM}"
-        )
-    table = bott.hodge_numbers(box)
+    try:
+        table = bott.hodge_numbers(box)
+    except ValueError as exc:  # the dimension cap, bott.MAX_HODGE_DIM
+        raise SizeLimit(str(exc)) from None
     diag = [table[p][p] for p in range(box.dim + 1)]
     payload = {
         "box": [box.rows, box.cols],

@@ -78,3 +78,23 @@ def test_criterion_2_fails_when_the_certificate_disagrees(monkeypatch):
     assert not r.passed
     assert r.detail.startswith("certificate dets {(1, 2): 1, ")
     assert "against Bareiss {(1, 2): -1, " in r.detail
+
+
+def test_criterion_6_fails_when_bott_shifts_a_degree(monkeypatch):
+    # the middle Hodge numbers come from Bott on G(2,4)'s Cauchy summands,
+    # so one degree too many on every weight with a nonzero quotient block
+    # fails them, while line-bundle weights come back unchanged
+    cohomology = acceptance.bott.bott_cohomology
+
+    def shifted(w):
+        res = cohomology(w)
+        if res is None or not any(w.b):
+            return res
+        return res._replace(degree=res.degree + 1)
+
+    r = acceptance.criterion_6_bott_anchors()
+    assert (r.passed, r.detail) == (True, "all anchors hold")
+    monkeypatch.setattr(acceptance.bott, "bott_cohomology", shifted)
+    r = acceptance.criterion_6_bott_anchors()
+    assert not r.passed
+    assert r.detail == "middle Hodge numbers wrong"

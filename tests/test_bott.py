@@ -133,18 +133,30 @@ def test_decomposition_total_rank():
         assert total == comb(G24.dim, p)
 
 
+# every box the command line's hodge accepts: K-rank C(h,t) at most
+# MAX_BOX.rank = 48620 and dimension t(h-t) at most MAX_HODGE_DIM = 81
+ACCEPTED = [
+    BoxShape.for_grassmannian(t, h)
+    for h in range(2, bott.MAX_HODGE_DIM + 2) for t in range(1, h)
+    if comb(h, t) <= MAX_BOX.rank and t * (h - t) <= bott.MAX_HODGE_DIM
+]
+
+
+@pytest.fixture
+def uncached_box_index(monkeypatch):
+    # the accepted boxes' indexes hold about 840 000 keys between them:
+    # build each afresh instead of keeping them all
+    monkeypatch.setattr(bott, "box_index", bott.box_index.__wrapped__)
+
+
 @pytest.mark.parametrize(
     "box,diagonal",
-    [
-        (P1, [1, 1]),
-        (P2, [1, 1, 1]),
-        (G24, [1, 1, 2, 1, 1]),
-        (BoxShape(2, 3), None),
-        (BoxShape(1, 4), None),
-    ],
+    [(P1, [1, 1]), (P2, [1, 1, 1]), (G24, [1, 1, 2, 1, 1])]
+    + [(box, None) for box in ACCEPTED if box.h <= 30 and box not in (P1, P2, G24)]
+    + [(BoxShape.for_grassmannian(2, 42), None), (BoxShape.for_grassmannian(1, 82), None)],
     ids=str,
 )
-def test_hodge_diagonal_is_gaussian_binomial(box, diagonal):
+def test_hodge_diagonal_is_gaussian_binomial(box, diagonal, uncached_box_index):
     table = hodge_numbers(box)
     diag = [table[p][p] for p in range(box.dim + 1)]
     if diagonal is not None:
@@ -153,6 +165,13 @@ def test_hodge_diagonal_is_gaussian_binomial(box, diagonal):
     o_sum = sum(table[p][q] for p in range(box.dim + 1) for q in range(box.dim + 1) if p != q)
     assert o_sum == 0
     assert sum(diag) == box.rank
+
+
+def test_hodge_table_of_a_box_equals_that_of_its_transpose(uncached_box_index):
+    # G(t,h) and G(h-t,h) are isomorphic
+    assert len(ACCEPTED) == 373
+    for box in ACCEPTED:
+        assert hodge_numbers(box) == hodge_numbers(BoxShape(box.cols, box.rows)), box
 
 
 def _cauchy_hodge(box):
