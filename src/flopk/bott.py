@@ -39,7 +39,7 @@ from itertools import combinations
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from .partitions import BoxShape, Record, box_index
+from .partitions import BoxShape, Record
 
 # Largest dimension t(h-t) of a Grassmannian that hodge_numbers accepts,
 # that of G(9,18), the largest box, and of G(1,82).  It bounds the
@@ -148,8 +148,9 @@ def hodge_numbers(box: BoxShape) -> list[list[int]]:
     followed by minus their complement in {0, ..., h-1}, off every wall,
     so each summand has one class of dimension 1, in degree |mu|.  Hence
     h^{p,p} counts the partitions of p in the box, the coefficients of the
-    Gaussian binomial [h choose t]_q, and the rest vanish.  Each mu is a
-    key of ``box_index``, its exponents, whose sum is |mu| + t(t-1)/2.
+    Gaussian binomial [h choose t]_q, and the rest vanish.  Each mu is
+    counted by its exponents, a t-subset of {0, ..., h-1} with sum
+    |mu| + t(t-1)/2; the table needs no basis order, so no index is built.
     Boxes of dimension above MAX_HODGE_DIM raise ValueError.
     """
     d = box.dim
@@ -159,7 +160,7 @@ def hodge_numbers(box: BoxShape) -> list[list[int]]:
         )
     shift = box.rows * (box.rows - 1) // 2
     table = [[0] * (d + 1) for _ in range(d + 1)]
-    for exps in box_index(box):
+    for exps in combinations(range(box.h), box.rows):
         p = sum(exps) - shift
         table[p][p] += 1
     return table

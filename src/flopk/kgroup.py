@@ -30,15 +30,18 @@ s_mu, mu the sorted J minus delta, a partition in the box
 (``_straighten``).
 
 * Expansion of an arbitrary tautological class (``expand_in_basis``)
-  gives every atom its coordinates and multiplies them out.  The dual
+  works in the representation ring of GL_t: every atom is a combination
+  of weights (``_atom_vector``).  Sigma^alpha sub is s_alpha; the dual
   Schur power has the roots x_i^-1, so Sigma^alpha sub* is s_w with
   w = (-alpha_t, ..., -alpha_1), and O(k) = (det sub)^-k is s_w with
-  w = (-k, ..., -k); both are straightened.  The quotient comes from
-  [quot] = h - [sub] in the lambda-ring and the exterior powers of the
-  tangent bundle from the Cauchy decomposition.  Two basis classes
-  multiply as Schur polynomials in t variables, s_lam s_mu =
-  sum c^nu_{lam,mu} s_nu over the nu with at most t rows, and each s_nu
-  is straightened; these products are formed pair by pair on first use.
+  w = (-k, ..., -k).  The quotient comes from [quot] = h - [sub] in the
+  lambda-ring and the exterior powers of the tangent bundle from the
+  Cauchy decomposition.  Two weights multiply as s_v s_w =
+  det^(v_t + w_t) s_(v - v_t) s_(w - w_t), the last two by the
+  Littlewood-Richardson rule for partitions with at most t rows, and
+  each product is straightened into the box once (``_multiply``), so a
+  chain of products never holds more than C(h, t) weights; the weights
+  of the last product are straightened into the coordinates.
 * The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
   complement and U multiplication by O(1) = (x_1 ... x_t)^-1
   (``schur_twist``): column lam is s_{lam - 1^t} in closed form, at most
@@ -214,8 +217,9 @@ def line_bundle(k: int) -> TautClass:
 # Expansion in the Schur-power basis
 # ---------------------------------------------------------------------------
 #
-# A sparse vector is a tuple of (basis index, coefficient) pairs, nonzero
-# coefficients only.
+# A sparse vector is a tuple of (basis index, coefficient) pairs, and a
+# combination of weights one of (weight, coefficient) pairs, each weight a
+# non-increasing tuple of t ints; nonzero coefficients only.
 
 def _padded(alpha: Partition, t: int) -> tuple[int, ...]:
     return tuple(alpha) + (0,) * (t - len(alpha))
@@ -282,50 +286,41 @@ def _straighten(weight: tuple[int, ...], box: BoxShape) -> tuple[tuple[int, int]
     return tuple(sorted((index[exps], c) for exps, c in wedge.items() if c))
 
 
-def _product(i: int, j: int, box: BoxShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """[Sigma^lam sub] (x) [Sigma^mu sub] for the basis indices i <= j, as
-    the tuple of basis indices and the tuple of their coefficients (two
-    flat tuples take a quarter of the memory of the pairs).
-
-    s_lam s_mu is the sum of c^nu_{lam,mu} s_nu over the nu with at most
-    t rows, each s_nu straightened; index 0 is the empty partition, the
-    unit, for which no LR coefficient is needed (nor could the bounding
-    box of the nu, t x (lam_1 + mu_1), have a zero side).
-    """
-    if i == 0:
-        return (j,), (1,)
-    basis = enumerate_box(box)
-    lam, mu = basis[i], basis[j]
-    t = box.rows
-    out: dict[int, int] = {}
-    for nu, c in lr_coefficients(lam, mu, BoxShape(t, lam.cols + mu.cols)).items():
-        for k, u in _straighten(_padded(nu, t), box):
-            out[k] = out.get(k, 0) + c * u
-    out = {k: x for k, x in out.items() if x}
-    return tuple(out), tuple(out.values())
-
-
 @cache
-def _products(box: BoxShape) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The ``_product`` of each index pair i <= j met so far on the box;
-    ``_multiply`` fills it."""
-    return {}
+def _basis_weights(box: BoxShape) -> tuple[tuple[int, ...], ...]:
+    """Each basis partition padded to t parts, a weight, in basis order."""
+    t = box.rows
+    return tuple(tuple(e - t + 1 + i for i, e in enumerate(exps)) for exps in box_index(box))
 
 
-def _multiply(u, v, box: BoxShape) -> tuple[tuple[int, int], ...]:
-    """Product of two sparse vectors."""
-    products = _products(box)
+def _multiply(u, v, box: BoxShape) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Product of two combinations of weights, reduced into the box.
+
+    s_v s_w = det^(v_t + w_t) s_(v - v_t) s_(w - w_t): the shifted weights
+    are partitions, multiplied by the Littlewood-Richardson rule in t rows
+    (none needed when one is empty), and each nu is shifted back.  The
+    weights so collected are straightened once each, so every weight of
+    the result is a basis partition and a chain of products never holds
+    more than C(h, t) weights.
+    """
+    t = box.rows
+    shifted = [(Partition(x - w[-1] for x in w), w[-1], b) for w, b in v]
+    product: dict[tuple[int, ...], int] = {}
+    for w, a in u:
+        lam = Partition(x - w[-1] for x in w)
+        for mu, low, b in shifted:
+            shift, ab = w[-1] + low, a * b
+            nus = (lr_coefficients(lam, mu, BoxShape(t, lam.cols + mu.cols)).items()
+                   if lam and mu else ((lam or mu, 1),))
+            for nu, c in nus:
+                weight = tuple(p + shift for p in _padded(nu, t))
+                product[weight] = product.get(weight, 0) + ab * c
     out: dict[int, int] = {}
-    for i, a in u:
-        for j, b in v:
-            key = (i, j) if i <= j else (j, i)
-            terms = products.get(key)
-            if terms is None:
-                terms = products[key] = _product(*key, box)
-            ab = a * b
-            for k, c in zip(*terms):
-                out[k] = out.get(k, 0) + ab * c
-    return tuple((k, x) for k, x in out.items() if x)
+    for weight, x in product.items():
+        for k, y in _straighten(weight, box):
+            out[k] = out.get(k, 0) + x * y
+    weights = _basis_weights(box)
+    return tuple((weights[k], x) for k, x in out.items() if x)
 
 
 def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
@@ -343,19 +338,23 @@ def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
 
 
 @cache
-def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
-    """Sparse coordinates of one atom; raises ValueError exactly where the
-    character route (``chow.tautological_ch``) does."""
+def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One atom as a sparse combination of weights, (weight, coefficient)
+    pairs; raises ValueError exactly where the character route
+    (``chow.tautological_ch``) does.  A sub* or line atom is one weight,
+    which may lie outside the box and is not straightened here; sub and
+    quot atoms are basis partitions, and tangent wedges, being products,
+    are reduced into the box."""
     kind, arg = atom
     t = box.rows
     if kind == "sub":
-        return ((_basis_position(arg, box), 1),)
+        return ((_basis_weights(box)[_basis_position(arg, box)], 1),)
     if kind == "sub*":
         # the dual has the roots x_i^-1: s_alpha(x^-1) = s_(-alpha_t, ..., -alpha_1)(x)
         alpha = Partition(arg)
         if alpha.rows > t:
             raise ValueError(f"{alpha} has more than {t} rows")
-        return _straighten(tuple(-a for a in reversed(_padded(alpha, t))), box)
+        return ((tuple(-a for a in reversed(_padded(alpha, t))), 1),)
     if kind == "quot":
         # [quot] = h - [sub] in the lambda-ring, so [Sigma^alpha quot] is
         # sum_{nu in alpha} (-1)^|nu| s_{alpha/nu}(1^h) [Sigma^(nu') sub];
@@ -365,44 +364,46 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[int, int], ...]:
         if alpha.rows > box.cols:
             raise ValueError(f"{alpha} has more than {box.cols} rows")
         return tuple(
-            (i, (-1) ** nu.size * _skew_count(alpha, nu, box.h))
-            for i, nu in enumerate(beta.conjugate() for beta in enumerate_box(box))
-            if alpha.contains(nu)
+            (w, (-1) ** nu.size * _skew_count(alpha, nu, box.h))
+            for w, beta in zip(_basis_weights(box), enumerate_box(box))
+            if alpha.contains(nu := beta.conjugate())
         )
     if kind == "line":
         # O(k) = (det sub)^-k
         if type(arg) is not int:
             raise TypeError(f"line bundle degree must be int, got {arg!r}")
-        return _straighten((-arg,) * t, box)
+        return (((-arg,) * t, 1),)
     if kind == "tangent_wedge":
         if type(arg) is not int:
             raise TypeError(f"tangent wedge degree must be int, got {arg!r}")
         # Cauchy: wedge^i(sub* (x) quot) splits into Sigma^mu sub* (x)
         # Sigma^mu' quot over the partitions mu of i
-        total: dict[int, int] = {}
+        total: dict[tuple[int, ...], int] = {}
         for mu in partitions_of(arg, t, box.cols):
             term = _multiply(
                 _atom_vector(("sub*", mu), box), _atom_vector(("quot", mu.conjugate()), box), box
             )
-            for k, x in term:
-                total[k] = total.get(k, 0) + x
-        return tuple((k, x) for k, x in total.items() if x)
+            for w, x in term:
+                total[w] = total.get(w, 0) + x
+        return tuple((w, x) for w, x in total.items() if x)
     raise ValueError(f"unknown atom {atom}")
 
 
 def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
     """Integer coordinates of a tautological class in the Schur-power basis.
 
-    Computed in integers throughout, in this basis alone: the atoms are
-    straightened and multiplied out term by term.
+    Computed in integers throughout: each term multiplies its atoms'
+    weights out one product at a time (``_multiply``, which reduces into
+    the box), and every weight of the final product is straightened.
     """
     total = [0] * box.rank
     for atoms, coeff in expr.terms.items():
-        term = _atom_vector(atoms[0], box) if atoms else ((0, 1),)
+        term = _atom_vector(atoms[0], box) if atoms else (((0,) * box.rows, 1),)
         for atom in atoms[1:]:
             term = _multiply(term, _atom_vector(atom, box), box)
-        for k, x in term:
-            total[k] += coeff * x
+        for w, x in term:
+            for k, y in _straighten(w, box):
+                total[k] += coeff * x * y
     return KVector(box, tuple(total))
 
 

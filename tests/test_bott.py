@@ -142,13 +142,6 @@ ACCEPTED = [
 ]
 
 
-@pytest.fixture
-def uncached_box_index(monkeypatch):
-    # the accepted boxes' indexes hold about 840 000 keys between them:
-    # build each afresh instead of keeping them all
-    monkeypatch.setattr(bott, "box_index", bott.box_index.__wrapped__)
-
-
 @pytest.mark.parametrize(
     "box,diagonal",
     [(P1, [1, 1]), (P2, [1, 1, 1]), (G24, [1, 1, 2, 1, 1])]
@@ -156,7 +149,7 @@ def uncached_box_index(monkeypatch):
     + [(BoxShape.for_grassmannian(2, 42), None), (BoxShape.for_grassmannian(1, 82), None)],
     ids=str,
 )
-def test_hodge_diagonal_is_gaussian_binomial(box, diagonal, uncached_box_index):
+def test_hodge_diagonal_is_gaussian_binomial(box, diagonal):
     table = hodge_numbers(box)
     diag = [table[p][p] for p in range(box.dim + 1)]
     if diagonal is not None:
@@ -167,7 +160,7 @@ def test_hodge_diagonal_is_gaussian_binomial(box, diagonal, uncached_box_index):
     assert sum(diag) == box.rank
 
 
-def test_hodge_table_of_a_box_equals_that_of_its_transpose(uncached_box_index):
+def test_hodge_table_of_a_box_equals_that_of_its_transpose():
     # G(t,h) and G(h-t,h) are isomorphic
     assert len(ACCEPTED) == 373
     for box in ACCEPTED:

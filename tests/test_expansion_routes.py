@@ -65,4 +65,9 @@ def test_atom_pairs_match_z_route_on_g48():
 def test_largest_box_matches_z_route():
     # the z-route's truncated LR table on G(5,10) takes about 2 s to build
     box = BoxShape.for_grassmannian(5, 10)
-    _check(box, [schur_sub((1,)) * line_bundle(1), wedge_tangent(2)])
+    b = enumerate_box(box)
+    dense = schur_sub_dual(b[-1]) * schur_sub_dual(b[-2]) + line_bundle(5) * line_bundle(4)
+    _check(box, [schur_sub((1,)) * line_bundle(1), wedge_tangent(2), dense])
+    # four factors, each product reduced into the box before the next
+    box = BoxShape.for_grassmannian(3, 7)
+    _check(box, [wedge_tangent(2) * wedge_tangent(2) * line_bundle(3) * schur_quot((1,))])

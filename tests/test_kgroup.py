@@ -155,7 +155,7 @@ def test_expansion_rejects_like_character_route(expr, message):
 
 
 def _clear_expansion_caches():
-    for fn in (kgroup._atom_vector, kgroup._products, kgroup._straighten, kgroup._column,
+    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, kgroup._column,
                schur_twist):
         fn.cache_clear()
 
@@ -405,6 +405,27 @@ def test_dual_class_builds_no_product_table(monkeypatch):
     column = enumerate_box(G48).index(alpha)
     dual = expand_in_basis(schur_sub_dual(alpha), G48)
     assert dual.coords == dense_flop_matrix(G48).column(column)
+
+
+@pytest.mark.parametrize("box", [BoxShape.for_grassmannian(t, h)
+                                 for t, h in ((1, 4), (2, 5), (3, 6), (4, 8))], ids=str)
+def test_products_are_reduced_into_the_box(box):
+    # every product is straightened at once: each weight _multiply returns
+    # is a basis partition padded to t parts, also for factors far outside
+    # the box and for a product of two products
+    t, c = box.rows, box.cols
+    basis = {tuple(p) + (0,) * (t - p.rows) for p in enumerate_box(box)}
+    atoms = [("sub", (c,) * t), ("sub*", (c,) * t), ("sub*", (2 * c + 1,)), ("quot", (1,)),
+             ("quot", (2,)), ("line", box.h + 2), ("line", -2 * box.h), ("tangent_wedge", 2)]
+    factors = [kgroup._atom_vector(atom, box) for atom in atoms]
+    assert any(not {w for w, _ in u} <= basis for u in factors)
+    products = [kgroup._multiply(u, v, box) for u in factors for v in factors]
+    products += [kgroup._multiply(u, v, box) for u, v in zip(products, reversed(products))]
+    assert any(len(product) > 1 for product in products)
+    for product in products:
+        weights = [w for w, _ in product]
+        assert set(weights) <= basis and len(set(weights)) == len(weights)
+        assert all(x for _, x in product)
 
 
 @pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)

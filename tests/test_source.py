@@ -104,7 +104,8 @@ def test_second_routes_stay_out_of_the_package():
     # word -> permutation is read off apply_word, the complement off the
     # exponents (kgroup._complement_indices); the transposition product,
     # the part-wise complement and the matrix-vector product live in
-    # tests/oracles.py
+    # tests/oracles.py; classes multiply as weights in kgroup._multiply,
+    # with no product of basis pairs and no table of them
     from flopk import kgroup, partitions, weyl
 
     gone = {
@@ -112,6 +113,7 @@ def test_second_routes_stay_out_of_the_package():
         partitions.BoxShape: ("complement",),
         kgroup.IntegerMatrix: ("apply",),
         kgroup.TautClass: ("__neg__",),
+        kgroup: ("_product", "_products"),
     }
     back = [f"{cls.__name__}.{name}" for cls, names in gone.items() for name in names
             if name in vars(cls)]
