@@ -3,8 +3,9 @@
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import ge, lt
 
-from flopk.acceptance import _count_fillings, _lattice_words, _skew_constraints
+from flopk.acceptance import _lattice_words
 from flopk.bott import BottResult, Weight
 from flopk.chow import ch_matrix_inverse
 from flopk.kgroup import (
@@ -472,6 +473,35 @@ def determinantal_membership(p8) -> bool:
     return True
 
 
+def skew_constraints(nu, lam) -> list[list[int]]:
+    """Index lists [col_a, col_b, row_a, row_b] into a word written into
+    nu/lam in reverse reading order (rows top to bottom, each right to
+    left), read off a list of the cells and a dict of their positions: the
+    filling is semistandard iff word[col_a[i]] < word[col_b[i]] (down a
+    column) and word[row_a[i]] >= word[row_b[i]] (along a row).
+    ``acceptance._skew_constraints`` derives the same pairs by arithmetic."""
+    inner = tuple(lam) + (0,) * (len(nu) - len(lam))
+    reading = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, inner[r] - 1, -1)]
+    position = {cell: k for k, cell in enumerate(reading)}
+    column = [(position[r - 1, c], k) for k, (r, c) in enumerate(reading) if (r - 1, c) in position]
+    row = [(k - 1, k) for k, (r, c) in enumerate(reading) if c + 1 < nu[r]]
+    return [[pair[i] for pair in pairs] for pairs in (column, row) for i in (0, 1)]
+
+
+def count_fillings(constraints, words) -> int:
+    """How many of the words meet all the constraints of
+    ``skew_constraints``, tested word by word; criterion 9 counts the same
+    words as bits (``acceptance._count_masked``)."""
+    col_a, col_b, row_a, row_b = constraints
+    count = 0
+    for word in words:
+        at = word.__getitem__
+        rows_ok = all(map(ge, map(at, row_a), map(at, row_b)))
+        if rows_ok and all(map(lt, map(at, col_a), map(at, col_b))):
+            count += 1
+    return count
+
+
 def brute_force_lr(nu, lam, mu) -> int:
     """Criterion 9's Littlewood-Richardson count for one triple, by the
     definition: the number of lattice words of content mu that, written
@@ -480,7 +510,7 @@ def brute_force_lr(nu, lam, mu) -> int:
     against every constraint of nu/lam; no LR rule of the package is used."""
     if not nu.contains(lam) or nu.size != lam.size + mu.size:
         return 0
-    return _count_fillings(_skew_constraints(nu, lam), _lattice_words(mu))
+    return count_fillings(skew_constraints(nu, lam), _lattice_words(mu))
 
 
 def _lr_count(nu, lam, mu) -> int:

@@ -13,7 +13,7 @@ import pytest
 from flopk import acceptance
 from flopk.acceptance import run_all
 
-_BUDGETS = {1: 1.0, 2: 30.0, 4: 1.0, 6: 5.0, 7: 1.0, 8: 1.0}
+_BUDGETS = {1: 1.0, 2: 30.0, 4: 1.0, 6: 5.0, 7: 1.0, 8: 1.0, 9: 1.0}
 
 
 @pytest.fixture(scope="module")

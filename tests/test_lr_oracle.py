@@ -4,7 +4,7 @@ the criterion fails when the package's LR rule is wrong."""
 import pytest
 
 from flopk import acceptance, partitions
-from flopk.acceptance import _count_fillings, _lattice_words, _skew_constraints
+from flopk.acceptance import _count_masked, _lattice_words, _skew_constraints, _word_masks
 from flopk.partitions import Partition as P
 from oracles import brute_force_lr
 
@@ -42,7 +42,7 @@ def test_oracle_uses_no_package_lr_code(monkeypatch):
     assert acceptance.lr_coefficients is refuse
     assert brute_force_lr(P((4, 3, 2, 1)), P((3, 2, 1)), P((2, 1, 1))) == 3
     assert brute_force_lr(P((5, 4, 2, 1)), P((3, 2, 1)), P((3, 2, 1))) == 4
-    # the two helpers criterion 9 calls directly, without brute_force_lr's guards
+    # the helpers criterion 9 calls directly
     for nu, lam, mu, want in [
         ((4, 3, 2, 1), (3, 2, 1), (2, 1, 1), 3),
         ((5, 4, 2, 1), (3, 2, 1), (3, 2, 1), 4),
@@ -50,13 +50,22 @@ def test_oracle_uses_no_package_lr_code(monkeypatch):
         ((2, 1), (), (2, 1), 1),
     ]:
         constraints = _skew_constraints(P(nu), P(lam))
-        assert _count_fillings(constraints, _lattice_words(P(mu))) == want
+        assert _count_masked(constraints, _word_masks(_lattice_words(P(mu)))) == want
 
 
 def test_skew_constraints_of_a_small_shape():
     # nu/lam = (2,2)/(1): reading order (0,1), (1,1), (1,0); (1,1) sits
     # under (0,1), and (1,0) is left of (1,1) in its row
-    assert _skew_constraints(P((2, 2)), P((1,))) == [[0], [1], [1], [2]]
+    assert _skew_constraints(P((2, 2)), P((1,))) == [[0 << 4 | 1], [1 << 4 | 2]]
+
+
+def test_skew_constraints_refuse_more_than_16_cells():
+    # positions are packed four bits each
+    assert len(_skew_constraints(P((16,)), P(()))[1]) == 15
+    assert len(_skew_constraints(P((9, 9)), P((2,)))[0]) == 7
+    for nu, lam in [((17,), ()), ((9, 9), (1,)), ((6, 6, 6), ())]:
+        with pytest.raises(ValueError, match="more than 16 cells"):
+            _skew_constraints(P(nu), P(lam))
 
 
 def test_criterion_9_fails_on_a_wrong_coefficient(monkeypatch):
@@ -93,3 +102,29 @@ def test_criterion_9_fails_when_the_oracle_loses_a_word(monkeypatch):
         "c^Partition((3, 1))_Partition((1,)),Partition((2, 1))",
         "c^Partition((2, 1, 1))_Partition((1,)),Partition((2, 1))",
     ]
+
+
+@pytest.mark.parametrize(
+    "dropped, first",
+    [
+        # the word 1,2 would read 2,1 along the row (2)
+        (1, "c^Partition((2,))_Partition(()),Partition((1, 1))"),
+        # the word 1,1,2,1 fills (2,2) with 1 under 1 in its first column
+        (0, "c^Partition((2, 2))_Partition(()),Partition((3, 1))"),
+    ],
+    ids=["without_row_pairs", "without_column_pairs"],
+)
+def test_criterion_9_fails_when_the_constraints_lose_a_kind_of_pair(monkeypatch, dropped, first):
+    real = acceptance._skew_constraints
+
+    def partial(nu, lam):
+        pairs = real(nu, lam)
+        pairs[dropped] = []
+        return pairs
+
+    monkeypatch.setattr(acceptance, "_skew_constraints", partial)
+    result = acceptance.criterion_9_oracles()
+    assert not result.passed
+    named = result.detail.split("; ")
+    assert len(named) == 5
+    assert named[0] == first

@@ -91,7 +91,7 @@ def test_test_only_oracles_stay_out_of_the_package():
     moved = {
         bott: ("weyl_dimension", "gaussian_binomial", "exterior_cotangent_decomposition"),
         flopgeom: ("is_indeterminate", "determinantal_membership"),
-        acceptance: ("_brute_force_lr",),
+        acceptance: ("_brute_force_lr", "_count_fillings"),
     }
     back = [
         f"{m.__name__}.{name}" for m, names in moved.items() for name in names if hasattr(m, name)
