@@ -42,19 +42,24 @@ s_mu, mu the sorted J minus delta, a partition in the box
   each product is straightened into the box once (``_multiply``), so a
   chain of products never holds more than C(h, t) weights; the weights
   of the last product are straightened into the coordinates.
-* The flop matrix (``flop_matrix``) is F = U^c . Pi, with Pi the box
-  complement and U multiplication by O(1) = (x_1 ... x_t)^-1
-  (``schur_twist``): column lam is s_{lam - 1^t} in closed form, at most
-  c + 1 terms, with no straightening and no Littlewood-Richardson sum.
-  ``flop_certificate`` never forms F: it checks that G = U . Pi is an
-  involution and reads det F off tr G and the 2-cycles of Pi.
+* The flop matrix (``flop_matrix``) is F = eps . C_t(M), the t-th
+  compound of one h x h matrix.  The alternants above are wedges in
+  wedge^t R, R = Z[x]/(x - 1)^h with basis 1, x, ..., x^(h-1); the twist
+  by O(1) = (x_1 ... x_t)^-1 is wedge^t U_1, U_1 multiplication by x^-1,
+  and the rotated box complement is eps . wedge^t P_1, P_1 the reversal
+  x^k -> x^(h-1-k), eps = (-1)^(t(t-1)/2).  So with c = h - t, F =
+  U^c . Pi is eps times the compound of M = U_1^c . P_1, whose column k is
+  x^(t-1-k): no straightening and no Littlewood-Richardson sum.
+  ``flop_certificate`` never forms F: it checks that U_1 . P_1 is an
+  involution and reads det F off its trace.
 
 The Chern character (``TautClass.ch``, which hands the class to
 ``chow.tautological_ch``) is a second, rational route, and the integral
 presentation above a third: the tests keep the binomial change of basis
 D to the s_mu(z), their truncated Littlewood-Richardson products and
 the Pieri twist T as oracles, for expansion and for the flop matrix as
-D^-1 . T^c . D . Pi.
+D^-1 . T^c . D . Pi, and the twist U on the whole basis, applied c times
+to each column of Pi, as a fourth.
 
 A classical identity behind the involution property: for alpha in the
 t x (h-t) box, Sigma^alpha sub* = Sigma^beta sub (x) O(h-t), with beta
@@ -70,12 +75,11 @@ a modeling identity, not an operation.
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
+from itertools import islice
 from math import comb, gcd
-from operator import itemgetter
 
-from .partitions import (BoxShape, Partition, Record, box_index, box_labels, enumerate_box,
-                         lr_coefficients, partitions_of)
+from .partitions import (BoxShape, Partition, Record, box_index, enumerate_box, lr_coefficients,
+                         partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -558,107 +562,84 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
-@cache
-def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Multiplication by O(1) in the Schur-power basis, as sparse columns.
-
-    Entry j lists the (i, u) with [Sigma^lam_j sub (x) O(1)] =
-    sum u [Sigma^lam_i sub], nonzero u only, i increasing.  O(1) =
-    (x_1 ... x_t)^-1 lowers every exponent e = lam + delta of the
-    alternant by one, so the entry is s_{lam - 1^t}, in closed form:
-
-    * e_t >= 1: the single pair (index of e - 1, 1);
-    * e_t = 0: only the last column, x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k
-      (``_column`` at e = -1), leaves {0, ..., h-1}.  Each k not among
-      rest = (e_1 - 1, ..., e_{t-1} - 1) goes after the p entries above
-      it, passing t - 1 - p: the term (-1)^k C(h, k+1) (-1)^(t-1-p), in
-      basis order as k rises.  The tests' oracle is ``_straighten``.
-
-    The only twist by O(1): the flop matrix and its certificate use it.
-    """
-    t = box.rows
-    index = box_index(box)
-    inverse = _column(-1, box.h)
-    columns = []
-    for exps in index:
-        rest = tuple(e - 1 for e in exps)
-        if exps[-1]:
-            columns.append(((index[rest], 1),))
-            continue
-        rest, p, column = rest[:-1], t - 1, []  # p: the entries of rest above k
-        for k, a in inverse:
-            while p and rest[p - 1] < k:
-                p -= 1
-            if not p or rest[p - 1] != k:
-                column.append((index[rest[:p] + (k,) + rest[p:]], -a if (t - 1 - p) % 2 else a))
-        columns.append(tuple(column))
-    return tuple(columns)
-
-
-def _apply_twist(v: dict[int, int], twist) -> dict[int, int]:
-    """U applied to a sparse vector {index: coefficient}, with U given by
-    its sparse columns (``schur_twist``)."""
-    out: dict[int, int] = {}
-    for j, x in v.items():
-        for i, u in twist[j]:
-            out[i] = out.get(i, 0) + u * x
-    return {i: x for i, x in out.items() if x}
-
-
-@cache
-def _complement_indices(box: BoxShape) -> tuple[int, ...]:
-    """Basis index of the rotated box complement of each basis partition:
-    the exponents lam + delta, reversed and each taken from h - 1."""
-    index = box_index(box)
-    return tuple(index[tuple(box.h - 1 - e for e in reversed(exps))] for exps in index)
-
-
-def _apply_dense_twist(v: list[int], gather, wide: list[int], twist) -> list[int]:
-    """U applied to the dense vector v, whose last slot n holds a 0:
-    ``gather`` reads slot i of the result at the j with U e_j = e_i, or at
-    that 0 where there is none, and the wide columns at the nonzero
-    entries of v are added term by term."""
-    out = list(gather(v))
-    for j in filter(v.__getitem__, wide):
-        x = v[j]
-        for i, u in twist[j]:
-            out[i] += u * x
-    return out
+def _inverse_powers(h: int):
+    """x^-1, x^-2, ... modulo (x - 1)^h, each as the dense list of its h
+    coefficients: the one before times x^-1, a shift down plus its constant
+    term times x^-1 (``_column`` at e = -1), so no power is reduced afresh."""
+    inverse = [a for _, a in _column(-1, h)]
+    column = inverse
+    while True:
+        yield column
+        a = column[0]
+        column = [x + a * b for x, b in zip(column[1:] + [0], inverse)]
 
 
 def _flop_rows(box: BoxShape) -> list[list[int]]:
-    """The rows of F = U^c . Pi, walked in dense columns (see
-    ``flop_matrix``)."""
-    n, c = box.rank, box.cols
-    twist = schur_twist(box)
-    complement = _complement_indices(box)
-    back, wide = [n] * (n + 1), []
-    for j, column in enumerate(twist):
-        if len(column) == 1:  # (index of lam - 1^t, 1): lam_t >= 1
-            back[column[0][0]] = j
-        else:
-            wide.append(j)
-    gather = itemgetter(*back)  # n + 1 >= 2 slots, so it returns a tuple
+    """The rows of F = eps . C_t(M), the wedges of M's columns (see
+    ``flop_matrix``).
+
+    A term of a wedge is keyed by the bitmask of its rows.  The columns are
+    wedged depth first over decreasing prefixes, each new column on the
+    left, so a full wedge lists M's columns increasingly, as the alternant
+    of the dual class does, while each term keeps its rows falling:
+    inserting row i passes the rows above it, and that order of rows
+    against columns is the eps of F.  A wide column, k >= t, is read with
+    its rows falling, flipping the sign at each row the term already holds.
+    At the last column, a wedge with a wide column left to take is first
+    sorted by the row of F each of its terms lands in, once for all of
+    them.  For t = 1 no wedge is needed: F is M.
+    """
+    t, h, n = box.rows, box.h, box.rank
     rows = [[0] * n for _ in range(n)]
-    for mu in wide:
-        chain = [mu]  # mu + m 1^t at m, while it fits the box
-        while back[chain[-1]] != n:
-            chain.append(back[chain[-1]])
-        # U^k e_mu for k < mu_1 is no column of F; while such a vector has
-        # under n/16 nonzeros, a sparse step costs less than a dense pass
-        v, k = {mu: 1}, 0
-        while k < c + 1 - len(chain) and 16 * len(v) < n:
-            v, k = _apply_twist(v, twist), k + 1
-        column = [0] * (n + 1)
-        for i, x in v.items():
-            column[i] = x
-        for m in range(c - k, -1, -1):  # column = U^(c-m) e_mu
-            if m < len(chain):
-                j = complement[chain[m]]
-                for i, x in zip(compress(range(n), column), filter(None, column)):
-                    rows[i][j] = x
-            if m:
-                column = _apply_dense_twist(column, gather, wide, twist)
+    if t == 1:
+        rows[0][0] = 1
+        for k, column in zip(range(1, h), _inverse_powers(h)):
+            for row, x in zip(rows, column):
+                row[k] = x
+        return rows
+    bits = [1 << i for i in range(h - 1, -1, -1)]
+    wide = [()] * t + [tuple(zip(bits, reversed(column)))
+                       for column in islice(_inverse_powers(h), box.cols)]
+    index = {sum(1 << e for e in exps): j for exps, j in box_index(box).items()}
+
+    def descend(wedge: dict[int, int], chosen: int, top: int, left: int) -> None:
+        # wedge: M's columns in the mask chosen; left more to take, each below top
+        if left == 1 and top > t:
+            spread = [[] for _ in range(h)]  # spread[h - 1 - i]: (row of F, term) for row i
+            for mask, x in wedge.items():
+                for bit, pairs in zip(bits, spread):
+                    if mask & bit:
+                        x = -x
+                    else:
+                        pairs.append((rows[index[mask | bit]], x))
+            for j in range(t, top):
+                col = index[chosen | 1 << j]
+                for (_, a), pairs in zip(wide[j], spread):
+                    for row, x in pairs:
+                        row[col] += a * x
+            top = t
+        for j in range(left - 1, top):
+            out: dict[int, int] = {}
+            if j < t:  # x^(t-1-j): one row, no product
+                i = t - 1 - j
+                for mask, x in wedge.items():
+                    if not mask >> i & 1:
+                        out[mask | 1 << i] = -x if (mask >> i).bit_count() & 1 else x
+            else:
+                for mask, x in wedge.items():
+                    for bit, a in wide[j]:
+                        if mask & bit:
+                            x = -x
+                        else:
+                            out[mask | bit] = out.get(mask | bit, 0) + a * x
+            if left > 1:
+                descend(out, chosen | 1 << j, j, left - 1)
+                continue
+            col = index[chosen | 1 << j]  # a last column here is x^(t-1-j)
+            for mask, x in out.items():
+                rows[index[mask]][col] = x
+
+    descend({0: 1}, 0, h, t)
     return rows
 
 
@@ -671,21 +652,19 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     cotangent spaces and on their one-parameter deformations.  It is an
     involution and unimodular (``flop_certificate``).
 
-    Computed in integers as F = U^c . Pi from the identity
-    Sigma^alpha sub* = Sigma^beta sub (x) O(c), with beta the rotated box
-    complement of alpha and c = h - t: Pi sends alpha to beta and U is the
-    twist by O(1) in the Schur-power basis (``schur_twist``).  U shifts
-    beta = mu + m 1^t, mu_t = 0, to mu in m steps, so column alpha is
-    U^(c-m) e_mu: the orbit e_mu, ..., U^c e_mu of each of the C(h-1, t-1)
-    such mu is walked once, c applications of U.  The first steps reach no
-    column of F and stay sparse while the vector is; from there on it is
-    a dense list, written into F's rows at its nonzero entries once it is
-    a column of F, and U is read as two parts: its single-term columns,
-    one gather over the vector, and its C(h-1, t-1) wide columns, added at
-    the nonzero entries alone.  In the integral Chow presentation of K(G)
-    (Buch 2002, "A Littlewood-Richardson rule for the K-theory of
-    Grassmannians") U is the conjugate D^-1 . T . D of the Pieri twist T,
-    so F = D^-1 . T^c . D . Pi.
+    Computed in integers as F = eps . C_t(M), the t-th compound of the
+    h x h matrix M = U_1^c . P_1 on R = Z[x]/(x - 1)^h, c = h - t and
+    eps = (-1)^(t(t-1)/2) (Horn and Johnson, Matrix Analysis, 0.8.1).
+    Column k of M is x^(t-1-k): a unit vector for k < t, else the power
+    x^-(k-t+1) (``_inverse_powers``).  The class s_w of a weight w is the
+    alternant a_(w+delta), the wedge x^(e_1) ^ ... ^ x^(e_t) in wedge^t R,
+    and the dual class of alpha has the exponents t - 1 - e over the
+    exponents e of alpha, read from the smallest: so column alpha of F is
+    the wedge of M's columns at alpha + delta, increasing, and its entry at
+    the row with exponents I is the minor of M on I and those columns, in
+    that order.  Equivalently F = U^c . Pi, with U = wedge^t U_1 the twist
+    by O(1) = (x_1 ... x_t)^-1 and Pi = eps . wedge^t P_1 the rotated box
+    complement, since the compound is multiplicative (Cauchy-Binet).
 
     The command line writes the rows of ``_flop_rows`` as they are and
     never builds this checked matrix.
@@ -697,43 +676,38 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
 
 
 class CertificateError(ArithmeticError):
-    """``flop_certificate`` refused: G = U . Pi is not the involution that
-    F is built from."""
+    """``flop_certificate`` refused: U_1 . P_1 on Z[x]/(x - 1)^h is not
+    the involution that F = eps . C_t(U_1^c . P_1) is built from."""
 
 
 def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
-    """Determinant and Smith form of F = U^c . Pi from U and Pi alone.
+    """Determinant and Smith form of F = eps . C_t(M), M = U_1^c . P_1,
+    from the h x h involution G = U_1 . P_1 alone (see ``flop_matrix``).
 
-    G = U . Pi (column j is U's column at Pi(j)) must have G . G e_j = e_j
-    for every j, else CertificateError; then Pi . U . Pi = U^-1, so F . F =
-    U^c . (Pi . U . Pi)^c = I.  A single-term column u e_i of G passes
-    exactly when u = 1 and G's column i is e_j, read off U at Pi(i) with
-    no vector formed; only the C(h-1, t-1) wide columns are applied.  The
-    walk (``_flop_rows``) gathers U's single-term columns unscaled, so +1
-    is what it assumes: -U . Pi is an involution too, and accepting -1
-    would certify a det that the F it builds does not have.  An integer
-    involution A has det A = (-1)^((n - tr A) / 2), and det Pi is -1 to
-    the number of 2-cycles, so det U = det G . det Pi is computed, not
-    assumed, and det F = (det G . det Pi)^c . det Pi = +-1: Smith form
+    G sends x^k to x^(h-2-k) for k < h - 1, and x^(h-1) to x^-1, the
+    column ``_flop_rows`` builds M from.  G . G must fix every x^k, else
+    CertificateError; then P_1 . U_1 . P_1 = U_1^-1, so M . M =
+    U_1^c . (P_1 . U_1 . P_1)^c = I and F . F = eps^2 C_t(M . M) = I.
+    Column by column this costs O(h): only x^-1 has more than one term.
+    An integer involution G has det G = (-1)^((h - tr G) / 2), and P_1
+    has h // 2 transpositions, so det U_1 = det G . det P_1 is computed,
+    not assumed; det M = (det U_1)^c . det P_1, and det F =
+    eps^C(h,t) . (det M)^C(h-1,t-1) (Sylvester-Franke) = +-1: Smith form
     (1, ..., 1).  F is never formed; Bareiss ``IntegerMatrix.det`` and
     ``smith_normal_form`` are independent routes.
     """
-    twist = schur_twist(box)
-    complement = _complement_indices(box)
+    t, h = box.rows, box.h
+    involution = [((h - 2 - k, 1),) for k in range(h - 1)] + [_column(-1, h)]
     trace = 0
-    for j, beta in enumerate(complement):
-        column = twist[beta]
-        if len(column) == 1:
-            (i, u), = column
-            trace += i == j
-            involution = u == 1 and twist[complement[i]] == ((j, 1),)
-        else:
-            trace += dict(column).get(j, 0)
-            involution = _apply_twist({complement[i]: x for i, x in column}, twist) == {j: 1}
-        if not involution:
-            raise CertificateError(
-                f"flop matrix of {box} is not an involution at column {box_labels(box)[j]}"
-            )
-    det_pi = (-1) ** (sum(i != beta for i, beta in enumerate(complement)) // 2)
-    det_g = (-1) ** ((box.rank - trace) // 2)
-    return (det_g * det_pi) ** box.cols * det_pi, (1,) * box.rank
+    for k, column in enumerate(involution):
+        image: dict[int, int] = {}
+        for i, a in column:
+            trace += a if i == k else 0
+            for j, b in involution[i]:
+                image[j] = image.get(j, 0) + a * b
+        if {j: x for j, x in image.items() if x} != {k: 1}:
+            raise CertificateError(f"flop matrix of {box} is not an involution at column x^{k}")
+    det_p = (-1) ** (h // 2)
+    det_m = ((-1) ** ((h - trace) // 2) * det_p) ** box.cols * det_p
+    eps = (-1) ** (t * (t - 1) // 2)
+    return eps ** box.rank * det_m ** comb(h - 1, t - 1), (1,) * box.rank

@@ -11,16 +11,16 @@ from flopk.chow import ch_matrix_inverse
 from flopk.kgroup import (
     IntegerMatrix,
     KVector,
-    _complement_indices,
+    _column,
     _padded,
     _skew_count,
     _straighten,
-    _apply_twist,
     flop_certificate,
     flop_matrix,
-    schur_twist,
 )
-from flopk.partitions import Partition, box_index, enumerate_box, lr_coefficients, partitions_of
+from flopk.partitions import (
+    BoxShape, Partition, box_index, enumerate_box, lr_coefficients, partitions_of,
+)
 from flopk.weyl import Permutation
 
 
@@ -33,7 +33,7 @@ def apply(matrix, vector) -> tuple[int, ...]:
 
 def box_complement(box, alpha) -> Partition:
     """The 180-degree rotated complement of alpha inside the box, by its
-    parts; ``kgroup._complement_indices`` reads it off the exponents."""
+    parts; ``_complement_indices`` reads it off the exponents."""
     if not alpha.fits(box):
         raise ValueError(f"{alpha} does not fit in {box}")
     padded = tuple(alpha) + (0,) * (box.rows - len(alpha))
@@ -156,6 +156,81 @@ def pieri_twist(box) -> IntegerMatrix:
     return IntegerMatrix(twist)
 
 
+# ---------------------------------------------------------------------------
+# The twist by O(1) in the Schur-power basis: the flop matrix as U^c . Pi
+# ---------------------------------------------------------------------------
+
+@cache
+def schur_twist(box: BoxShape) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Multiplication by O(1) in the Schur-power basis, as sparse columns.
+
+    Entry j lists the (i, u) with [Sigma^lam_j sub (x) O(1)] =
+    sum u [Sigma^lam_i sub], nonzero u only, i increasing.  O(1) =
+    (x_1 ... x_t)^-1 lowers every exponent e = lam + delta of the
+    alternant by one, so the entry is s_{lam - 1^t}, in closed form:
+
+    * e_t >= 1: the single pair (index of e - 1, 1);
+    * e_t = 0: only the last column, x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k
+      (``_column`` at e = -1), leaves {0, ..., h-1}.  Each k not among
+      rest = (e_1 - 1, ..., e_{t-1} - 1) goes after the p entries above
+      it, passing t - 1 - p: the term (-1)^k C(h, k+1) (-1)^(t-1-p), in
+      basis order as k rises.  The tests' oracle is ``_straighten``.
+
+    The runtime builds the flop matrix from the h x h matrix
+    U_1^c . P_1 instead (``kgroup.flop_matrix``); this U is its second route.
+    """
+    t = box.rows
+    index = box_index(box)
+    inverse = _column(-1, box.h)
+    columns = []
+    for exps in index:
+        rest = tuple(e - 1 for e in exps)
+        if exps[-1]:
+            columns.append(((index[rest], 1),))
+            continue
+        rest, p, column = rest[:-1], t - 1, []  # p: the entries of rest above k
+        for k, a in inverse:
+            while p and rest[p - 1] < k:
+                p -= 1
+            if not p or rest[p - 1] != k:
+                column.append((index[rest[:p] + (k,) + rest[p:]], -a if (t - 1 - p) % 2 else a))
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
+def _apply_twist(v: dict[int, int], twist) -> dict[int, int]:
+    """U applied to a sparse vector {index: coefficient}, with U given by
+    its sparse columns (``schur_twist``)."""
+    out: dict[int, int] = {}
+    for j, x in v.items():
+        for i, u in twist[j]:
+            out[i] = out.get(i, 0) + u * x
+    return {i: x for i, x in out.items() if x}
+
+
+@cache
+def _complement_indices(box: BoxShape) -> tuple[int, ...]:
+    """Basis index of the rotated box complement of each basis partition:
+    the exponents lam + delta, reversed and each taken from h - 1."""
+    index = box_index(box)
+    return tuple(index[tuple(box.h - 1 - e for e in reversed(exps))] for exps in index)
+
+
+def twist_flop_matrix(box) -> IntegerMatrix:
+    """The flop matrix as U^c . Pi, one column at a time: column j is U
+    (``schur_twist``) applied c times to the unit vector at the box
+    complement of j (``_complement_indices``), with no orbit shared
+    between columns."""
+    twist = schur_twist(box)
+    columns = []
+    for beta in _complement_indices(box):
+        v = {beta: 1}
+        for _ in range(box.cols):
+            v = _apply_twist(v, twist)
+        columns.append([v.get(i, 0) for i in range(box.rank)])
+    return IntegerMatrix.from_columns(columns)
+
+
 def dense_flop_matrix(box) -> IntegerMatrix:
     """The flop matrix as the dense product D^-1 . T^c . D . Pi.
 
@@ -180,8 +255,9 @@ def involution_certificate(matrix, box) -> tuple[int, tuple[int, ...]]:
     F . F = I.
 
     U^c . Pi (``schur_twist`` and the box complement) is applied to every
-    column of F in c passes of U, not along the twist orbits that
-    ``flop_matrix`` walks, and each must come back as the unit vector;
+    column of F in c passes of U, a route that shares nothing with the
+    compound ``flop_matrix`` builds, and each must come back as the unit
+    vector;
     otherwise ArithmeticError.  An integer involution has determinant
     +-1, hence Smith form (1, ..., 1), and its eigenvalues are +-1, so
     det F = (-1)^((n - tr F) / 2).
@@ -217,7 +293,7 @@ def column_by_double_sum(e: int, h: int) -> tuple[tuple[int, int], ...]:
 
 
 def straightened_twist(box) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``kgroup.schur_twist`` with every column of lam_t = 0 straightened:
+    """``schur_twist`` with every column of lam_t = 0 straightened:
     s_{lam - 1^t} by ``_straighten``, in place of the closed form."""
     t = box.rows
     index = box_index(box)

@@ -78,7 +78,7 @@ def test_check_iso(capsys):
 ], ids=["check-iso-G(2,5)", "check-iso-G(3,6)", "snf-G(2,5)", "snf-G(3,6)"])
 def test_certificate_commands_never_build_the_flop_matrix(monkeypatch, capsys, argv, json_out,
                                                          table_out):
-    # check-iso and snf --t --h certify from the twist and the complement
+    # check-iso and snf --t --h certify from the h x h involution U_1 . P_1
     # alone; G(2,5) has odd c = 3
     def forbidden(box):
         raise AssertionError("flop matrix built")
@@ -186,8 +186,8 @@ def test_basis_labels_are_partition_texts(box):
 
 
 def _clear_flop_caches():
-    for fn in (kgroup.flop_matrix, kgroup.schur_twist, partitions.box_index,
-               partitions.enumerate_box, kgroup._complement_indices):
+    for fn in (kgroup.flop_matrix, kgroup._column, partitions.box_index,
+               partitions.enumerate_box):
         fn.cache_clear()
 
 
@@ -209,8 +209,8 @@ def test_flop_commands_build_no_partition(monkeypatch, capsys, command, t, h):
 
 
 def test_flop_matrix_command_builds_no_checked_matrix(monkeypatch, capsys):
-    # the writer reads the rows of F that the walk built from ints; the
-    # validated IntegerMatrix is for library callers
+    # the writer reads the rows of F that the compound built from ints;
+    # the validated IntegerMatrix is for library callers
     argv = ["flop-matrix", "--t", "3", "--h", "6"]
     want = [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "table")]
 
@@ -223,14 +223,13 @@ def test_flop_matrix_command_builds_no_checked_matrix(monkeypatch, capsys):
 
 
 def test_failed_flop_certificate_prints_nothing(monkeypatch, capsys):
-    # -U . Pi is an involution too, but the walk builds F from +U: the
-    # certificate refuses -U, and the command prints the structured error
-    # object and no row of F
-    negated = tuple(tuple((i, -u) for i, u in column)
-                    for column in kgroup.schur_twist(BoxShape(3, 3)))
-    monkeypatch.setattr(kgroup, "schur_twist", lambda box: negated)
+    # with x^-1 negated, U_1 . P_1 is no involution: the certificate
+    # refuses it before F is built from that column, and each command
+    # prints the structured error object and no row of F
+    negated = tuple((i, -a) for i, a in kgroup._column(-1, 6))
+    monkeypatch.setattr(kgroup, "_column", lambda e, h: negated)
     error = ('{"error":{"message":"flop matrix of BoxShape(rows=3, cols=3) is not an '
-             'involution at column -","type":"CertificateError"}}\n')
+             'involution at column x^5","type":"CertificateError"}}\n')
     for command in ("flop-matrix", "check-iso", "snf"):
         for fmt in ("json", "table"):
             assert main([command, "--t", "3", "--h", "6", "--format", fmt]) == 1

@@ -18,14 +18,14 @@ from flopk.kgroup import (
     schur_quot,
     schur_sub,
     schur_sub_dual,
-    schur_twist,
     smith_normal_form,
     wedge_tangent,
 )
-from flopk.partitions import (BoxShape, Partition, box_index, box_labels, enumerate_box,
-                              partitions_of)
+from flopk.partitions import BoxShape, Partition, box_index, enumerate_box, partitions_of
 
+import oracles
 from oracles import (
+    _complement_indices,
     apply,
     binomial_change,
     box_complement,
@@ -35,7 +35,9 @@ from oracles import (
     involution_certificate,
     pieri_twist,
     rational_det,
+    schur_twist,
     straightened_twist,
+    twist_flop_matrix,
 )
 
 P1 = BoxShape.for_grassmannian(1, 2)   # box(1,1)
@@ -155,8 +157,7 @@ def test_expansion_rejects_like_character_route(expr, message):
 
 
 def _clear_expansion_caches():
-    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, kgroup._column,
-               schur_twist):
+    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, kgroup._column):
         fn.cache_clear()
 
 
@@ -165,7 +166,7 @@ def test_column_closed_form_matches_double_sum():
     for h in range(1, 14):
         for e in range(-30, 40):
             assert kgroup._column(e, h) == column_by_double_sum(e, h), (e, h)
-    # x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k, as schur_twist's docstring states
+    # x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k, as oracles.schur_twist's docstring states
     for h in (924, 5000):
         assert kgroup._column(-1, h) == tuple((k, (-1) ** k * comb(h, k + 1)) for k in range(h))
 
@@ -319,7 +320,7 @@ def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
         monkeypatch.setattr(kgroup, name, forbidden)
     monkeypatch.setattr(IntegerMatrix, "det", forbidden)
     flop_matrix.cache_clear()
-    schur_twist.cache_clear()
+    kgroup._column.cache_clear()
     assert cli.main(["flop-matrix", "--t", "2", "--h", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["det"] == "1"
@@ -433,6 +434,38 @@ def test_flop_matrix_matches_dense_route(box):
     assert flop_matrix(box) == dense_flop_matrix(box)
 
 
+# every flop box with h <= 12, and projective spaces up to G(1,200), where
+# the twist route takes about 1.6 s (h^3 big-integer steps)
+TWIST_ROUTE_BOXES = FLOP_BOXES + [BoxShape.for_grassmannian(t, 12) for t in range(1, 7)] + [
+    BoxShape.for_grassmannian(1, h) for h in (20, 50, 100, 200)
+]
+
+
+@pytest.mark.parametrize("box", TWIST_ROUTE_BOXES, ids=str)
+def test_flop_matrix_matches_twist_route(box):
+    # the compound of M against U^c . Pi, U applied c times to each column
+    # of Pi on its own
+    assert flop_matrix(box) == twist_flop_matrix(box)
+
+
+@pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)
+def test_flop_matrix_entries_are_minors(box):
+    # F[I, J] = eps det M[I, J] over the exponent sets I and J, rows and
+    # columns increasing, by Bareiss; column k of M is x^(t-1-k) by the
+    # double-sum oracle, and eps = (-1)^(t(t-1)/2)
+    t, h = box.rows, box.h
+    m = [[0] * h for _ in range(h)]
+    for k in range(h):
+        for i, a in column_by_double_sum(t - 1 - k, h):
+            m[i][k] = a
+    eps = (-1) ** (t * (t - 1) // 2)
+    sets = [sorted(exps) for exps in box_index(box)]
+    f = flop_matrix(box)
+    for row, rows in zip(f.entries, sets):
+        for x, cols in zip(row, sets):
+            assert x == eps * IntegerMatrix([[m[i][k] for k in cols] for i in rows]).det()
+
+
 @pytest.mark.parametrize("h", [*range(2, 41), 120])
 def test_flop_matrix_on_projective_space(h):
     # on G(1,h), c = h - 1 and column b of F is [Sigma^b sub*] = x^-b
@@ -446,11 +479,6 @@ def test_flop_matrix_on_projective_space(h):
 SMALL_FLOP_BOXES = [b for b in FLOP_BOXES if b.h <= 9]
 
 
-def _orbit_count(box: BoxShape) -> int:
-    # the partitions with lam_t = 0: those with at most t - 1 rows
-    return comb(box.h - 1, box.rows - 1)
-
-
 @pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
 def test_schur_twist_never_straightens(box, monkeypatch):
     # every column is in closed form: a shift to lam - 1^t when lam_t >= 1,
@@ -461,6 +489,7 @@ def test_schur_twist_never_straightens(box, monkeypatch):
     for fn in (schur_twist, box_index, kgroup._column):
         fn.cache_clear()
     monkeypatch.setattr(kgroup, "_straighten", forbidden)
+    monkeypatch.setattr(oracles, "_straighten", forbidden)
     assert len(schur_twist(box)) == box.rank
 
 
@@ -492,24 +521,27 @@ def test_exponent_index_is_canonical_order(box):
 
 
 @pytest.mark.parametrize("box", SMALL_FLOP_BOXES, ids=str)
-def test_flop_matrix_walks_each_twist_orbit_once(box, monkeypatch):
-    # U^k e_mu for mu_t = 0 and k <= c, each formed once, sparse before
-    # the first column of F and dense from there: at most c applications
-    # of U per orbit, where column by column took up to n c
-    calls = []
+def test_flop_rows_form_each_column_of_m_once(box, monkeypatch):
+    # M's wide columns x^-1, x^-2, ... are drawn once each from one chain of
+    # shifts, and x^-1 is the only power reduced modulo (x - 1)^h: reducing
+    # every column x^(t-1-k) afresh made G(1,924) about 1.5 times slower
+    drawn, reduced = [], []
+    powers, column = kgroup._inverse_powers, kgroup._column.__wrapped__
 
-    def counted(apply):
-        def wrapper(*args):
-            calls.append(1)
-            return apply(*args)
-        return wrapper
+    def counted_powers(h):
+        for power in powers(h):
+            drawn.append(power)
+            yield power
 
-    for name in ("_apply_twist", "_apply_dense_twist"):
-        monkeypatch.setattr(kgroup, name, counted(getattr(kgroup, name)))
-    for fn in (flop_matrix, schur_twist, kgroup._straighten, kgroup._complement_indices):
-        fn.cache_clear()
-    flop_matrix(box)
-    assert 0 < len(calls) <= box.cols * _orbit_count(box)
+    def counted_column(e, h):
+        reduced.append(e)
+        return column(e, h)
+
+    monkeypatch.setattr(kgroup, "_inverse_powers", counted_powers)
+    monkeypatch.setattr(kgroup, "_column", counted_column)
+    kgroup._flop_rows(box)
+    assert reduced == [-1]
+    assert len(drawn) == (box.h - 1 if box.rows == 1 else box.cols)
 
 
 def _complement_sign(box: BoxShape) -> int:
@@ -531,60 +563,61 @@ def test_flop_determinant_routes_agree(box):
         assert flop_matrix(box).det() == det
 
 
-def _rejected_at(box, column, replacement) -> str:
-    # the certificate's refusal once U's column at the given basis label
-    # is replaced
-    twist = list(schur_twist(box))
-    twist[box_labels(box).index(column)] = replacement
+def _rejected_at(box, perturb) -> str:
+    # the certificate's refusal once x^-1, the one wide column of U_1 . P_1,
+    # is replaced by perturb(x^-1) as a list of coefficients
+    inverse = [a for _, a in kgroup._column(-1, box.h)]
+    perturbed = tuple(enumerate(perturb(inverse)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kgroup, "schur_twist", lambda b: tuple(twist))
-        with pytest.raises(ArithmeticError) as exc:
+        patch.setattr(kgroup, "_column", lambda e, h: perturbed)
+        with pytest.raises(kgroup.CertificateError) as exc:
             flop_certificate(box)
     return str(exc.value)
 
 
+def _bumped(k, delta):
+    def perturb(column):
+        column[k] += delta
+        return column
+    return perturb
+
+
 def test_certificate_rejects_perturbed_twist():
-    # U's columns at - and at 2 are wide (lam_t = 0, c + 1 terms), the only
-    # kind the certificate applies U to; Pi sends 3,3 and 3,1 there
+    # on G(2,5), h = 5: x^-1 = 5 - 10x + 10x^2 - 5x^3 + x^4, and G = U_1 . P_1
+    # sends x^4 to it; G applied to x^-1 takes its x^4 term back through
+    # x^-1 itself, so a wrong top coefficient, or x^-1 negated, is refused
     box = BoxShape(2, 3)
-    twist, position = schur_twist(box), box_labels(box).index
-    refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column "
-    for column, delta, at in (("-", 1, "3"), ("2", -1, "3,1")):
-        (i, u), *rest = twist[position(column)]
-        assert len(rest) == box.cols
-        assert _rejected_at(box, column, ((i, u + delta), *rest)) == refused + at
+    assert kgroup._column(-1, box.h) == ((0, 5), (1, -10), (2, 10), (3, -5), (4, 1))
+    refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column x^4"
+    for perturb in (_bumped(4, 1), _bumped(4, -2), lambda column: [-a for a in column]):
+        assert _rejected_at(box, perturb) == refused
 
 
 def test_certificate_rejects_perturbed_single_term_columns():
-    # G = U . Pi.  Pi sends - to 3,3, whose U column is e_2,2, and G's
-    # column at 2,2 is e_-: G's first column, e_2,2, is checked against
-    # its partner, so a wrong target or a sign the partner does not share
-    # fails there.  G's column at 1,1 is U's at 2,2, e_1,1 itself: a
-    # fixed point, where only the coefficient +-1 is checked.
+    # G's other columns are single terms, x^k -> x^(h-2-k); applying G to
+    # x^-1 reads every one of them, so a unit added to any coefficient of
+    # x^-1 below the top shows at x^(h-2-k) of G . G x^4, and is refused
     box = BoxShape(2, 3)
-    twist, position = schur_twist(box), box_labels(box).index
-    assert twist[position("3,3")] == ((position("2,2"), 1),)
-    assert twist[position("2,2")] == ((position("1,1"), 1),)
-    refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column "
-    for column, target, u, at in (("3,3", "2,1", 1, "-"), ("3,3", "2,2", 2, "-"),
-                                  ("3,3", "2,2", -1, "-"), ("2,2", "1,1", 2, "1,1")):
-        assert _rejected_at(box, column, ((position(target), u),)) == refused + at
+    refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column x^4"
+    for k in range(box.h - 1):
+        for delta in (1, -1):
+            assert _rejected_at(box, _bumped(k, delta)) == refused
 
 
 @pytest.mark.parametrize("box", [b for b in FLOP_BOXES if b.h <= 8], ids=str)
 def test_certificate_refuses_negated_twist(monkeypatch, box):
-    # -U . Pi is an involution as well, but the walk gathers U's
-    # single-term columns unscaled, so the F it builds from -U is not the
-    # one the certificate would vouch for: on G(1,4) that F has det -1
-    # and does not square to I
-    negated = tuple(tuple((i, -u) for i, u in column) for column in schur_twist(box))
-    monkeypatch.setattr(kgroup, "schur_twist", lambda b: negated)
-    with pytest.raises(kgroup.CertificateError, match="not an involution at column -$"):
+    # with x^-1 negated, G . G x^(h-1) = x^(h-1) - 2 sum_{k<h-1} c_k x^(h-2-k)
+    # over the coefficients c_k of x^-1, none of them 0; the F built from
+    # the negated column is no involution either: on G(1,3) it has det -1
+    inverse = tuple((i, -a) for i, a in kgroup._column(-1, box.h))
+    monkeypatch.setattr(kgroup, "_column", lambda e, h: inverse)
+    refused = f"not an involution at column x\\^{box.h - 1}$"
+    with pytest.raises(kgroup.CertificateError, match=refused):
         flop_certificate(box)
-    if box == BoxShape(1, 3):
-        walked = IntegerMatrix(kgroup._flop_rows(box))
-        assert walked.det() == -1
-        assert walked @ walked != IntegerMatrix.identity(box.rank)
+    if box == BoxShape(1, 2):
+        built = IntegerMatrix(kgroup._flop_rows(box))
+        assert built.det() == -1
+        assert built @ built != IntegerMatrix.identity(box.rank)
 
 
 def test_complement_indices_match_box_complement():
@@ -592,7 +625,7 @@ def test_complement_indices_match_box_complement():
     for box in FLOP_BOXES:
         basis = enumerate_box(box)
         index = {p: i for i, p in enumerate(basis)}
-        assert kgroup._complement_indices(box) == tuple(
+        assert _complement_indices(box) == tuple(
             index[box_complement(box, alpha)] for alpha in basis
         )
 
@@ -624,7 +657,7 @@ def test_twist_determinant_is_one(box):
     # involution G = U . Pi, whose Bareiss det agrees
     n = box.rank
     twist = schur_twist(box)
-    complement = kgroup._complement_indices(box)
+    complement = _complement_indices(box)
     trace = sum(u for j, beta in enumerate(complement) for i, u in twist[beta] if i == j)
     det_g = (-1) ** ((n - trace) // 2)
     assert _dense(twist, n).det() == 1

@@ -101,11 +101,12 @@ def test_test_only_oracles_stay_out_of_the_package():
 
 
 def test_second_routes_stay_out_of_the_package():
-    # word -> permutation is read off apply_word, the complement off the
-    # exponents (kgroup._complement_indices); the transposition product,
-    # the part-wise complement and the matrix-vector product live in
-    # tests/oracles.py; classes multiply as weights in kgroup._multiply,
-    # with no product of basis pairs and no table of them
+    # word -> permutation is read off apply_word; the transposition
+    # product, the part-wise complement and the matrix-vector product live
+    # in tests/oracles.py; classes multiply as weights in kgroup._multiply,
+    # with no product of basis pairs and no table of them; the flop matrix
+    # is the compound of an h x h matrix, and the twist by O(1) on the
+    # whole basis, its walk and the complement indices are the oracles'
     from flopk import kgroup, partitions, weyl
 
     gone = {
@@ -113,7 +114,8 @@ def test_second_routes_stay_out_of_the_package():
         partitions.BoxShape: ("complement",),
         kgroup.IntegerMatrix: ("apply",),
         kgroup.TautClass: ("__neg__",),
-        kgroup: ("_product", "_products"),
+        kgroup: ("_product", "_products", "schur_twist", "_apply_twist", "_apply_dense_twist",
+                 "_complement_indices"),
     }
     back = [f"{cls.__name__}.{name}" for cls, names in gone.items() for name in names
             if name in vars(cls)]
