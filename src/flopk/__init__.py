@@ -9,8 +9,11 @@ point anywhere:
   character of tautological classes, the rational oracle of the integer
   routes (``chow``),
 * the Grothendieck lattice K(G) in the Schur-power basis, expansion of
-  tautological classes, and the flop correspondence matrix with its
-  unimodularity (Smith form) certificates (``kgroup``),
+  tautological classes, and the flop correspondence matrix as a checked
+  integer matrix with Bareiss determinants and Smith forms (``kgroup``),
+* the flop engine: the rows of the flop matrix as the t-th compound of
+  one h x h matrix over Z[x]/(x - 1)^h, and its unimodularity (Smith
+  form) certificate from an h x h involution (``flop``),
 * the main-component correspondence on the cotangent space of the
   projective plane, whose image has index 2 (``main_component``),
 * Borel-Weil-Bott cohomology of homogeneous bundles and Hodge numbers

@@ -18,7 +18,7 @@ from math import comb
 from operator import lt
 from typing import Callable, NamedTuple
 
-from . import bott, flopgeom, kgroup, main_component, weyl
+from . import bott, flop, flopgeom, kgroup, main_component, weyl
 from .partitions import BoxShape, Partition, enumerate_box, lr_coefficients, partitions_of
 
 
@@ -81,7 +81,7 @@ def criterion_2_flop_unimodular() -> tuple[bool, str]:
     for t, h in _FLOP_CASES:
         box = BoxShape.for_grassmannian(t, h)
         dets[(t, h)] = kgroup.flop_matrix(box).det()
-        certified[(t, h)] = kgroup.flop_certificate(box)[0]
+        certified[(t, h)] = flop.flop_certificate(box)[0]
     bad = {k: d for k, d in dets.items() if d not in (1, -1)}
     if bad:
         return False, f"non-unit dets: {bad}"

@@ -19,24 +19,27 @@ whose set-up took longer than a small flop certificate.  Anything else
 (help, flags, abbreviations, errors) goes to argparse, the one source of
 help, usage and error text.
 
-Imports follow the same rule: this module loads only ``kgroup`` and
+Imports follow the same rule: this module loads only ``flop`` and
 ``partitions``, which the box and flop commands run; every other handler
-imports its own module in its first line.
+imports its own module in its first line, and ``json`` loads only where
+JSON is built or read, so ``flop-matrix``, which writes its own, never
+loads it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from . import kgroup
+from . import flop
 from .partitions import BoxShape, box_labels
 
 
 def canonical_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -202,8 +205,8 @@ def _cmd_flop_matrix(args) -> int:
     itself, and each row's text is written as it is joined, never copied;
     ``repr`` of an int is its ``str``, by a cheaper call."""
     box = _box(args, flop=True)
-    det, snf = kgroup.flop_certificate(box)
-    matrix = kgroup._flop_rows(box)
+    det, snf = flop.flop_certificate(box)
+    matrix = flop._flop_rows(box)
     basis, snf = box_labels(box), [str(d) for d in snf]
     if args.fmt == "json":
         head = ('{"basis":["' + '","'.join(basis) + f'"],"box":[{box.rows},{box.cols}],'
@@ -227,7 +230,7 @@ def _cmd_flop_matrix(args) -> int:
 
 def _cmd_check_iso(args) -> int:
     box = _box(args, flop=True)
-    det, _ = kgroup.flop_certificate(box)
+    det, _ = flop.flop_certificate(box)
     iso = det in (1, -1)
     payload = {"det": str(det), "isomorphism": iso}
     _emit(args, payload, lambda: [f"det: {det}", f"isomorphism: {iso}"])
@@ -236,6 +239,10 @@ def _cmd_check_iso(args) -> int:
 
 def _cmd_snf(args) -> int:
     if args.matrix is not None:
+        import json
+
+        from . import kgroup
+
         if args.t is not None or args.h is not None:
             raise UsageError("give --matrix, or --t and --h, not both")
         _check_digits(args.matrix, "an entry of the matrix")
@@ -251,7 +258,7 @@ def _cmd_snf(args) -> int:
         payload = {}
     else:
         box = _box(args, flop=True)
-        _, snf = kgroup.flop_certificate(box)
+        _, snf = flop.flop_certificate(box)
         payload = {"box": [box.rows, box.cols]}
     payload["snf"] = _decimal(snf, "an invariant factor")
     _emit(args, payload, lambda: ["snf: " + " ".join(payload["snf"])])
@@ -259,7 +266,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    from . import main_component
+    from . import kgroup, main_component
     matrix = main_component.main_component_matrix(args.basis)
     snf = kgroup.smith_normal_form(matrix)
     index = main_component.image_index(matrix)
@@ -548,7 +555,7 @@ def run(args) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SizeLimit, kgroup.CertificateError) as exc:
+    except (SizeLimit, flop.CertificateError) as exc:
         return _error_exit(exc)
 
 

@@ -6,8 +6,9 @@ back along the bundle projections identifies this lattice with the
 K-groups of the cotangent space and of its one-parameter deformation, so
 a single coordinate lattice serves all three; the correspondence induced
 by the dual-Grassmannian flop acts on it by sending each basis class to
-the class of the dual Schur power, and this module computes that matrix
-together with its unimodularity and Smith-form certificates.
+the class of the dual Schur power.  This module holds that matrix as a
+checked ``IntegerMatrix`` (``flop_matrix``), with Bareiss determinants
+and Smith forms; module ``flop`` builds its rows and certifies it.
 
 Everything runs in integers in this one basis, by straightening.  With
 x_1, ..., x_t the K-theoretic Chern roots of the subbundle, the basis
@@ -17,7 +18,7 @@ class s_w(x) = a_{w+delta}(x) / a_delta(x) of a virtual bundle.  In the
 integral presentation K(G) = Lambda_t[z]/(h_k(z), k > h-t) with
 z = x - 1, the relations say that prod_j (u - z_j) divides u^h, so each
 root has (x - 1)^h = 0.  A column x^e of the alternant may therefore be
-replaced by its remainder
+replaced by its remainder (``flop._column``)
 
     x^e = sum_{k<h} C(e, k) (x - 1)^k,
 
@@ -42,16 +43,6 @@ s_mu, mu the sorted J minus delta, a partition in the box
   each product is straightened into the box once (``_multiply``), so a
   chain of products never holds more than C(h, t) weights; the weights
   of the last product are straightened into the coordinates.
-* The flop matrix (``flop_matrix``) is F = eps . C_t(M), the t-th
-  compound of one h x h matrix.  The alternants above are wedges in
-  wedge^t R, R = Z[x]/(x - 1)^h with basis 1, x, ..., x^(h-1); the twist
-  by O(1) = (x_1 ... x_t)^-1 is wedge^t U_1, U_1 multiplication by x^-1,
-  and the rotated box complement is eps . wedge^t P_1, P_1 the reversal
-  x^k -> x^(h-1-k), eps = (-1)^(t(t-1)/2).  So with c = h - t, F =
-  U^c . Pi is eps times the compound of M = U_1^c . P_1, whose column k is
-  x^(t-1-k): no straightening and no Littlewood-Richardson sum.
-  ``flop_certificate`` never forms F: it checks that U_1 . P_1 is an
-  involution and reads det F off its trace.
 
 The Chern character (``TautClass.ch``, which hands the class to
 ``chow.tautological_ch``) is a second, rational route, and the integral
@@ -75,9 +66,9 @@ a modeling identity, not an operation.
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice
 from math import comb, gcd
 
+from . import flop
 from .partitions import (BoxShape, Partition, Record, box_index, enumerate_box, lr_coefficients,
                          partitions_of)
 
@@ -239,30 +230,6 @@ def _basis_position(alpha, box: BoxShape) -> int:
     return box_index(box)[tuple(p + t - 1 - i for i, p in enumerate(_padded(alpha, t)))]
 
 
-def _binomials(n: int, count: int) -> list[int]:
-    """C(n, k) for k < count and any integer n, each from the one before by
-    the exact step C(n, k + 1) = C(n, k) (n - k) / (k + 1)."""
-    row = [1]
-    for k in range(count - 1):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
-@cache
-def _column(e: int, h: int) -> tuple[tuple[int, int], ...]:
-    """The (j, a) with x^e = sum a x^j, j < h, modulo (x - 1)^h.
-
-    The remainder is sum_{k<h} C(e, k) (x - 1)^k; its x^j coefficient is
-    C(e, j) sum_{m<h-j} (-1)^m C(e - j, m) = (-1)^(h-1-j) C(e, j)
-    C(e - j - 1, h - 1 - j) = C(e, j) C(h - e - 1, h - 1 - j), with
-    generalized binomials; for e outside [0, h) none of them is zero.
-    """
-    if 0 <= e < h:
-        return ((e, 1),)
-    low, high = _binomials(e, h), _binomials(h - e - 1, h)
-    return tuple((j, low[j] * high[h - 1 - j]) for j in range(h))
-
-
 @cache
 def _straighten(weight: tuple[int, ...], box: BoxShape) -> tuple[tuple[int, int], ...]:
     """s_weight(x) = a_{weight+delta}(x) / a_delta(x) in the Schur-power
@@ -277,7 +244,7 @@ def _straighten(weight: tuple[int, ...], box: BoxShape) -> tuple[tuple[int, int]
     wedge = {(): 1}
     for i, w in enumerate(weight):
         out: dict[tuple[int, ...], int] = {}
-        for j, a in _column(w + t - 1 - i, h):
+        for j, a in flop._column(w + t - 1 - i, h):
             for exps, c in wedge.items():
                 if j in exps:
                     continue
@@ -412,7 +379,7 @@ def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: determinant, Smith form, flop certificates
+# Integer matrices: determinant, Smith form, the flop matrix
 # ---------------------------------------------------------------------------
 
 class IntegerMatrix:
@@ -562,87 +529,6 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def _inverse_powers(h: int):
-    """x^-1, x^-2, ... modulo (x - 1)^h, each as the dense list of its h
-    coefficients: the one before times x^-1, a shift down plus its constant
-    term times x^-1 (``_column`` at e = -1), so no power is reduced afresh."""
-    inverse = [a for _, a in _column(-1, h)]
-    column = inverse
-    while True:
-        yield column
-        a = column[0]
-        column = [x + a * b for x, b in zip(column[1:] + [0], inverse)]
-
-
-def _flop_rows(box: BoxShape) -> list[list[int]]:
-    """The rows of F = eps . C_t(M), the wedges of M's columns (see
-    ``flop_matrix``).
-
-    A term of a wedge is keyed by the bitmask of its rows.  The columns are
-    wedged depth first over decreasing prefixes, each new column on the
-    left, so a full wedge lists M's columns increasingly, as the alternant
-    of the dual class does, while each term keeps its rows falling:
-    inserting row i passes the rows above it, and that order of rows
-    against columns is the eps of F.  A wide column, k >= t, is read with
-    its rows falling, flipping the sign at each row the term already holds.
-    At the last column, a wedge with a wide column left to take is first
-    sorted by the row of F each of its terms lands in, once for all of
-    them.  For t = 1 no wedge is needed: F is M.
-    """
-    t, h, n = box.rows, box.h, box.rank
-    rows = [[0] * n for _ in range(n)]
-    if t == 1:
-        rows[0][0] = 1
-        for k, column in zip(range(1, h), _inverse_powers(h)):
-            for row, x in zip(rows, column):
-                row[k] = x
-        return rows
-    bits = [1 << i for i in range(h - 1, -1, -1)]
-    wide = [()] * t + [tuple(zip(bits, reversed(column)))
-                       for column in islice(_inverse_powers(h), box.cols)]
-    index = {sum(1 << e for e in exps): j for exps, j in box_index(box).items()}
-
-    def descend(wedge: dict[int, int], chosen: int, top: int, left: int) -> None:
-        # wedge: M's columns in the mask chosen; left more to take, each below top
-        if left == 1 and top > t:
-            spread = [[] for _ in range(h)]  # spread[h - 1 - i]: (row of F, term) for row i
-            for mask, x in wedge.items():
-                for bit, pairs in zip(bits, spread):
-                    if mask & bit:
-                        x = -x
-                    else:
-                        pairs.append((rows[index[mask | bit]], x))
-            for j in range(t, top):
-                col = index[chosen | 1 << j]
-                for (_, a), pairs in zip(wide[j], spread):
-                    for row, x in pairs:
-                        row[col] += a * x
-            top = t
-        for j in range(left - 1, top):
-            out: dict[int, int] = {}
-            if j < t:  # x^(t-1-j): one row, no product
-                i = t - 1 - j
-                for mask, x in wedge.items():
-                    if not mask >> i & 1:
-                        out[mask | 1 << i] = -x if (mask >> i).bit_count() & 1 else x
-            else:
-                for mask, x in wedge.items():
-                    for bit, a in wide[j]:
-                        if mask & bit:
-                            x = -x
-                        else:
-                            out[mask | bit] = out.get(mask | bit, 0) + a * x
-            if left > 1:
-                descend(out, chosen | 1 << j, j, left - 1)
-                continue
-            col = index[chosen | 1 << j]  # a last column here is x^(t-1-j)
-            for mask, x in out.items():
-                rows[index[mask]][col] = x
-
-    descend({0: 1}, 0, h, t)
-    return rows
-
-
 @cache
 def flop_matrix(box: BoxShape) -> IntegerMatrix:
     """Matrix of the flop correspondence on the Grothendieck lattice.
@@ -650,14 +536,14 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     Column alpha is the expansion of the dual Schur power; by the pullback
     identifications the same matrix represents the correspondence on the
     cotangent spaces and on their one-parameter deformations.  It is an
-    involution and unimodular (``flop_certificate``).
+    involution and unimodular (``flop.flop_certificate``).
 
     Computed in integers as F = eps . C_t(M), the t-th compound of the
     h x h matrix M = U_1^c . P_1 on R = Z[x]/(x - 1)^h, c = h - t and
     eps = (-1)^(t(t-1)/2) (Horn and Johnson, Matrix Analysis, 0.8.1).
     Column k of M is x^(t-1-k): a unit vector for k < t, else the power
-    x^-(k-t+1) (``_inverse_powers``).  The class s_w of a weight w is the
-    alternant a_(w+delta), the wedge x^(e_1) ^ ... ^ x^(e_t) in wedge^t R,
+    x^-(k-t+1) (``flop._inverse_powers``).  The class s_w of a weight w is
+    the alternant a_(w+delta), the wedge x^(e_1) ^ ... ^ x^(e_t) in wedge^t R,
     and the dual class of alpha has the exponents t - 1 - e over the
     exponents e of alpha, read from the smallest: so column alpha of F is
     the wedge of M's columns at alpha + delta, increasing, and its entry at
@@ -666,48 +552,10 @@ def flop_matrix(box: BoxShape) -> IntegerMatrix:
     by O(1) = (x_1 ... x_t)^-1 and Pi = eps . wedge^t P_1 the rotated box
     complement, since the compound is multiplicative (Cauchy-Binet).
 
-    The command line writes the rows of ``_flop_rows`` as they are and
-    never builds this checked matrix.
+    The command line writes the rows of ``flop._flop_rows`` as they are
+    and never builds this checked matrix.
     """
-    rows = _flop_rows(box)
+    rows = flop._flop_rows(box)
     for i, row in enumerate(rows):
         rows[i] = tuple(row)  # each list is freed as its tuple is made
     return IntegerMatrix(rows)
-
-
-class CertificateError(ArithmeticError):
-    """``flop_certificate`` refused: U_1 . P_1 on Z[x]/(x - 1)^h is not
-    the involution that F = eps . C_t(U_1^c . P_1) is built from."""
-
-
-def flop_certificate(box: BoxShape) -> tuple[int, tuple[int, ...]]:
-    """Determinant and Smith form of F = eps . C_t(M), M = U_1^c . P_1,
-    from the h x h involution G = U_1 . P_1 alone (see ``flop_matrix``).
-
-    G sends x^k to x^(h-2-k) for k < h - 1, and x^(h-1) to x^-1, the
-    column ``_flop_rows`` builds M from.  G . G must fix every x^k, else
-    CertificateError; then P_1 . U_1 . P_1 = U_1^-1, so M . M =
-    U_1^c . (P_1 . U_1 . P_1)^c = I and F . F = eps^2 C_t(M . M) = I.
-    Column by column this costs O(h): only x^-1 has more than one term.
-    An integer involution G has det G = (-1)^((h - tr G) / 2), and P_1
-    has h // 2 transpositions, so det U_1 = det G . det P_1 is computed,
-    not assumed; det M = (det U_1)^c . det P_1, and det F =
-    eps^C(h,t) . (det M)^C(h-1,t-1) (Sylvester-Franke) = +-1: Smith form
-    (1, ..., 1).  F is never formed; Bareiss ``IntegerMatrix.det`` and
-    ``smith_normal_form`` are independent routes.
-    """
-    t, h = box.rows, box.h
-    involution = [((h - 2 - k, 1),) for k in range(h - 1)] + [_column(-1, h)]
-    trace = 0
-    for k, column in enumerate(involution):
-        image: dict[int, int] = {}
-        for i, a in column:
-            trace += a if i == k else 0
-            for j, b in involution[i]:
-                image[j] = image.get(j, 0) + a * b
-        if {j: x for j, x in image.items() if x} != {k: 1}:
-            raise CertificateError(f"flop matrix of {box} is not an involution at column x^{k}")
-    det_p = (-1) ** (h // 2)
-    det_m = ((-1) ** ((h - trace) // 2) * det_p) ** box.cols * det_p
-    eps = (-1) ** (t * (t - 1) // 2)
-    return eps ** box.rank * det_m ** comb(h - 1, t - 1), (1,) * box.rank

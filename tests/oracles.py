@@ -8,16 +8,8 @@ from operator import ge, lt
 from flopk.acceptance import _lattice_words
 from flopk.bott import BottResult, Weight
 from flopk.chow import ch_matrix_inverse
-from flopk.kgroup import (
-    IntegerMatrix,
-    KVector,
-    _column,
-    _padded,
-    _skew_count,
-    _straighten,
-    flop_certificate,
-    flop_matrix,
-)
+from flopk.flop import _column, flop_certificate
+from flopk.kgroup import IntegerMatrix, KVector, _padded, _skew_count, _straighten, flop_matrix
 from flopk.partitions import (
     BoxShape, Partition, box_index, enumerate_box, lr_coefficients, partitions_of,
 )
@@ -279,7 +271,7 @@ def involution_certificate(matrix, box) -> tuple[int, tuple[int, ...]]:
 
 
 def column_by_double_sum(e: int, h: int) -> tuple[tuple[int, int], ...]:
-    """``kgroup._column`` by expanding the remainder sum_{k<h} C(e, k)
+    """``flop._column`` by expanding the remainder sum_{k<h} C(e, k)
     (x - 1)^k term by term: about h^2 / 2 products of big integers."""
     if 0 <= e < h:
         return ((e, 1),)

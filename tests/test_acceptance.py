@@ -66,14 +66,14 @@ def test_criterion_9_range(results):
 def test_criterion_2_fails_when_the_certificate_disagrees(monkeypatch):
     # the certificate that check-iso, snf and flop-matrix print must give
     # Bareiss's det on every case; a flipped sign on G(1,2) fails it
-    certificate = acceptance.kgroup.flop_certificate
+    certificate = acceptance.flop.flop_certificate
 
     def flipped(box):
         det, snf = certificate(box)
         return (-det if box.rank == 2 else det), snf
 
     assert acceptance.criterion_2_flop_unimodular().passed
-    monkeypatch.setattr(acceptance.kgroup, "flop_certificate", flipped)
+    monkeypatch.setattr(acceptance.flop, "flop_certificate", flipped)
     r = acceptance.criterion_2_flop_unimodular()
     assert not r.passed
     assert r.detail.startswith("certificate dets {(1, 2): 1, ")

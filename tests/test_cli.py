@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from flopk import cli, kgroup, partitions
+from flopk import cli, flop, kgroup, partitions
 from flopk.cli import (
     _COMMANDS,
     _OPTIONS,
@@ -84,7 +84,7 @@ def test_certificate_commands_never_build_the_flop_matrix(monkeypatch, capsys, a
         raise AssertionError("flop matrix built")
 
     monkeypatch.setattr(kgroup, "flop_matrix", forbidden)
-    monkeypatch.setattr(kgroup, "_flop_rows", forbidden)
+    monkeypatch.setattr(flop, "_flop_rows", forbidden)
     assert run_cli(capsys, *argv.split()) == (0, json_out + "\n")
     assert run_cli(capsys, *argv.split(), "--format", "table") == (0, table_out + "\n")
 
@@ -152,8 +152,9 @@ def test_check_iso_beyond_bareiss_range(capsys):
         (4, 8, "2f2f36626c75788cacae549bc536483cfbdf53fcab98105272027027f59356d8"),
         (5, 10, "2c234616e109349b8ae73c041156e70cd3b3b529238cb3b13334ca74266606ba"),
         (1, 400, "329edb1bc21fd309eec5f7717a7811abe9ddbd01d30eeecd473242f526b9baf7"),
+        (6, 12, "49898fcab578c2dc53d60e86ad9e24790764ab8c85b1b7357ba3e7d792d36ee6"),
     ],
-    ids=["G(4,8)", "G(5,10)", "G(1,400)"],
+    ids=["G(4,8)", "G(5,10)", "G(1,400)", "G(6,12)"],
 )
 def test_flop_matrix_stdout_is_byte_identical(capsys, t, h, digest):
     code, out = run_cli(capsys, "flop-matrix", "--t", str(t), "--h", str(h))
@@ -186,7 +187,7 @@ def test_basis_labels_are_partition_texts(box):
 
 
 def _clear_flop_caches():
-    for fn in (kgroup.flop_matrix, kgroup._column, partitions.box_index,
+    for fn in (kgroup.flop_matrix, flop._column, partitions.box_index,
                partitions.enumerate_box):
         fn.cache_clear()
 
@@ -226,8 +227,8 @@ def test_failed_flop_certificate_prints_nothing(monkeypatch, capsys):
     # with x^-1 negated, U_1 . P_1 is no involution: the certificate
     # refuses it before F is built from that column, and each command
     # prints the structured error object and no row of F
-    negated = tuple((i, -a) for i, a in kgroup._column(-1, 6))
-    monkeypatch.setattr(kgroup, "_column", lambda e, h: negated)
+    negated = tuple((i, -a) for i, a in flop._column(-1, 6))
+    monkeypatch.setattr(flop, "_column", lambda e, h: negated)
     error = ('{"error":{"message":"flop matrix of BoxShape(rows=3, cols=3) is not an '
              'involution at column x^5","type":"CertificateError"}}\n')
     for command in ("flop-matrix", "check-iso", "snf"):
@@ -242,7 +243,7 @@ def test_only_the_certificate_refusal_is_a_structured_error(monkeypatch):
     def fails(box):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(kgroup, "flop_certificate", fails)
+    monkeypatch.setattr(flop, "flop_certificate", fails)
     with pytest.raises(ZeroDivisionError):
         main(["check-iso", "--t", "3", "--h", "6"])
 
@@ -1038,25 +1039,27 @@ def test_fast_path_imports_no_argparse():
     assert _fresh("-c", code) == (0, '{"det":"1","isomorphism":true}\n', "")
 
 
-def test_flop_command_loads_only_what_it_runs():
-    # the package root loads no submodule, and a flop command loads only
-    # cli, kgroup and partitions: no other flopk module, no dataclasses
-    # (whose import pulls in inspect) and no argparse
+def test_flop_command_loads_only_what_it_runs(capsys):
+    # the package root loads no submodule, and a flop or box command loads
+    # only cli, flop and partitions: no kgroup, no other flopk module, no
+    # dataclasses (whose import pulls in inspect) and no argparse;
+    # flop-matrix writes its JSON by hand, so it never loads json either
     unused = {"flopk.acceptance", "flopk.bott", "flopk.main_component", "flopk.flopgeom",
-              "flopk.weyl", "flopk.chow", "dataclasses", "inspect", "argparse"}
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"  # what the interpreter's site set-up loaded
-        "import flopk\n"
-        "bare = [m for m in sys.modules if m.startswith('flopk.')]\n"
-        "import flopk.cli\n"
-        "flopk.cli.main(['flop-matrix', '--t', '2', '--h', '4'])\n"
-        f"loaded = bare + sorted(set({sorted(unused)!r}) & (sys.modules.keys() - before))\n"
-        "sys.exit(str(loaded) if loaded else 0)\n"
-    )
-    code, out, err = _fresh("-c", script)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["det"] == "1"
+              "flopk.weyl", "flopk.chow", "flopk.kgroup", "dataclasses", "inspect", "argparse"}
+    for command in ("flop-matrix", "check-iso", "snf", "kbasis"):
+        argv = [command, "--t", "2", "--h", "4"]
+        forbidden = unused | {"json"} if command == "flop-matrix" else unused
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"  # what the interpreter's site set-up loaded
+            "import flopk\n"
+            "bare = [m for m in sys.modules if m.startswith('flopk.')]\n"
+            "import flopk.cli\n"
+            f"flopk.cli.main({argv!r})\n"
+            f"loaded = bare + sorted(set({sorted(forbidden)!r}) & (sys.modules.keys() - before))\n"
+            "sys.exit(str(loaded) if loaded else 0)\n"
+        )
+        assert _fresh("-c", script) == (0, run_cli(capsys, *argv)[1], ""), command
 
 
 def _untimed(out):

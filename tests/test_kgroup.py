@@ -5,14 +5,14 @@ from math import comb
 
 import pytest
 
-from flopk import chow, cli, kgroup
+from flopk import chow, cli, flop, kgroup
 from flopk.chow import SchubertVector
+from flopk.flop import flop_certificate
 from flopk.kgroup import (
     IntegerMatrix,
     KVector,
     TautClass,
     expand_in_basis,
-    flop_certificate,
     flop_matrix,
     line_bundle,
     schur_quot,
@@ -157,7 +157,7 @@ def test_expansion_rejects_like_character_route(expr, message):
 
 
 def _clear_expansion_caches():
-    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, kgroup._column):
+    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, flop._column):
         fn.cache_clear()
 
 
@@ -165,10 +165,10 @@ def test_column_closed_form_matches_double_sum():
     # every exponent a straightening or a twist meets on boxes with h <= 13
     for h in range(1, 14):
         for e in range(-30, 40):
-            assert kgroup._column(e, h) == column_by_double_sum(e, h), (e, h)
+            assert flop._column(e, h) == column_by_double_sum(e, h), (e, h)
     # x^-1 = sum_{k<h} (-1)^k C(h, k+1) x^k, as oracles.schur_twist's docstring states
     for h in (924, 5000):
-        assert kgroup._column(-1, h) == tuple((k, (-1) ** k * comb(h, k + 1)) for k in range(h))
+        assert flop._column(-1, h) == tuple((k, (-1) ** k * comb(h, k + 1)) for k in range(h))
 
 
 def test_expansion_is_integer_only(monkeypatch):
@@ -320,7 +320,7 @@ def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
         monkeypatch.setattr(kgroup, name, forbidden)
     monkeypatch.setattr(IntegerMatrix, "det", forbidden)
     flop_matrix.cache_clear()
-    kgroup._column.cache_clear()
+    flop._column.cache_clear()
     assert cli.main(["flop-matrix", "--t", "2", "--h", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["det"] == "1"
@@ -486,7 +486,7 @@ def test_schur_twist_never_straightens(box, monkeypatch):
     def forbidden(*args):
         raise AssertionError("column straightened")
 
-    for fn in (schur_twist, box_index, kgroup._column):
+    for fn in (schur_twist, box_index, flop._column):
         fn.cache_clear()
     monkeypatch.setattr(kgroup, "_straighten", forbidden)
     monkeypatch.setattr(oracles, "_straighten", forbidden)
@@ -526,7 +526,7 @@ def test_flop_rows_form_each_column_of_m_once(box, monkeypatch):
     # shifts, and x^-1 is the only power reduced modulo (x - 1)^h: reducing
     # every column x^(t-1-k) afresh made G(1,924) about 1.5 times slower
     drawn, reduced = [], []
-    powers, column = kgroup._inverse_powers, kgroup._column.__wrapped__
+    powers, column = flop._inverse_powers, flop._column.__wrapped__
 
     def counted_powers(h):
         for power in powers(h):
@@ -537,9 +537,9 @@ def test_flop_rows_form_each_column_of_m_once(box, monkeypatch):
         reduced.append(e)
         return column(e, h)
 
-    monkeypatch.setattr(kgroup, "_inverse_powers", counted_powers)
-    monkeypatch.setattr(kgroup, "_column", counted_column)
-    kgroup._flop_rows(box)
+    monkeypatch.setattr(flop, "_inverse_powers", counted_powers)
+    monkeypatch.setattr(flop, "_column", counted_column)
+    flop._flop_rows(box)
     assert reduced == [-1]
     assert len(drawn) == (box.h - 1 if box.rows == 1 else box.cols)
 
@@ -566,11 +566,11 @@ def test_flop_determinant_routes_agree(box):
 def _rejected_at(box, perturb) -> str:
     # the certificate's refusal once x^-1, the one wide column of U_1 . P_1,
     # is replaced by perturb(x^-1) as a list of coefficients
-    inverse = [a for _, a in kgroup._column(-1, box.h)]
+    inverse = [a for _, a in flop._column(-1, box.h)]
     perturbed = tuple(enumerate(perturb(inverse)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kgroup, "_column", lambda e, h: perturbed)
-        with pytest.raises(kgroup.CertificateError) as exc:
+        patch.setattr(flop, "_column", lambda e, h: perturbed)
+        with pytest.raises(flop.CertificateError) as exc:
             flop_certificate(box)
     return str(exc.value)
 
@@ -587,7 +587,7 @@ def test_certificate_rejects_perturbed_twist():
     # sends x^4 to it; G applied to x^-1 takes its x^4 term back through
     # x^-1 itself, so a wrong top coefficient, or x^-1 negated, is refused
     box = BoxShape(2, 3)
-    assert kgroup._column(-1, box.h) == ((0, 5), (1, -10), (2, 10), (3, -5), (4, 1))
+    assert flop._column(-1, box.h) == ((0, 5), (1, -10), (2, 10), (3, -5), (4, 1))
     refused = "flop matrix of BoxShape(rows=2, cols=3) is not an involution at column x^4"
     for perturb in (_bumped(4, 1), _bumped(4, -2), lambda column: [-a for a in column]):
         assert _rejected_at(box, perturb) == refused
@@ -609,13 +609,13 @@ def test_certificate_refuses_negated_twist(monkeypatch, box):
     # with x^-1 negated, G . G x^(h-1) = x^(h-1) - 2 sum_{k<h-1} c_k x^(h-2-k)
     # over the coefficients c_k of x^-1, none of them 0; the F built from
     # the negated column is no involution either: on G(1,3) it has det -1
-    inverse = tuple((i, -a) for i, a in kgroup._column(-1, box.h))
-    monkeypatch.setattr(kgroup, "_column", lambda e, h: inverse)
+    inverse = tuple((i, -a) for i, a in flop._column(-1, box.h))
+    monkeypatch.setattr(flop, "_column", lambda e, h: inverse)
     refused = f"not an involution at column x\\^{box.h - 1}$"
-    with pytest.raises(kgroup.CertificateError, match=refused):
+    with pytest.raises(flop.CertificateError, match=refused):
         flop_certificate(box)
     if box == BoxShape(1, 2):
-        built = IntegerMatrix(kgroup._flop_rows(box))
+        built = IntegerMatrix(flop._flop_rows(box))
         assert built.det() == -1
         assert built @ built != IntegerMatrix.identity(box.rank)
 

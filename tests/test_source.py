@@ -120,3 +120,18 @@ def test_second_routes_stay_out_of_the_package():
     back = [f"{cls.__name__}.{name}" for cls, names in gone.items() for name in names
             if name in vars(cls)]
     assert back == []
+
+
+def test_flop_engine_names_have_one_home():
+    # kgroup reaches the flop engine only as flop.<name>, so a monkeypatch
+    # of flop reaches every caller: kgroup binds no name that flop defines,
+    # under that name or another
+    from flopk import flop, kgroup
+
+    tree = ast.parse(Path(flop.__file__).read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"_column", "_flop_rows", "flop_certificate", "CertificateError"} <= defined
+    bound = [name for name, value in vars(kgroup).items()
+             if name in defined or getattr(value, "__module__", None) == flop.__name__]
+    assert bound == []
