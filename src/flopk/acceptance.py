@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cache, wraps
+from functools import wraps
 from math import comb
 from operator import lt
 from typing import Callable, NamedTuple
@@ -214,7 +214,6 @@ def criterion_8_weyl_words(seed: int = 0) -> tuple[bool, str]:
     )
 
 
-@cache
 def _lattice_words(mu: Partition) -> tuple[tuple[int, ...], ...]:
     """Every lattice (ballot) word of content mu: mu_i letters i, and no
     prefix with more i's than (i-1)'s."""

@@ -98,7 +98,7 @@ def line_bundle_weight(k: int, box: BoxShape) -> Weight:
     return Weight((k,) * box.rows, (0,) * box.cols)
 
 
-@cache
+@cache  # one integer per weight length h
 def _weyl_denominator(n: int) -> int:
     """The product of j - i over 0 <= i < j < n, that is prod_{k<n} k!."""
     return prod(map(factorial, range(n)))

@@ -83,9 +83,6 @@ class SchubertVector:
         scalar = Fraction(scalar)
         return SchubertVector(self.box, {p: scalar * c for p, c in self.coeffs.items()})
 
-    def __neg__(self) -> "SchubertVector":
-        return (-1) * self
-
     def __mul__(self, other: "SchubertVector") -> "SchubertVector":
         """Product in the Chow ring (LR expansion, box truncation)."""
         if not isinstance(other, SchubertVector):
@@ -113,9 +110,6 @@ class SchubertVector:
             and self.box == other.box
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.box, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:

@@ -8,8 +8,9 @@ flop needs only R's arithmetic: the remainder of a power x^e
 (``_column``), the powers of x^-1 (``_inverse_powers``), the rows of the
 flop matrix F (``_flop_rows``) and its certificate
 (``flop_certificate``).  ``kgroup`` straightens weights with ``_column``
-and wraps the rows as a checked matrix (``kgroup.flop_matrix``); the
-command line prints the rows and the certificate from here alone.
+and ``_wedge`` and wraps the rows as a checked matrix
+(``kgroup.flop_matrix``); the command line prints the rows and the
+certificate from here alone.
 
 F is eps . C_t(M), the t-th compound of one h x h matrix.  The twist by
 O(1) = (x_1 ... x_t)^-1 is wedge^t U_1, U_1 multiplication by x^-1, and
@@ -39,7 +40,7 @@ def _binomials(n: int, count: int) -> list[int]:
     return row
 
 
-@cache
+@cache  # one column of at most h terms per exponent e and h a session reduces
 def _column(e: int, h: int) -> tuple[tuple[int, int], ...]:
     """The (j, a) with x^e = sum a x^j, j < h, modulo (x - 1)^h.
 
@@ -66,20 +67,48 @@ def _inverse_powers(h: int):
         column = [x + a * b for x, b in zip(column[1:] + [0], inverse)]
 
 
+@cache  # one dict of C(h, t) keys per box a session meets
+def _mask_index(box: BoxShape) -> dict[int, int]:
+    """``box_index`` keyed by the bitmask of each exponent set."""
+    return {sum(1 << e for e in exps): j for exps, j in box_index(box).items()}
+
+
+def _wedge(wedge: dict[int, int], column) -> dict[int, int]:
+    """column ^ wedge, each term keyed by the bitmask of its rows.
+
+    A term keeps its rows falling, as ``box_index`` does, so a new row
+    passes the rows above it: a unit column (bit, 1) takes the parity of
+    the rows the term holds above it, and a wide column, all h rows as
+    (bit, a) with bits falling, flips the sign at each row the term holds.
+    """
+    out: dict[int, int] = {}
+    if len(column) == 1:
+        ((bit, _),) = column
+        above = -bit
+        for mask, x in wedge.items():
+            if not mask & bit:
+                out[mask | bit] = -x if (mask & above).bit_count() & 1 else x
+        return out
+    for mask, x in wedge.items():
+        for bit, a in column:
+            if mask & bit:
+                x = -x
+            else:
+                out[mask | bit] = out.get(mask | bit, 0) + a * x
+    return out
+
+
 def _flop_rows(box: BoxShape) -> list[list[int]]:
     """The rows of F = eps . C_t(M), the wedges of M's columns (see
     ``kgroup.flop_matrix``).
 
-    A term of a wedge is keyed by the bitmask of its rows.  The columns are
-    wedged depth first over decreasing prefixes, each new column on the
-    left, so a full wedge lists M's columns increasingly, as the alternant
-    of the dual class does, while each term keeps its rows falling:
-    inserting row i passes the rows above it, and that order of rows
-    against columns is the eps of F.  A wide column, k >= t, is read with
-    its rows falling, flipping the sign at each row the term already holds.
-    At the last column, a wedge with a wide column left to take is first
-    sorted by the row of F each of its terms lands in, once for all of
-    them.  For t = 1 no wedge is needed: F is M.
+    The columns are wedged (``_wedge``) depth first over decreasing
+    prefixes, each new column on the left, so a full wedge lists M's
+    columns increasingly, as the alternant of the dual class does, and
+    the order of its rows against those columns is the eps of F.  At the
+    last column, a wedge with a wide column left to take is first sorted
+    by the row of F each of its terms lands in, once for all of them.
+    For t = 1 no wedge is needed: F is M.
     """
     t, h, n = box.rows, box.h, box.rank
     rows = [[0] * n for _ in range(n)]
@@ -90,9 +119,9 @@ def _flop_rows(box: BoxShape) -> list[list[int]]:
                 row[k] = x
         return rows
     bits = [1 << i for i in range(h - 1, -1, -1)]
-    wide = [()] * t + [tuple(zip(bits, reversed(column)))
-                       for column in islice(_inverse_powers(h), box.cols)]
-    index = {sum(1 << e for e in exps): j for exps, j in box_index(box).items()}
+    columns = [((1 << (t - 1 - k), 1),) for k in range(t)] + [
+        tuple(zip(bits, reversed(column))) for column in islice(_inverse_powers(h), box.cols)]
+    index = _mask_index(box)
 
     def descend(wedge: dict[int, int], chosen: int, top: int, left: int) -> None:
         # wedge: M's columns in the mask chosen; left more to take, each below top
@@ -106,24 +135,12 @@ def _flop_rows(box: BoxShape) -> list[list[int]]:
                         pairs.append((rows[index[mask | bit]], x))
             for j in range(t, top):
                 col = index[chosen | 1 << j]
-                for (_, a), pairs in zip(wide[j], spread):
+                for (_, a), pairs in zip(columns[j], spread):
                     for row, x in pairs:
                         row[col] += a * x
             top = t
         for j in range(left - 1, top):
-            out: dict[int, int] = {}
-            if j < t:  # x^(t-1-j): one row, no product
-                i = t - 1 - j
-                for mask, x in wedge.items():
-                    if not mask >> i & 1:
-                        out[mask | 1 << i] = -x if (mask >> i).bit_count() & 1 else x
-            else:
-                for mask, x in wedge.items():
-                    for bit, a in wide[j]:
-                        if mask & bit:
-                            x = -x
-                        else:
-                            out[mask | bit] = out.get(mask | bit, 0) + a * x
+            out = _wedge(wedge, columns[j])
             if left > 1:
                 descend(out, chosen | 1 << j, j, left - 1)
                 continue

@@ -25,10 +25,12 @@ replaced by its remainder (``flop._column``)
 with the generalized binomial C(e, k) = (-1)^k C(k - e - 1, k) when
 e < 0 (x is a unit), rewritten in the powers x^j, j < h.  By linearity
 in each column the alternant becomes a combination of alternants a_J
-over exponent sets J in {0, ..., h-1}; a_J / a_delta is zero if J
-repeats an entry and otherwise the sign of sorting J decreasingly times
-s_mu, mu the sorted J minus delta, a partition in the box
-(``_straighten``).
+over exponent sets J in {0, ..., h-1}, each the wedge of its powers x^j
+in wedge^t R, R = Z[x]/(x - 1)^h, keyed by the bitmask of J:
+``_straighten`` wedges the columns on the left, the last first, through
+``flop._wedge``, which drops a J that repeats an entry and keeps each
+other J decreasing with the sign of that order.  Then a_J / a_delta is
+s_mu, mu = J - delta a partition in the box (``flop._mask_index``).
 
 * Expansion of an arbitrary tautological class (``expand_in_basis``)
   works in the representation ring of GL_t: every atom is a combination
@@ -230,34 +232,27 @@ def _basis_position(alpha, box: BoxShape) -> int:
     return box_index(box)[tuple(p + t - 1 - i for i, p in enumerate(_padded(alpha, t)))]
 
 
-@cache
+@cache  # unbounded: one entry per weight and box a session straightens
 def _straighten(weight: tuple[int, ...], box: BoxShape) -> tuple[tuple[int, int], ...]:
     """s_weight(x) = a_{weight+delta}(x) / a_delta(x) in the Schur-power
     basis, for any t integers (see the module docstring).
 
-    Each column x^e of the alternant is reduced modulo (x - 1)^h and the
-    columns are wedged: an exponent set that repeats an entry drops out,
-    and the others are kept strictly decreasing, with the sign of the
-    sort, so each final set is lam + delta for a basis partition lam.
+    Each column x^e of the alternant is reduced modulo (x - 1)^h and
+    wedged on the left, from the last column to the first, by
+    ``flop._wedge``, whose terms are keyed by the bitmask of their
+    exponents; each full set of t exponents is lam + delta for a basis
+    partition lam.
     """
     t, h = box.rows, box.h
-    wedge = {(): 1}
-    for i, w in enumerate(weight):
-        out: dict[tuple[int, ...], int] = {}
-        for j, a in flop._column(w + t - 1 - i, h):
-            for exps, c in wedge.items():
-                if j in exps:
-                    continue
-                # j goes after the p larger entries, passing the smaller ones
-                p = sum(x > j for x in exps)
-                key = exps[:p] + (j,) + exps[p:]
-                out[key] = out.get(key, 0) + (-a * c if (len(exps) - p) % 2 else a * c)
-        wedge = out
-    index = box_index(box)
-    return tuple(sorted((index[exps], c) for exps, c in wedge.items() if c))
+    wedge = {0: 1}
+    for i in range(t - 1, -1, -1):
+        column = flop._column(weight[i] + t - 1 - i, h)
+        wedge = flop._wedge(wedge, [(1 << j, a) for j, a in reversed(column)])
+    index = flop._mask_index(box)
+    return tuple(sorted((index[mask], c) for mask, c in wedge.items() if c))
 
 
-@cache
+@cache  # one tuple of C(h, t) weights per box a session expands on
 def _basis_weights(box: BoxShape) -> tuple[tuple[int, ...], ...]:
     """Each basis partition padded to t parts, a weight, in basis order."""
     t = box.rows
@@ -308,7 +303,7 @@ def _skew_count(alpha: Partition, nu: Partition, n: int) -> int:
     ).det()
 
 
-@cache
+@cache  # one entry per atom and box a session expands
 def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One atom as a sparse combination of weights, (weight, coefficient)
     pairs; raises ValueError exactly where the character route
@@ -455,9 +450,6 @@ class IntegerMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerMatrix) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"IntegerMatrix[{body}]"
@@ -529,7 +521,6 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
-@cache
 def flop_matrix(box: BoxShape) -> IntegerMatrix:
     """Matrix of the flop correspondence on the Grothendieck lattice.
 

@@ -21,8 +21,6 @@ change of basis is unimodular, so the image index is the same in both.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .kgroup import (
     IntegerMatrix,
     KVector,
@@ -52,7 +50,6 @@ def koszul_ideal_class(h: int) -> KVector:
     return expand_in_basis(expr, box)
 
 
-@cache
 def line_basis_matrix(box: BoxShape) -> IntegerMatrix:
     """Columns are [O(1)], [O], [O(-1)], ... in canonical coordinates.
 

@@ -200,7 +200,7 @@ def partitions_of(
         yield Partition(parts)
 
 
-@cache
+@cache  # one dict of C(h, t) keys per box a session meets
 def box_index(box: BoxShape) -> dict[tuple[int, ...], int]:
     """Basis index of each partition lam, keyed by its exponents lam + delta:
     the decreasing t-subsets of {0, ..., h-1}, lex descending, stably sorted
@@ -209,7 +209,7 @@ def box_index(box: BoxShape) -> dict[tuple[int, ...], int]:
     return {e: j for j, e in enumerate(sorted(subsets, key=sum))}
 
 
-@cache
+@cache  # one tuple of C(h, t) partitions per box a session labels
 def enumerate_box(box: BoxShape) -> tuple[Partition, ...]:
     """All partitions fitting in the box, graded by size then lex descending:
     part i of the partition with exponents e is e_i - (t - 1 - i).
@@ -235,7 +235,7 @@ def box_labels(box: BoxShape) -> list[str]:
 # Littlewood-Richardson coefficients
 # ---------------------------------------------------------------------------
 
-@cache
+@cache  # unbounded: one entry per pair and bound a session multiplies
 def _lr_expand(
     lam: Partition, mu: Partition, max_rows: int, max_cols: int
 ) -> tuple[tuple[Partition, int], ...]:

@@ -68,16 +68,6 @@ class Permutation(tuple):
             if self[i] > self[j]
         )
 
-    def apply(self, seq: Sequence) -> tuple:
-        """Positional action: the entry at position j moves to position
-        self(j).  This is a left action compatible with word application."""
-        if len(seq) != len(self):
-            raise ValueError("size mismatch")
-        out = [None] * len(seq)
-        for j, v in enumerate(seq):
-            out[self[j] - 1] = v
-        return tuple(out)
-
     def __repr__(self):
         return f"Permutation({tuple(self)})"
 

@@ -23,6 +23,18 @@ def apply(matrix, vector) -> tuple[int, ...]:
     return tuple(sum(r * v for r, v in zip(row, vector)) for row in matrix.entries)
 
 
+def permute(sigma, seq) -> tuple:
+    """Positional action of a permutation: the entry at position j moves
+    to position sigma(j).  This is a left action compatible with word
+    application (``weyl.apply_word``)."""
+    if len(seq) != len(sigma):
+        raise ValueError("size mismatch")
+    out = [None] * len(seq)
+    for j, v in enumerate(seq):
+        out[sigma[j] - 1] = v
+    return tuple(out)
+
+
 def box_complement(box, alpha) -> Partition:
     """The 180-degree rotated complement of alpha inside the box, by its
     parts; ``_complement_indices`` reads it off the exponents."""
@@ -282,6 +294,27 @@ def column_by_double_sum(e: int, h: int) -> tuple[tuple[int, int], ...]:
         if a:
             column.append((j, a))
     return tuple(column)
+
+
+def sorted_straighten(weight, box) -> tuple[tuple[int, int], ...]:
+    """``kgroup._straighten`` keyed by exponent tuples: each reduced column
+    x^e is appended on the right, and a term's sign comes from sorting its
+    exponents decreasingly, not from the bitmask of its rows."""
+    t, h = box.rows, box.h
+    wedge = {(): 1}
+    for i, w in enumerate(weight):
+        out = {}
+        for j, a in _column(w + t - 1 - i, h):
+            for exps, c in wedge.items():
+                if j in exps:
+                    continue
+                # j goes after the p larger entries, passing the smaller ones
+                p = sum(x > j for x in exps)
+                key = exps[:p] + (j,) + exps[p:]
+                out[key] = out.get(key, 0) + (-a * c if (len(exps) - p) % 2 else a * c)
+        wedge = out
+    index = box_index(box)
+    return tuple(sorted((index[exps], c) for exps, c in wedge.items() if c))
 
 
 def straightened_twist(box) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -187,8 +187,7 @@ def test_basis_labels_are_partition_texts(box):
 
 
 def _clear_flop_caches():
-    for fn in (kgroup.flop_matrix, flop._column, partitions.box_index,
-               partitions.enumerate_box):
+    for fn in (flop._column, flop._mask_index, partitions.box_index, partitions.enumerate_box):
         fn.cache_clear()
 
 

@@ -4,9 +4,11 @@ box-truncated Littlewood-Richardson table and mapped back by D^-1
 (``oracles.z_expand``)."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
+from flopk import kgroup
 from flopk.kgroup import (
     expand_in_basis,
     line_bundle,
@@ -17,7 +19,7 @@ from flopk.kgroup import (
 )
 from flopk.partitions import BoxShape, enumerate_box, partitions_of
 
-from oracles import z_expand
+from oracles import sorted_straighten, z_expand
 
 
 def _atom_pool(box):
@@ -71,3 +73,20 @@ def test_largest_box_matches_z_route():
     # four factors, each product reduced into the box before the next
     box = BoxShape.for_grassmannian(3, 7)
     _check(box, [wedge_tangent(2) * wedge_tangent(2) * line_bundle(3) * schur_quot((1,))])
+
+
+def test_straightening_matches_sorted_wedge():
+    # the bitmask wedge on the left (flop._wedge) against exponent tuples
+    # sorted on the right: every non-increasing weight with entries in
+    # [-4, 4] on each box with h <= 6, then seeded weights, in any order,
+    # with entries in [-3h, 3h] on boxes with h <= 10
+    straighten = kgroup._straighten.__wrapped__
+    for box in (BoxShape.for_grassmannian(t, h) for h in range(2, 7) for t in range(1, h)):
+        for w in combinations_with_replacement(range(4, -5, -1), box.rows):
+            assert straighten(w, box) == sorted_straighten(w, box), (w, box)
+    rng = random.Random(10)
+    boxes = [BoxShape.for_grassmannian(t, h) for h in range(2, 11) for t in range(1, h)]
+    for _ in range(2000):
+        box = rng.choice(boxes)
+        w = tuple(rng.randint(-3 * box.h, 3 * box.h) for _ in range(box.rows))
+        assert straighten(w, box) == sorted_straighten(w, box), (w, box)

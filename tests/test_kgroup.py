@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     pieri_twist,
     rational_det,
     schur_twist,
+    sorted_straighten,
     straightened_twist,
     twist_flop_matrix,
 )
@@ -157,7 +159,8 @@ def test_expansion_rejects_like_character_route(expr, message):
 
 
 def _clear_expansion_caches():
-    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, flop._column):
+    for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, flop._column,
+               flop._mask_index):
         fn.cache_clear()
 
 
@@ -319,7 +322,6 @@ def test_flop_matrix_route_is_integer_only(monkeypatch, capsys):
     for name in ("lr_coefficients", "smith_normal_form"):
         monkeypatch.setattr(kgroup, name, forbidden)
     monkeypatch.setattr(IntegerMatrix, "det", forbidden)
-    flop_matrix.cache_clear()
     flop._column.cache_clear()
     assert cli.main(["flop-matrix", "--t", "2", "--h", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -542,6 +544,32 @@ def test_flop_rows_form_each_column_of_m_once(box, monkeypatch):
     flop._flop_rows(box)
     assert reduced == [-1]
     assert len(drawn) == (box.h - 1 if box.rows == 1 else box.cols)
+
+
+@pytest.mark.parametrize("t, h", [(2, 4), (3, 6), (2, 7), (4, 8)])
+def test_straightening_and_flop_rows_share_one_wedge(t, h, monkeypatch):
+    # one wedge step and one sign rule for wedge^t R: _straighten wedges
+    # each column of a weight, and _flop_rows each column of M but a wide
+    # last column, which it spreads over the rows of F instead
+    box = BoxShape.for_grassmannian(t, h)
+    weight = tuple(range(t - 1, -t - 1, -2))  # a unit column, then a wide one at the last
+    want = (sorted_straighten(weight, box), flop._flop_rows(box))
+    calls, wedge = [], flop._wedge
+
+    def counted(terms, column):
+        calls.append(len(column))
+        return wedge(terms, column)
+
+    monkeypatch.setattr(flop, "_wedge", counted)
+    assert kgroup._straighten.__wrapped__(weight, box) == want[0]
+    assert len(calls) == t
+    calls.clear()
+    assert flop._flop_rows(box) == want[1]
+    # a call per prefix of columns that can still be completed, and per
+    # full set of columns whose last is a unit vector, x^(t-1-j) for j < t
+    prefixes = sum(1 for d in range(1, t) for s in combinations(range(h), d) if s[0] >= t - d)
+    assert len(calls) == prefixes + sum(1 for s in combinations(range(h), t) if s[0] < t)
+    assert set(calls) == {1, h}
 
 
 def _complement_sign(box: BoxShape) -> int:
