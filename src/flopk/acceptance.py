@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import wraps
+from functools import cache, wraps
 from math import comb
 from operator import lt
 from typing import Callable, NamedTuple
@@ -73,15 +73,20 @@ def criterion_1_basis_ranks() -> tuple[bool, str]:
 _FLOP_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 6)]
 
 
+@cache  # one flop matrix for each of the seven boxes of _FLOP_CASES
+def _flop_matrices() -> tuple[kgroup.IntegerMatrix, ...]:
+    """The flop matrix F of each case, in case order, built once for
+    criteria 2 and 3."""
+    return tuple(kgroup.flop_matrix(BoxShape.for_grassmannian(t, h)) for t, h in _FLOP_CASES)
+
+
 @_criterion(2, "flop isomorphism certificates", budget=30.0)
 def criterion_2_flop_unimodular() -> tuple[bool, str]:
     """det = +-1 for the flop matrix on the listed Grassmannians, by
     Bareiss, and the certificate the command line prints agrees."""
-    dets, certified = {}, {}
-    for t, h in _FLOP_CASES:
-        box = BoxShape.for_grassmannian(t, h)
-        dets[(t, h)] = kgroup.flop_matrix(box).det()
-        certified[(t, h)] = flop.flop_certificate(box)[0]
+    dets = {case: m.det() for case, m in zip(_FLOP_CASES, _flop_matrices())}
+    certified = {case: flop.flop_certificate(BoxShape.for_grassmannian(*case))[0]
+                 for case in _FLOP_CASES}
     bad = {k: d for k, d in dets.items() if d not in (1, -1)}
     if bad:
         return False, f"non-unit dets: {bad}"
@@ -93,12 +98,8 @@ def criterion_2_flop_unimodular() -> tuple[bool, str]:
 @_criterion(3, "flop involution")
 def criterion_3_involution() -> tuple[bool, str]:
     """The flop matrix squares to the identity on the same set."""
-    bad = []
-    for t, h in _FLOP_CASES:
-        box = BoxShape.for_grassmannian(t, h)
-        m = kgroup.flop_matrix(box)
-        if (m @ m) != kgroup.IntegerMatrix.identity(box.rank):
-            bad.append((t, h))
+    bad = [case for case, m in zip(_FLOP_CASES, _flop_matrices())
+           if (m @ m) != kgroup.IntegerMatrix.identity(m.rows)]
     return not bad, (
         "matrix squared is the identity on all cases" if not bad else f"failures: {bad}"
     )

@@ -70,10 +70,6 @@ class Weight(Record):
             if list(block) != sorted(block, reverse=True):
                 raise ValueError(f"block {block} is not non-increasing")
 
-    @property
-    def h(self) -> int:
-        return len(self.a) + len(self.b)
-
     def text(self) -> str:
         return ",".join(map(str, self.a)) + "|" + ",".join(map(str, self.b))
 

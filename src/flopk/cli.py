@@ -146,6 +146,15 @@ def _check_digits(text: str, what: str) -> None:
         raise SizeLimit(f"{what} has more than {MAX_DIGITS} digits")
 
 
+def _check_text(text: str, what: str, limit: int) -> None:
+    """Refuse the text of the --``what`` option with SizeLimit if a number
+    in it has more than MAX_DIGITS digits or it has more than ``limit``
+    characters."""
+    _check_digits(text, f"an entry of the {what}")
+    if len(text) > limit:
+        raise SizeLimit(f"the {what} has {len(text)} characters, above the limit {limit}")
+
+
 # A decimal entry of --vector, as fractions.Fraction reads one: digits,
 # an optional fractional part, an optional exponent.
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
@@ -245,11 +254,7 @@ def _cmd_snf(args) -> int:
 
         if args.t is not None or args.h is not None:
             raise UsageError("give --matrix, or --t and --h, not both")
-        _check_digits(args.matrix, "an entry of the matrix")
-        if len(args.matrix) > MAX_MATRIX_TEXT:
-            raise SizeLimit(
-                f"the matrix has {len(args.matrix)} characters, above the limit {MAX_MATRIX_TEXT}"
-            )
+        _check_text(args.matrix, "matrix", MAX_MATRIX_TEXT)
         try:
             matrix = kgroup.IntegerMatrix(json.loads(args.matrix))
         except (ValueError, TypeError, RecursionError) as exc:
@@ -304,11 +309,7 @@ def _cmd_bott(args) -> int:
     from . import bott
     if args.weight is None:
         raise UsageError("--weight is required, e.g. \"-2,-2|0,0\"")
-    _check_digits(args.weight, "an entry of the weight")
-    if len(args.weight) > MAX_WEIGHT_TEXT:
-        raise SizeLimit(
-            f"the weight has {len(args.weight)} characters, above the limit {MAX_WEIGHT_TEXT}"
-        )
+    _check_text(args.weight, "weight", MAX_WEIGHT_TEXT)
     try:
         weight = bott.Weight.from_text(args.weight)
     except ValueError as exc:
@@ -349,18 +350,28 @@ def _cmd_hodge(args) -> int:
     return 0
 
 
-def _parse_scalars(text: str, field: Optional[int], expect: int) -> list[int]:
-    """The comma-separated integers of ``text``, reduced mod ``field`` if given."""
+def _point(args, form: str) -> list[int]:
+    """The integers of --point, one per coordinate that ``form`` names,
+    reduced mod --field if it is given and prime; refused if they are all
+    zero there, since that is no projective point."""
     from . import flopgeom
-    parts = [s.strip() for s in text.split(",")]
+    if args.point is None:
+        raise UsageError(f"--point {form} is required")
+    parts = [s.strip() for s in args.point.split(",")]
+    expect = form.count(",") + 1
     if len(parts) != expect:
         raise UsageError(f"expected {expect} comma-separated values, got {len(parts)}")
-    _check_digits(text, "a coordinate of the point")
-    values = [int(s) for s in parts]
-    if field is None:
-        return values
-    p = flopgeom.prime_modulus(field)
-    return [v % p for v in values]
+    _check_digits(args.point, "a coordinate of the point")
+    try:
+        pt = [int(s) for s in parts]
+        if args.field is not None:
+            p = flopgeom.prime_modulus(args.field)
+            pt = [v % p for v in pt]
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if not any(pt):
+        raise UsageError("the all-zero tuple is not a projective point")
+    return pt
 
 
 def _reduce(x: int, field: Optional[int]) -> int:
@@ -370,14 +381,7 @@ def _reduce(x: int, field: Optional[int]) -> int:
 
 def _cmd_gamma(args) -> int:
     from . import flopgeom
-    if args.point is None:
-        raise UsageError("--point a,x,y,z,w is required")
-    try:
-        pt = _parse_scalars(args.point, args.field, 5)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if not any(pt):
-        raise UsageError("the all-zero tuple is not a projective point")
+    pt = _point(args, "a,x,y,z,w")
     image = [_reduce(x, args.field) for x in flopgeom.pluecker_limit_map(pt)]
     payload = {
         "image": _decimal(image, "a coordinate of the image"),
@@ -392,13 +396,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_quadric(args) -> int:
     from . import flopgeom
-    if args.point is None:
-        raise UsageError("--point p12,p13,p14,p23,p24,p34 is required")
-    try:
-        pt = _parse_scalars(args.point, args.field, 6)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    value = _reduce(flopgeom.quadric_value(pt), args.field)
+    value = _reduce(flopgeom.quadric_value(_point(args, "p12,p13,p14,p23,p24,p34")), args.field)
     (text,) = _decimal([value], "the quadric value")
     payload = {"value": text, "on_quadric": value == 0}
     _emit(args, payload, lambda: [f"value: {payload['value']}"])
@@ -419,23 +417,22 @@ def _cmd_springer_fiber(args) -> int:
     return 0
 
 
+def _emit_word(args, sigma, word: list[int], **extra) -> None:
+    """Report a permutation and its word of adjacent transpositions, with
+    the keys of ``extra`` beside them in the JSON."""
+    payload = {**extra, "sigma": list(sigma), "word": word, "length": len(word)}
+    _emit(args, payload, lambda: [
+        f"sigma: {payload['sigma']}", f"word: {word}", f"length: {len(word)}"
+    ])
+
+
 def _cmd_weyl_word(args) -> int:
     from . import weyl
     if args.h is None or args.h < 2:
         raise UsageError("--h >= 2 is required")
     if args.h > MAX_WEYL_H:
         raise SizeLimit(f"h = {args.h} is above the limit {MAX_WEYL_H}")
-    word = weyl.duality_word(args.h)
-    sigma = weyl.duality_permutation(args.h)
-    payload = {
-        "h": args.h,
-        "sigma": list(sigma),
-        "word": word,
-        "length": len(word),
-    }
-    _emit(args, payload, lambda: [
-        f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
-    ])
+    _emit_word(args, weyl.duality_permutation(args.h), weyl.duality_word(args.h), h=args.h)
     return 0
 
 
@@ -459,10 +456,7 @@ def _cmd_chamber_sort(args) -> int:
         sigma, word = weyl.chamber_sort(vec)
     except weyl.RegularityViolation as exc:
         return _error_exit(exc)
-    payload = {"sigma": list(sigma), "word": word, "length": len(word)}
-    _emit(args, payload, lambda: [
-        f"sigma: {list(sigma)}", f"word: {word}", f"length: {len(word)}"
-    ])
+    _emit_word(args, sigma, word)
     return 0
 
 

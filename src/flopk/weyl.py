@@ -39,21 +39,6 @@ class Permutation(tuple):
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         return super().__new__(cls, images)
 
-    @classmethod
-    def identity(cls, h: int) -> "Permutation":
-        return cls(range(1, h + 1))
-
-    def __call__(self, i: int) -> int:
-        return self[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Functional composition: (self * other)(x) = self(other(x))."""
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if len(self) != len(other):
-            raise ValueError("size mismatch")
-        return Permutation(self[other[i] - 1] for i in range(len(self)))
-
     def inverse(self) -> "Permutation":
         images = [0] * len(self)
         for i, v in enumerate(self):

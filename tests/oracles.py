@@ -44,17 +44,25 @@ def box_complement(box, alpha) -> Partition:
     return Partition(box.cols - p for p in reversed(padded))
 
 
+def compose(s, t) -> Permutation:
+    """Functional composition of permutations of one size: compose(s, t)
+    sends x to s(t(x))."""
+    if len(s) != len(t):
+        raise ValueError("size mismatch")
+    return Permutation(s[t[i] - 1] for i in range(len(s)))
+
+
 def transposition_product(word, h) -> Permutation:
     """s_{i_k} * ... * s_{i_1} for the word [i_1, ..., i_k], multiplied out
     as adjacent transpositions; ``weyl.word_permutation`` reads the
     permutation off the word's action instead."""
-    product = Permutation.identity(h)
+    product = Permutation(range(1, h + 1))
     for i in word:
         if not 1 <= i <= h - 1:
             raise ValueError(f"need 1 <= i <= {h - 1}, got {i}")
         images = list(range(1, h + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
-        product = Permutation(images) * product
+        product = compose(Permutation(images), product)
     return product
 
 
@@ -471,7 +479,7 @@ def sort_bott_cohomology(w):
     rho, with the numerator and the denominator prod (j - i) both formed
     on every call; None when the shifted weight has a repeated entry.
     """
-    h = w.h
+    h = len(w.a) + len(w.b)
     rho = tuple(range(h - 1, -1, -1))
     v = tuple(x + r for x, r in zip(w.a + w.b, rho))
     if len(set(v)) < h:

@@ -80,6 +80,25 @@ def test_criterion_2_fails_when_the_certificate_disagrees(monkeypatch):
     assert "against Bareiss {(1, 2): -1, " in r.detail
 
 
+def test_criteria_2_and_3_share_one_flop_matrix_per_case(monkeypatch):
+    # criterion 3 squares the matrices criterion 2 took determinants of,
+    # so a verify-all builds each case's F once: 7 matrices, not 14
+    built, flop_matrix = [], acceptance.kgroup.flop_matrix
+
+    def counted(box):
+        built.append(box)
+        return flop_matrix(box)
+
+    monkeypatch.setattr(acceptance.kgroup, "flop_matrix", counted)
+    acceptance._flop_matrices.cache_clear()
+    try:
+        assert all(r.passed for r in run_all(seed=0))
+    finally:
+        acceptance._flop_matrices.cache_clear()
+    assert len(built) == len(acceptance._FLOP_CASES) == 7
+    assert sorted((box.rows, box.h) for box in built) == sorted(acceptance._FLOP_CASES)
+
+
 def test_criterion_6_fails_when_bott_shifts_a_degree(monkeypatch):
     # the middle Hodge numbers come from Bott on G(2,4)'s Cauchy summands,
     # so one degree too many on every weight with a nonzero quotient block

@@ -69,7 +69,7 @@ def test_weight_validation_and_text():
     with pytest.raises(ValueError):
         Weight((0, 1), (0, 0))
     w = Weight((-2, -2), (0, 0))
-    assert w.h == 4
+    assert len(w.a) + len(w.b) == 4
     assert Weight.from_text(w.text()) == w
     assert Weight.from_text("-2,-2|0,0") == w
 

@@ -707,6 +707,12 @@ def test_weyl_word(capsys):
     }
 
 
+def test_weyl_word_table(capsys):
+    code, out = run_cli(capsys, "weyl-word", "--h", "5", "--format", "table")
+    assert code == 0
+    assert out == "sigma: [5, 2, 3, 4, 1]\nword: [1, 2, 3, 4, 3, 2, 1]\nlength: 7\n"
+
+
 def test_chamber_sort(capsys):
     code, payload = run_json(capsys, "chamber-sort", "--vector", "1,3,2,4")
     assert code == 0
@@ -757,6 +763,12 @@ _USAGE_ERRORS = [
     (["chamber-sort"], "--vector v1,v2,... is required"),
     (["gamma", "--point", "1,2,3"], "expected 5 comma-separated values, got 3"),
     (["gamma", "--point", "1,x,3,4,5"], "invalid literal for int() with base 10: 'x'"),
+    (["gamma", "--point", "1,2,3,4,5", "--field", "10"], "10 is not prime"),
+    (["quadric", "--point", "1,2,3,4,5"], "expected 6 comma-separated values, got 5"),
+    (["quadric", "--point", "1,2,3,4,5,x"], "invalid literal for int() with base 10: 'x'"),
+    (["quadric", "--point", "0,0,0,0,0,0"], "the all-zero tuple is not a projective point"),
+    (["quadric", "--point", "7,7,7,7,7,7", "--field", "7"],
+     "the all-zero tuple is not a projective point"),
     (["bott", "--t", "2", "--h", "4", "--weight", "1,0|0"],
      "weight blocks 1,0|0 do not match t=2, h=4"),
     (["springer-fiber", "--t", "2", "--h", "4", "--i", "3"],

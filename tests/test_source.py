@@ -102,15 +102,19 @@ def test_test_only_oracles_stay_out_of_the_package():
 
 def test_second_routes_stay_out_of_the_package():
     # word -> permutation is read off apply_word; the transposition
-    # product, the positional action of a permutation, the part-wise
-    # complement and the matrix-vector product live in tests/oracles.py; classes multiply as weights in kgroup._multiply,
-    # with no product of basis pairs and no table of them; the flop matrix
-    # is the compound of an h x h matrix, and the twist by O(1) on the
-    # whole basis, its walk and the complement indices are the oracles'
-    from flopk import kgroup, partitions, weyl
+    # product, the composition and positional action of permutations, the
+    # part-wise complement and the matrix-vector product live in
+    # tests/oracles.py, and the tests spell out the identity permutation,
+    # a permutation's value and a weight's h; classes multiply as weights
+    # in kgroup._multiply, with no product of basis pairs and no table of
+    # them; the flop matrix is the compound of an h x h matrix, and the
+    # twist by O(1) on the whole basis, its walk and the complement
+    # indices are the oracles'
+    from flopk import bott, kgroup, partitions, weyl
 
     gone = {
-        weyl.Permutation: ("adjacent", "h", "apply"),
+        weyl.Permutation: ("adjacent", "h", "apply", "identity", "__call__", "__mul__"),
+        bott.Weight: ("h",),
         partitions.BoxShape: ("complement",),
         kgroup.IntegerMatrix: ("apply",),
         kgroup.TautClass: ("__neg__",),
