@@ -39,7 +39,7 @@ from itertools import combinations
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from .partitions import BoxShape, Record
+from .partitions import BoxShape, Record, require_ints
 
 # Largest dimension t(h-t) of a Grassmannian that hodge_numbers accepts,
 # that of G(9,18), the largest box, and of G(1,82).  It bounds the
@@ -62,10 +62,7 @@ class Weight(Record):
         object.__setattr__(self, "b", b)
         if not a or not b:
             raise ValueError("both blocks must be non-empty")
-        entries = a + b
-        if set(map(type, entries)) != {int}:
-            bad = next(x for x in entries if type(x) is not int)
-            raise TypeError(f"weight entries must be int, got {bad!r}")
+        require_ints(a + b, "weight entries")
         for block in (a, b):
             if list(block) != sorted(block, reverse=True):
                 raise ValueError(f"block {block} is not non-increasing")

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .partitions import require_ints
+
 
 # ---------------------------------------------------------------------------
 # Prime moduli
@@ -59,6 +61,7 @@ def _is_prime(n: int) -> bool:
 def prime_modulus(p: int) -> int:
     """p itself if it is prime; ValueError if it is not, or if it is too
     large for _is_prime to decide."""
+    require_ints((p,), "the modulus")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
@@ -156,6 +159,7 @@ def springer_fiber(t: int, h: int, i: int) -> tuple[tuple[int, int], int]:
     gives a point (the resolution is an isomorphism over the open
     stratum), i = 0 gives the whole zero-section Grassmannian.
     """
+    require_ints((t, h, i), "t, h and i")
     if not (0 <= i <= t and 2 * t <= h):
         raise ValueError(f"need 0 <= i <= t and 2t <= h, got t={t}, h={h}, i={i}")
     return (t - i, h - 2 * i), (t - i) * (h - t - i)

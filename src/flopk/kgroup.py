@@ -72,7 +72,7 @@ from math import comb, gcd
 
 from . import flop
 from .partitions import (BoxShape, Partition, Record, box_index, enumerate_box, lr_coefficients,
-                         partitions_of)
+                         partitions_of, require_ints)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +89,7 @@ class KVector(Record):
         object.__setattr__(self, "coords", coords)
         if len(coords) != box.rank:
             raise ValueError(f"expected {box.rank} coordinates for {box}, got {len(coords)}")
-        for x in coords:
-            if type(x) is not int:
-                raise TypeError(f"coordinates must be int, got {x!r}")
+        require_ints(coords, "coordinates")
 
     @classmethod
     def basis_vector(cls, box: BoxShape, alpha) -> "KVector":
@@ -111,9 +109,7 @@ class KVector(Record):
         return KVector(self.box, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "KVector") -> "KVector":
-        if self.box != other.box:
-            raise ValueError("box mismatch")
-        return KVector(self.box, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + (-1) * other
 
     def __rmul__(self, n: int) -> "KVector":
         if not isinstance(n, int):
@@ -202,11 +198,13 @@ def schur_quot(alpha) -> TautClass:
 
 def wedge_tangent(i: int) -> TautClass:
     """i-th exterior power of the tangent bundle (dual sub tensor quot)."""
+    require_ints((i,), "tangent wedge degree")
     return TautClass._atom(("tangent_wedge", i))
 
 
 def line_bundle(k: int) -> TautClass:
     """O(k); O(-1) is the determinant of the subbundle."""
+    require_ints((k,), "line bundle degree")
     return TautClass._atom(("line", k))
 
 
@@ -336,12 +334,8 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[tuple[int, ...], int
         )
     if kind == "line":
         # O(k) = (det sub)^-k
-        if type(arg) is not int:
-            raise TypeError(f"line bundle degree must be int, got {arg!r}")
         return (((-arg,) * t, 1),)
     if kind == "tangent_wedge":
-        if type(arg) is not int:
-            raise TypeError(f"tangent wedge degree must be int, got {arg!r}")
         # Cauchy: wedge^i(sub* (x) quot) splits into Sigma^mu sub* (x)
         # Sigma^mu' quot over the partitions mu of i
         total: dict[tuple[int, ...], int] = {}
@@ -387,9 +381,7 @@ class IntegerMatrix:
         if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("entries must be a non-empty rectangular array")
         for row in rows:
-            for x in row:
-                if type(x) is not int:
-                    raise TypeError(f"entries must be int, got {x!r}")
+            require_ints(row, "entries")
         self.entries = tuple(rows)
 
     @classmethod

@@ -29,7 +29,22 @@ from functools import cache
 from itertools import combinations
 from math import comb
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
+
+
+def require_ints(values: Iterable, what: str) -> None:
+    """Raise TypeError at the first value whose type is not exactly int.
+
+    The package's one strict-integer rule: bool and float are refused,
+    so a non-integer is never truncated.
+
+    >>> require_ints((3, 2.5), "parts")
+    Traceback (most recent call last):
+    TypeError: parts must be int, got 2.5
+    """
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"{what} must be int, got {x!r}")
 
 
 class Partition(tuple):
@@ -42,10 +57,9 @@ class Partition(tuple):
 
     def __new__(cls, parts=()):
         parts = tuple(parts)
+        require_ints(parts, "parts")
         prev = None
         for p in parts:
-            if type(p) is not int:
-                raise TypeError(f"parts must be int, got {p!r}")
             if p < 0:
                 raise ValueError(f"parts must be positive, got {parts}")
             if prev is not None and prev < p:
@@ -143,10 +157,9 @@ class BoxShape(Record):
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int):
+        require_ints((rows, cols), "box sides")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        if type(rows) is not int or type(cols) is not int:
-            raise TypeError(f"box sides must be int, got {self}")
         if rows < 1 or cols < 1:
             raise ValueError(f"box must have positive sides, got {self}")
 
@@ -176,12 +189,13 @@ def partitions_of(
 ) -> Iterator[Partition]:
     """All partitions of n with bounded length and part size, lex descending;
     none for n < 0."""
-    if n < 0:
-        return
     if max_rows is None:
         max_rows = n
     if max_part is None:
         max_part = n
+    require_ints((n, max_rows, max_part), "n, max_rows and max_part")
+    if n < 0:
+        return iter(())
 
     def rec(remaining, rows_left, cap):
         if remaining == 0:
@@ -196,8 +210,7 @@ def partitions_of(
             for rest in rec(remaining - first, rows_left - 1, first):
                 yield (first,) + rest
 
-    for parts in rec(n, max_rows, max_part):
-        yield Partition(parts)
+    return (Partition(parts) for parts in rec(n, max_rows, max_part))
 
 
 @cache  # one dict of C(h, t) keys per box a session meets

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .partitions import require_ints
+
 
 class RegularityViolation(Exception):
     """A chamber operation received a vector with repeated entries (a wall
@@ -32,9 +34,7 @@ class Permutation(tuple):
 
     def __new__(cls, images):
         images = tuple(images)
-        if not set(map(type, images)) <= {int}:
-            bad = next(x for x in images if type(x) is not int)
-            raise TypeError(f"permutation entries must be int, got {bad!r}")
+        require_ints(images, "permutation entries")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         return super().__new__(cls, images)
@@ -138,8 +138,8 @@ def chamber_sort(vector: Sequence) -> tuple[Permutation, list[int]]:
     vector = tuple(vector)
     if len(set(vector)) != len(vector):
         raise RegularityViolation(f"entries are not pairwise distinct: {vector}")
-    ranking = sorted(vector, reverse=True)
-    sigma = Permutation(ranking.index(v) + 1 for v in vector)
+    rank = {v: r for r, v in enumerate(sorted(vector, reverse=True), 1)}
+    sigma = Permutation(rank[v] for v in vector)
     word = adjacent_word(sigma)
     sorted_vec = apply_word(word, vector)
     if not all(a > b for a, b in zip(sorted_vec, sorted_vec[1:])):

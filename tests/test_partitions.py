@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from flopk.bott import Weight
 from flopk.chow import centralizer_order, sn_character
-from flopk.kgroup import KVector
+from flopk.flopgeom import prime_modulus, springer_fiber
+from flopk.kgroup import IntegerMatrix, KVector, expand_in_basis, line_bundle, wedge_tangent
 from flopk.partitions import (
     BoxShape,
     Partition,
@@ -19,6 +20,7 @@ from flopk.partitions import (
     lr_coefficients,
     partitions_of,
 )
+from flopk.weyl import Permutation
 
 from oracles import box_complement
 
@@ -376,3 +378,68 @@ def test_character_sign_representation(n):
     for rho in partitions_of(n):
         expected = (-1) ** (n - len(rho))
         assert sn_character(sign_rep, rho) == expected
+
+
+# every strict-integer check of the package, each a call of require_ints:
+# a call that puts one bad value in, and the subject its TypeError names
+_INT_CHECKS = {
+    "Partition": (lambda x: Partition((3, x)), "parts"),
+    "BoxShape": (lambda x: BoxShape(2, x), "box sides"),
+    "KVector": (lambda x: KVector(BoxShape(1, 1), (0, x)), "coordinates"),
+    # the first bad entry in row order is named, not "later" in column order
+    "IntegerMatrix": (lambda x: IntegerMatrix([[1, x], ["later", 1]]), "entries"),
+    "line_bundle": (line_bundle, "line bundle degree"),
+    "wedge_tangent": (wedge_tangent, "tangent wedge degree"),
+    "Weight": (lambda x: Weight((1, x), (0,)), "weight entries"),
+    "Permutation": (lambda x: Permutation((1, x)), "permutation entries"),
+    "springer_fiber": (lambda x: springer_fiber(2, 6, x), "t, h and i"),
+    "prime_modulus": (prime_modulus, "the modulus"),
+    "partitions_of": (lambda x: partitions_of(4, 2, x), "n, max_rows and max_part"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("site", sorted(_INT_CHECKS))
+def test_every_int_check_names_the_bad_value(site, bad):
+    call, what = _INT_CHECKS[site]
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value) == f"{what} must be int, got {bad!r}"
+
+
+def test_int_check_comes_before_sign_and_order():
+    with pytest.raises(TypeError, match=r"^parts must be int, got 2\.5$"):
+        Partition((-1, 2.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: springer_fiber(2.5, 6, 0),
+        lambda: springer_fiber(True, 4, True),
+        lambda: prime_modulus(7.0),
+        lambda: partitions_of(True),
+        lambda: partitions_of(3, True),
+        lambda: partitions_of(3, None, 2.0),
+    ],
+)
+def test_integer_entry_points_refuse_non_ints(call):
+    # each once returned a value: a "G(2.5,6)" of dimension 8.75, the prime
+    # 7.0, or the partitions of 1 for n = True
+    with pytest.raises(TypeError, match="must be int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        (line_bundle(-2), lambda: line_bundle(-2.0)),
+        (wedge_tangent(1), lambda: wedge_tangent(True)),
+    ],
+)
+def test_equal_non_int_degree_is_refused_after_its_int_twin(good, bad):
+    # -2.0 == -2 and True == 1 hash alike, so a check made inside the
+    # cached expansion of an atom would be skipped once the int was expanded
+    expand_in_basis(good, BoxShape(2, 2))
+    with pytest.raises(TypeError, match="must be int"):
+        bad()

@@ -139,3 +139,21 @@ def test_flop_engine_names_have_one_home():
     bound = [name for name, value in vars(kgroup).items()
              if name in defined or getattr(value, "__module__", None) == flop.__name__]
     assert bound == []
+
+
+def test_strict_int_rule_is_written_once():
+    # partitions.require_ints is the one type check on integers; every
+    # other strict-integer check calls it, so "is not int" is written there
+    # and nowhere else in the package
+    found = [
+        (path.name, number)
+        for path in SOURCES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "is not int" in line
+    ]
+    partitions = next(path for path in SOURCES if path.name == "partitions.py")
+    guard = next(node for node in ast.parse(partitions.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "require_ints")
+    assert len(found) == 1
+    name, number = found[0]
+    assert name == "partitions.py" and guard.lineno < number <= guard.end_lineno
