@@ -336,16 +336,14 @@ def _atom_ch(atom: tuple, box: BoxShape) -> SchubertVector:
         return quot_chern_character(arg, box)
     if kind == "line":
         return line_chern_character(arg, box)
-    if kind == "tangent_wedge":
-        # Cauchy: wedge^i(sub* (x) quot) splits into Schur powers over
-        # partitions of i, the conjugate acting on the quotient factor.
-        total = SchubertVector.zero(box)
-        for mu in partitions_of(arg, box.rows, box.cols):
-            total = total + dual_chern_character(mu, box) * quot_chern_character(
-                mu.conjugate(), box
-            )
-        return total
-    raise ValueError(f"unknown atom {atom}")
+    # tangent_wedge, Cauchy: wedge^i(sub* (x) quot) splits into Schur
+    # powers over partitions of i, the conjugate acting on the quotient factor.
+    total = SchubertVector.zero(box)
+    for mu in partitions_of(arg, box.rows, box.cols):
+        total = total + dual_chern_character(mu, box) * quot_chern_character(
+            mu.conjugate(), box
+        )
+    return total
 
 
 # ---------------------------------------------------------------------------

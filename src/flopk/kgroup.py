@@ -112,8 +112,7 @@ class KVector(Record):
         return self + (-1) * other
 
     def __rmul__(self, n: int) -> "KVector":
-        if not isinstance(n, int):
-            return NotImplemented
+        require_ints((n,), "scalar")
         return KVector(self.box, tuple(n * c for c in self.coords))
 
 
@@ -124,6 +123,7 @@ class KVector(Record):
 # Atom kinds: ("sub", alpha) Schur power of the subbundle, ("sub*", alpha)
 # of its dual, ("quot", alpha) of the quotient, ("line", k) the line bundle
 # O(k), ("tangent_wedge", i) the i-th exterior power of the tangent bundle.
+# Each is made only by its constructor below, which checks its argument.
 _Atom = tuple
 
 
@@ -131,32 +131,30 @@ class TautClass:
     """A formal integer combination of tensor products of tautological
     bundles, the admissible input of ``expand_in_basis``.
 
-    Addition, subtraction and integer scaling are the lattice operations;
-    ``*`` between two expressions is the tensor product.
+    ``TautClass()`` is the zero class.  Every other class is built from
+    the five atoms (``schur_sub``, ``schur_sub_dual``, ``schur_quot``,
+    ``wedge_tangent``, ``line_bundle``), each checked by its constructor:
+    addition, subtraction and integer scaling are the lattice operations,
+    and ``*`` between two expressions is the tensor product.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[_Atom, ...], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def _atom(cls, atom: _Atom) -> "TautClass":
-        return cls({(atom,): 1})
+    def __init__(self):
+        self.terms: dict[tuple[_Atom, ...], int] = {}
 
     def __add__(self, other: "TautClass") -> "TautClass":
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return TautClass(out)
+        return _class(out)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-1) * other
 
     def __rmul__(self, n: int) -> "TautClass":
-        if not isinstance(n, int):
-            return NotImplemented
-        return TautClass({k: n * v for k, v in self.terms.items()})
+        require_ints((n,), "scalar")
+        return _class({k: n * v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "TautClass":
         """Tensor product, extended bilinearly."""
@@ -167,7 +165,7 @@ class TautClass:
             for kb, vb in other.terms.items():
                 key = tuple(sorted(ka + kb))
                 out[key] = out.get(key, 0) + va * vb
-        return TautClass(out)
+        return _class(out)
 
     def ch(self, box: BoxShape):
         """Chern character of the expression on the given Grassmannian."""
@@ -181,31 +179,39 @@ class TautClass:
         return " + ".join(f"{v}*{list(k)}" for k, v in self.terms.items())
 
 
+def _class(terms: dict[tuple[_Atom, ...], int]) -> TautClass:
+    """The class of the nonzero coefficients in terms, every atom of
+    which was made by its constructor."""
+    expr = TautClass()
+    expr.terms = {k: v for k, v in terms.items() if v}
+    return expr
+
+
 def schur_sub(alpha) -> TautClass:
     """The Schur power Sigma^alpha of the tautological subbundle."""
-    return TautClass._atom(("sub", Partition(alpha)))
+    return _class({(("sub", Partition(alpha)),): 1})
 
 
 def schur_sub_dual(alpha) -> TautClass:
     """Sigma^alpha of the dual of the tautological subbundle."""
-    return TautClass._atom(("sub*", Partition(alpha)))
+    return _class({(("sub*", Partition(alpha)),): 1})
 
 
 def schur_quot(alpha) -> TautClass:
     """Sigma^alpha of the quotient bundle."""
-    return TautClass._atom(("quot", Partition(alpha)))
+    return _class({(("quot", Partition(alpha)),): 1})
 
 
 def wedge_tangent(i: int) -> TautClass:
     """i-th exterior power of the tangent bundle (dual sub tensor quot)."""
     require_ints((i,), "tangent wedge degree")
-    return TautClass._atom(("tangent_wedge", i))
+    return _class({(("tangent_wedge", i),): 1})
 
 
 def line_bundle(k: int) -> TautClass:
     """O(k); O(-1) is the determinant of the subbundle."""
     require_ints((k,), "line bundle degree")
-    return TautClass._atom(("line", k))
+    return _class({(("line", k),): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -315,38 +321,34 @@ def _atom_vector(atom: _Atom, box: BoxShape) -> tuple[tuple[tuple[int, ...], int
         return ((_basis_weights(box)[_basis_position(arg, box)], 1),)
     if kind == "sub*":
         # the dual has the roots x_i^-1: s_alpha(x^-1) = s_(-alpha_t, ..., -alpha_1)(x)
-        alpha = Partition(arg)
-        if alpha.rows > t:
-            raise ValueError(f"{alpha} has more than {t} rows")
-        return ((tuple(-a for a in reversed(_padded(alpha, t))), 1),)
+        if arg.rows > t:
+            raise ValueError(f"{arg} has more than {t} rows")
+        return ((tuple(-a for a in reversed(_padded(arg, t))), 1),)
     if kind == "quot":
         # [quot] = h - [sub] in the lambda-ring, so [Sigma^alpha quot] is
         # sum_{nu in alpha} (-1)^|nu| s_{alpha/nu}(1^h) [Sigma^(nu') sub];
         # nu' fits in the box exactly when it has at most t rows, and each
         # count is positive, the columns of alpha/nu being shorter than h
-        alpha = Partition(arg)
-        if alpha.rows > box.cols:
-            raise ValueError(f"{alpha} has more than {box.cols} rows")
+        if arg.rows > box.cols:
+            raise ValueError(f"{arg} has more than {box.cols} rows")
         return tuple(
-            (w, (-1) ** nu.size * _skew_count(alpha, nu, box.h))
+            (w, (-1) ** nu.size * _skew_count(arg, nu, box.h))
             for w, beta in zip(_basis_weights(box), enumerate_box(box))
-            if alpha.contains(nu := beta.conjugate())
+            if arg.contains(nu := beta.conjugate())
         )
     if kind == "line":
         # O(k) = (det sub)^-k
         return (((-arg,) * t, 1),)
-    if kind == "tangent_wedge":
-        # Cauchy: wedge^i(sub* (x) quot) splits into Sigma^mu sub* (x)
-        # Sigma^mu' quot over the partitions mu of i
-        total: dict[tuple[int, ...], int] = {}
-        for mu in partitions_of(arg, t, box.cols):
-            term = _multiply(
-                _atom_vector(("sub*", mu), box), _atom_vector(("quot", mu.conjugate()), box), box
-            )
-            for w, x in term:
-                total[w] = total.get(w, 0) + x
-        return tuple((w, x) for w, x in total.items() if x)
-    raise ValueError(f"unknown atom {atom}")
+    # tangent_wedge, Cauchy: wedge^i(sub* (x) quot) splits into
+    # Sigma^mu sub* (x) Sigma^mu' quot over the partitions mu of i
+    total: dict[tuple[int, ...], int] = {}
+    for mu in partitions_of(arg, t, box.cols):
+        term = _multiply(
+            _atom_vector(("sub*", mu), box), _atom_vector(("quot", mu.conjugate()), box), box
+        )
+        for w, x in term:
+            total[w] = total.get(w, 0) + x
+    return tuple((w, x) for w, x in total.items() if x)
 
 
 def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
@@ -358,7 +360,7 @@ def expand_in_basis(expr: TautClass, box: BoxShape) -> KVector:
     """
     total = [0] * box.rank
     for atoms, coeff in expr.terms.items():
-        term = _atom_vector(atoms[0], box) if atoms else (((0,) * box.rows, 1),)
+        term = _atom_vector(atoms[0], box)
         for atom in atoms[1:]:
             term = _multiply(term, _atom_vector(atom, box), box)
         for w, x in term:

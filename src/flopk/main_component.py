@@ -24,6 +24,7 @@ from __future__ import annotations
 from .kgroup import (
     IntegerMatrix,
     KVector,
+    TautClass,
     expand_in_basis,
     line_bundle,
     schur_sub,
@@ -44,7 +45,7 @@ def koszul_ideal_class(h: int) -> KVector:
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     box = BoxShape.for_grassmannian(1, h)
-    expr = 0 * line_bundle(0)
+    expr = TautClass()
     for i in range(1, h):
         expr = expr + (-1) ** (i + 1) * (wedge_tangent(i) * line_bundle(-1))
     return expand_in_basis(expr, box)
@@ -74,7 +75,7 @@ def to_line_basis(v: KVector) -> tuple[int, ...]:
     """
     if v.box.rows != 1:
         raise ValueError("line-bundle bases only exist for projective spaces")
-    expr = 0 * line_bundle(0)
+    expr = TautClass()
     for alpha, c in v.as_dict().items():
         expr = expr + c * schur_sub(alpha)
     return expand_in_basis(expr * line_bundle(-1), v.box).coords

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -58,9 +63,9 @@ CERTIFICATE_BOXES = [
 # ---------------------------------------------------------------------------
 
 def test_structure_sheaf_is_unit_vector():
-    # every atom at the empty partition or zero, and the empty product
+    # every atom at the empty partition or zero
     for expr in (line_bundle(0), schur_sub(()), schur_sub_dual(()), schur_quot(()),
-                 wedge_tangent(0), TautClass({(): 1})):
+                 wedge_tangent(0)):
         assert expand_in_basis(expr, G24) == KVector.basis_vector(G24, ()), expr
         assert ch_expand(expr, G24) == KVector.basis_vector(G24, ()), expr
 
@@ -147,9 +152,8 @@ def test_non_integral_expansion_guard():
         (schur_sub((1, 1, 1)), r"Partition\(\(1, 1, 1\)\) does not fit in"),
         (schur_sub_dual((1, 1, 1)), r"has more than 2 rows"),
         (schur_quot((1, 1, 1)), r"has more than 2 rows"),
-        (TautClass({(("bogus", 1),): 1}), r"unknown atom \('bogus', 1\)"),
     ],
-    ids=["sub-too-wide", "sub-too-long", "sub-dual-too-long", "quot-too-long", "unknown"],
+    ids=["sub-too-wide", "sub-too-long", "sub-dual-too-long", "quot-too-long"],
 )
 def test_expansion_rejects_like_character_route(expr, message):
     with pytest.raises(ValueError, match=message):
@@ -162,6 +166,60 @@ def _clear_expansion_caches():
     for fn in (kgroup._atom_vector, kgroup._basis_weights, kgroup._straighten, flop._column,
                flop._mask_index):
         fn.cache_clear()
+
+
+def test_raw_terms_leave_the_commands_alone(capsys):
+    # raw terms are refused: an atom ("line", 1.0) that reached the caches
+    # would leave float coefficients under flop._column(-1, 5) before its
+    # coordinates were refused, and flop-matrix would then print "det":"1.0"
+    commands = (["flop-matrix", "--t", "1", "--h", "5"], ["check-iso", "--t", "1", "--h", "5"])
+    env = dict(os.environ, PYTHONPATH=str(Path(kgroup.__file__).parent.parent))
+    fresh = [
+        subprocess.run([sys.executable, "-m", "flopk.cli", *argv], env=env, capture_output=True,
+                       text=True, check=True, timeout=60).stdout
+        for argv in commands
+    ]
+    _clear_expansion_caches()
+    with pytest.raises(TypeError):
+        expand_in_basis(TautClass({(("line", 1.0),): 1}), BoxShape.for_grassmannian(1, 5))
+    for argv, want in zip(commands, fresh):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+
+
+# each atom constructor: a good argument, its float twin and the twin's error
+_ATOM_CONSTRUCTORS = {
+    "schur_sub": (schur_sub, (1,), (1.0,), "parts must be int, got 1.0"),
+    "schur_sub_dual": (schur_sub_dual, (1,), (1.0,), "parts must be int, got 1.0"),
+    "schur_quot": (schur_quot, (1,), (1.0,), "parts must be int, got 1.0"),
+    "wedge_tangent": (wedge_tangent, 1, 1.0, "tangent wedge degree must be int, got 1.0"),
+    "line_bundle": (line_bundle, 1, 1.0, "line bundle degree must be int, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-then-good", "good-then-bad"])
+@pytest.mark.parametrize("name", sorted(_ATOM_CONSTRUCTORS))
+def test_bad_atoms_never_reach_the_caches(name, bad_first):
+    # 1.0 == 1 as a cache key, so a float atom that got past its constructor
+    # would be served its int twin's coordinates, or leave float ones for it
+    make, good, bad, message = _ATOM_CONSTRUCTORS[name]
+    _clear_expansion_caches()
+    want = expand_in_basis(make(good), G24)
+    [((kind, _),)] = make(good).terms
+
+    def refuse():
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            make(bad)
+        with pytest.raises(TypeError):
+            expand_in_basis(TautClass({((kind, bad),): 1}), G24)
+
+    _clear_expansion_caches()
+    if bad_first:
+        refuse()
+    assert expand_in_basis(make(good), G24) == want
+    if not bad_first:
+        refuse()
+    assert expand_in_basis(make(good), G24) == want
 
 
 def test_column_closed_form_matches_double_sum():
@@ -418,8 +476,9 @@ def test_products_are_reduced_into_the_box(box):
     # the box and for a product of two products
     t, c = box.rows, box.cols
     basis = {tuple(p) + (0,) * (t - p.rows) for p in enumerate_box(box)}
-    atoms = [("sub", (c,) * t), ("sub*", (c,) * t), ("sub*", (2 * c + 1,)), ("quot", (1,)),
-             ("quot", (2,)), ("line", box.h + 2), ("line", -2 * box.h), ("tangent_wedge", 2)]
+    atoms = [("sub", Partition((c,) * t)), ("sub*", Partition((c,) * t)),
+             ("sub*", Partition((2 * c + 1,))), ("quot", Partition((1,))), ("quot", Partition((2,))),
+             ("line", box.h + 2), ("line", -2 * box.h), ("tangent_wedge", 2)]
     factors = [kgroup._atom_vector(atom, box) for atom in atoms]
     assert any(not {w for w, _ in u} <= basis for u in factors)
     products = [kgroup._multiply(u, v, box) for u in factors for v in factors]

@@ -388,6 +388,8 @@ _INT_CHECKS = {
     "KVector": (lambda x: KVector(BoxShape(1, 1), (0, x)), "coordinates"),
     # the first bad entry in row order is named, not "later" in column order
     "IntegerMatrix": (lambda x: IntegerMatrix([[1, x], ["later", 1]]), "entries"),
+    "KVector scalar": (lambda x: x * KVector(BoxShape(1, 1), (0, 1)), "scalar"),
+    "TautClass scalar": (lambda x: x * line_bundle(1), "scalar"),
     "line_bundle": (line_bundle, "line bundle degree"),
     "wedge_tangent": (wedge_tangent, "tangent wedge degree"),
     "Weight": (lambda x: Weight((1, x), (0,)), "weight entries"),

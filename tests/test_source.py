@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -157,3 +158,13 @@ def test_strict_int_rule_is_written_once():
     assert len(found) == 1
     name, number = found[0]
     assert name == "partitions.py" and guard.lineno < number <= guard.end_lineno
+
+
+def test_classes_are_built_only_from_atoms():
+    # TautClass() is the zero class and takes no raw terms, so every atom
+    # of a class was made, and checked, by one of the five atom
+    # constructors, and no branch is left for an atom of unknown kind
+    from flopk import kgroup
+
+    assert list(inspect.signature(kgroup.TautClass.__init__).parameters) == ["self"]
+    assert [path.name for path in SOURCES if "unknown atom" in path.read_text()] == []
