@@ -134,7 +134,6 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
-@cache
 def sn_character(lam: Partition, rho: Partition) -> int:
     """Irreducible character of S_n: chi^lam at cycle type rho (|lam| = |rho|).
 
@@ -145,6 +144,12 @@ def sn_character(lam: Partition, rho: Partition) -> int:
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise ValueError(f"|{lam}| != |{rho}|")
+    return _sn_character(lam, rho)
+
+
+@cache
+def _sn_character(lam: Partition, rho: Partition) -> int:
+    # cached on partitions only, so an equal float never reaches the cache
     if not rho:
         return 1
     r = rho[0]
@@ -162,7 +167,7 @@ def sn_character(lam: Partition, rho: Partition) -> int:
         new_lam = Partition(
             x - (m - 1 - i) for i, x in enumerate(new_beta) if x - (m - 1 - i) > 0
         )
-        total += (-1) ** crossed * sn_character(new_lam, rest)
+        total += (-1) ** crossed * _sn_character(new_lam, rest)
     return total
 
 
@@ -269,7 +274,6 @@ def _schur_of_exp(alpha: Partition, box: BoxShape, bundle: str, sign: int) -> Sc
     return acc
 
 
-@cache
 def chern_character(alpha, box: BoxShape) -> SchubertVector:
     """ch of the Schur power Sigma^alpha of the tautological subbundle."""
     alpha = Partition(alpha)
@@ -278,7 +282,6 @@ def chern_character(alpha, box: BoxShape) -> SchubertVector:
     return _schur_of_exp(alpha, box, "sub", +1)
 
 
-@cache
 def dual_chern_character(alpha, box: BoxShape) -> SchubertVector:
     """ch of Sigma^alpha applied to the dual of the subbundle."""
     alpha = Partition(alpha)
@@ -287,7 +290,6 @@ def dual_chern_character(alpha, box: BoxShape) -> SchubertVector:
     return _schur_of_exp(alpha, box, "sub", -1)
 
 
-@cache
 def quot_chern_character(alpha, box: BoxShape) -> SchubertVector:
     """ch of Sigma^alpha of the quotient bundle."""
     alpha = Partition(alpha)
@@ -296,7 +298,6 @@ def quot_chern_character(alpha, box: BoxShape) -> SchubertVector:
     return _schur_of_exp(alpha, box, "quot", +1)
 
 
-@cache
 def line_chern_character(k: int, box: BoxShape) -> SchubertVector:
     """ch of O(k): exp(k sigma_1), since O(1) is the dual determinant of sub."""
     sigma1 = SchubertVector.schubert(box, (1,))

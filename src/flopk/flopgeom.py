@@ -5,17 +5,17 @@ deformation space is a projective 4-space with homogeneous coordinates
 (alpha : x : y : z : w); the correspondence degenerates there to an
 explicit rational map into the dual Grassmannian sitting inside P^5 as
 the Pluecker quadric.  This module evaluates that limit map, whose zero
-tuple marks the indeterminacy locus, and the quadric form, proves
-symbolically that the map lands on the quadric, and gives the dimensions
-of Springer fibers.  The indeterminacy test and the rank-one
+tuple marks the indeterminacy locus, and the quadric form, proves by
+integer evaluation that the map lands on the quadric, and gives the
+dimensions of Springer fibers.  The indeterminacy test and the rank-one
 determinantal model of the fiber-product singularities are oracles of
 the tests (``tests/oracles.py``).
 
 Everything is generic over the scalars: only ring operations are used,
-so any commutative ring works, such as the integers, exact rationals or
-the small polynomial type used for the symbolic identity check.  Over a
-prime field F_p, evaluate over the integers and reduce the result mod p:
-reduction Z -> F_p is a ring homomorphism, so this gives the F_p value.
+so any commutative ring works, such as the integers or exact rationals.
+Over a prime field F_p, evaluate over the integers and reduce the result
+mod p: reduction Z -> F_p is a ring homomorphism, so this gives the F_p
+value.
 """
 
 from __future__ import annotations
@@ -97,53 +97,26 @@ def quadric_value(pt: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic identity: the limit map lands on the quadric
+# The identity: the limit map lands on the quadric, proved by evaluation
 # ---------------------------------------------------------------------------
 
-class _Poly:
-    """Minimal multivariate polynomial over Z: {exponent tuple: coeff}."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms):
-        self.n = n
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @classmethod
-    def variable(cls, n, i):
-        e = tuple(int(j == i) for j in range(n))
-        return cls(n, {e: 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return _Poly(self.n, out)
-
-    def __neg__(self):
-        return _Poly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return _Poly(self.n, out)
-
-    def is_zero(self):
-        return not self.terms
-
-
 def quadric_vanishes_identically() -> bool:
-    """Expand the quadric on the image of the limit map symbolically and
-    check it is the zero polynomial in (alpha, x, y, z, w)."""
-    vars5 = tuple(_Poly.variable(5, i) for i in range(5))
-    image = pluecker_limit_map(vars5)
-    return quadric_value(image).is_zero()
+    """Prove that the quadric vanishes on the image of the limit map, as a
+    polynomial in (alpha, x, y, z, w), by evaluating it over the integers
+    at the 126 points p of N^5 with p1 + ... + p5 <= 4.
+
+    Each coordinate of the map is quadratic, and so is the quadric, so the
+    composite has total degree at most 4.  A polynomial of total degree
+    <= d in n variables that is zero at every point of N^n with coordinate
+    sum <= d is the zero polynomial.  Induction on n and d proves it: the
+    polynomial vanishes where the last variable is 0, so it is that
+    variable times a polynomial of degree <= d - 1, and that polynomial is
+    zero at the same points shifted by one in that variable.
+    """
+    points = [()]
+    for _ in range(5):
+        points = [p + (k,) for p in points for k in range(5 - sum(p))]
+    return not any(quadric_value(pluecker_limit_map(p)) for p in points)
 
 
 # ---------------------------------------------------------------------------

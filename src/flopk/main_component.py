@@ -30,7 +30,7 @@ from .kgroup import (
     schur_sub,
     wedge_tangent,
 )
-from .partitions import BoxShape, enumerate_box
+from .partitions import BoxShape, enumerate_box, require_ints
 
 
 def koszul_ideal_class(h: int) -> KVector:
@@ -42,6 +42,7 @@ def koszul_ideal_class(h: int) -> KVector:
     bundle; in K-theory the twisted class is the alternating sum
     sum_{i>=1} (-1)^(i+1) [wedge^i Tangent (x) O(-1)].
     """
+    require_ints((h,), "h")
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     box = BoxShape.for_grassmannian(1, h)

@@ -109,6 +109,7 @@ def adjacent_word(sigma: Permutation) -> list[int]:
 def duality_permutation(h: int) -> Permutation:
     """Ordered product of the adjacent transpositions (1 2)(2 3)...
     (h-1 h)...(2 3)(1 2): the transposition exchanging 1 and h."""
+    require_ints((h,), "h")
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     return Permutation((h, *range(2, h), 1))
@@ -122,6 +123,7 @@ def duality_word(h: int) -> list[int]:
     >>> duality_word(4)
     [1, 2, 3, 2, 1]
     """
+    require_ints((h,), "h")
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     return list(range(1, h)) + list(range(h - 2, 0, -1))

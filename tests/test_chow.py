@@ -11,8 +11,10 @@ from flopk.chow import (
     chern_character,
     dual_chern_character,
     line_chern_character,
+    quot_chern_character,
     quot_chern_classes,
     rational_inverse,
+    sn_character,
     sub_chern_classes,
 )
 from flopk.partitions import BoxShape, Partition, enumerate_box
@@ -143,6 +145,24 @@ def test_ch_additive_rank():
     # has rank 2
     v = chern_character((2, 1), B22)
     assert v.coefficient(()) == 2
+
+
+_FLOAT_TWINS = [
+    (chern_character, ((1,), B22), ((1.0,), B22)),
+    (dual_chern_character, ((1,), B22), ((1.0,), B22)),
+    (quot_chern_character, ((1,), B22), ((1.0,), B22)),
+    (line_chern_character, (1, B22), (1.0, B22)),
+    (sn_character, ((1,), (1,)), ((1.0,), (1,))),
+]
+
+
+@pytest.mark.parametrize("fn, good, bad", _FLOAT_TWINS, ids=[t[0].__name__ for t in _FLOAT_TWINS])
+def test_equal_float_is_refused_after_its_int_twin(fn, good, bad):
+    # 1.0 == 1 and they hash alike, so a cache on the raw arguments would
+    # answer the float with the int's result instead of raising
+    fn(*good)
+    with pytest.raises(TypeError):
+        fn(*bad)
 
 
 # ---------------------------------------------------------------------------

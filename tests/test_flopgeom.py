@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flopk import flopgeom
 from flopk.flopgeom import (
     _MILLER_RABIN_BOUND,
     _is_prime,
@@ -33,6 +34,29 @@ def test_quadric_examples():
 
 def test_quadric_identity_symbolic():
     assert quadric_vanishes_identically()
+
+
+def test_quadric_identity_against_sympy():
+    # the outside oracle: each coordinate of the map has total degree 2, the
+    # premise of the evaluation proof, and the composite expands to 0
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("alpha x y z w")
+    image = pluecker_limit_map(symbols)
+    assert [sympy.Poly(c, *symbols).total_degree() for c in image] == [2] * 6
+    assert sympy.expand(quadric_value(image)) == 0
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_quadric_identity_detects_a_perturbed_map(monkeypatch, i):
+    # x*y added to one coordinate keeps every degree at most 2, so the
+    # composite stays inside the proof's degree bound but is nonzero
+    def perturbed(pt):
+        image = list(pluecker_limit_map(pt))
+        image[i] += pt[1] * pt[2]
+        return tuple(image)
+
+    monkeypatch.setattr(flopgeom, "pluecker_limit_map", perturbed)
+    assert not quadric_vanishes_identically()
 
 
 def test_quadric_identity_over_rationals():

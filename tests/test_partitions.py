@@ -12,6 +12,7 @@ from flopk.bott import Weight
 from flopk.chow import centralizer_order, sn_character
 from flopk.flopgeom import prime_modulus, springer_fiber
 from flopk.kgroup import IntegerMatrix, KVector, expand_in_basis, line_bundle, wedge_tangent
+from flopk.main_component import koszul_ideal_class
 from flopk.partitions import (
     BoxShape,
     Partition,
@@ -20,7 +21,7 @@ from flopk.partitions import (
     lr_coefficients,
     partitions_of,
 )
-from flopk.weyl import Permutation
+from flopk.weyl import Permutation, duality_permutation, duality_word
 
 from oracles import box_complement
 
@@ -397,6 +398,9 @@ _INT_CHECKS = {
     "springer_fiber": (lambda x: springer_fiber(2, 6, x), "t, h and i"),
     "prime_modulus": (prime_modulus, "the modulus"),
     "partitions_of": (lambda x: partitions_of(4, 2, x), "n, max_rows and max_part"),
+    "koszul_ideal_class": (koszul_ideal_class, "h"),
+    "duality_permutation": (duality_permutation, "h"),
+    "duality_word": (duality_word, "h"),
 }
 
 
@@ -423,11 +427,16 @@ def test_int_check_comes_before_sign_and_order():
         lambda: partitions_of(True),
         lambda: partitions_of(3, True),
         lambda: partitions_of(3, None, 2.0),
+        lambda: koszul_ideal_class(True),
+        lambda: koszul_ideal_class(3.0),
+        lambda: duality_permutation(3.0),
+        lambda: duality_word(3.0),
     ],
 )
 def test_integer_entry_points_refuse_non_ints(call):
     # each once returned a value: a "G(2.5,6)" of dimension 8.75, the prime
-    # 7.0, or the partitions of 1 for n = True
+    # 7.0, or the partitions of 1 for n = True; or it raised the wrong
+    # error ("need h >= 2, got True", "box sides must be int, got 2.0")
     with pytest.raises(TypeError, match="must be int"):
         call()
 
